@@ -7,7 +7,7 @@ from enum import Enum, IntEnum
 from typing import Callable, Iterable
 
 from ..errors import MalformedItem
-from ..kg import KnowledgeGraph, NodeKind
+from ..kg import GraphView, KnowledgeGraph, NodeKind
 from ..textutils import cosine_similarity, tokenize
 
 SimilarityFn = Callable[[str, str], float]
@@ -59,16 +59,13 @@ def classify_bloom(stem: str,
     return best
 
 
-def build_lexicon(graph: KnowledgeGraph) -> frozenset[str]:
+def build_lexicon(graph: KnowledgeGraph | GraphView) -> frozenset[str]:
     """Domain term set from the graph's entity and concept labels: each
-    full label plus its constituent words."""
-    terms: set[str] = set()
-    for node in graph.nodes():
-        if node.kind == NodeKind.HIERARCHY:
-            continue
-        terms.add(node.label)
-        terms.update(tokenize(node.label))
-    return frozenset(terms)
+    full label plus its constituent words; built once per revision."""
+    view = graph.view()
+    return view.memo("lexicon", lambda: frozenset(
+        term for node in view.nodes if node.kind != NodeKind.HIERARCHY
+        for term in (node.label, *tokenize(node.label))))
 
 
 def _mean(values: Iterable[float]) -> float:

@@ -233,18 +233,14 @@ def _question_generation_agent(registry: GraphRegistry,
 
 def _question_evaluation_agent(registry: GraphRegistry,
                                rubric: RubricConfig) -> AgentDescriptor:
-    lexicons: dict[str, frozenset] = {}
-
     def handler(ctx, message):
         payload = message.payload or {}
         candidate = payload["candidate"]
-        subject = payload["subject"]
-        if subject not in lexicons:
-            lexicons[subject] = build_lexicon(registry.get(subject))
         item = QuestionItem.from_payload(candidate["item"])
         result = evaluate_candidate(
             item, candidate["target"], candidate["epsilon"],
-            candidate.get("weights"), rubric, lexicons[subject],
+            candidate.get("weights"), rubric,
+            build_lexicon(registry.get(payload["subject"])),
         )
         if result.passed:
             return [Outgoing("exam/qualified", {

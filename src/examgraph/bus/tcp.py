@@ -69,6 +69,7 @@ class TcpBusServer:
         self._connections: list[_Connection] = []
         self._lock = threading.Lock()
         self._running = False
+        self._accept_thread: threading.Thread | None = None
 
     def start(self) -> None:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -78,8 +79,9 @@ class TcpBusServer:
         self._listener = listener
         self.port = listener.getsockname()[1]
         self._running = True
-        threading.Thread(target=self._accept_loop, name="tcp-bus-accept",
-                         daemon=True).start()
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, name="tcp-bus-accept", daemon=True)
+        self._accept_thread.start()
 
     def _accept_loop(self) -> None:
         assert self._listener is not None
@@ -187,10 +189,13 @@ class TcpBusServer:
     def stop(self) -> None:
         self._running = False
         if self._listener is not None:
+            # on Linux only shutdown(), not close(), wakes a blocked accept()
             try:
-                self._listener.close()
+                self._listener.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+            self._listener.close()
+            self._accept_thread.join(timeout=5.0)
         with self._lock:
             connections = list(self._connections)
             self._connections.clear()

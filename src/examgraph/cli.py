@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from .assessment import DifficultyTier, RubricConfig
-from .errors import ExamGraphError, InsufficientMaterial, UnknownSubject
+from .errors import ExamGraphError, InsufficientMaterial, UnknownNode
 from .gateway import CompletionRequest, ProviderConfig, complete, mock_complete
 from .generation import (
     ExamBlueprint,
@@ -201,12 +201,12 @@ def cmd_rank(args) -> int:
     if args.facts_of:
         concept = graph.find_node(args.facts_of, NodeKind.CONCEPT)
         if concept is None:
-            raise UnknownSubject(f"no concept {args.facts_of!r} in {args.subject!r}")
+            raise UnknownNode(f"no concept {args.facts_of!r} in {args.subject!r}")
         ranked = rank_concept_facts(graph, concept, args.top, pr_config)
     else:
         chapter = graph.find_node(args.chapter, NodeKind.HIERARCHY)
         if chapter is None:
-            raise UnknownSubject(f"no chapter {args.chapter!r} in {args.subject!r}")
+            raise UnknownNode(f"no chapter {args.chapter!r} in {args.subject!r}")
         ranked = rank_chapter_concepts(graph, chapter, pr_config)[:args.top]
     _emit([
         {"node": node_id, "label": graph.node(node_id).label, "score": score}

@@ -162,7 +162,8 @@ class ExamSession:
         self.rubric = rubric or RubricConfig()
         self.seed = seed
         self.max_retries = max_retries
-        self.lexicon = build_lexicon(graph)
+        view = graph.view()  # one revision for the whole session
+        self.lexicon = build_lexicon(view)
         self.epsilon = (blueprint.epsilon if blueprint.epsilon is not None
                         else self.rubric.epsilon)
         self.weights = list(blueprint.weights) if blueprint.weights else None
@@ -170,20 +171,16 @@ class ExamSession:
         self._section_bundles: list[list[MaterialBundle]] = []
         self._section_errors: list[str | None] = []
         for section in blueprint.sections:
-            chapter_id = graph.find_node(section.chapter, NodeKind.HIERARCHY)
-            if chapter_id is None:
-                self._section_bundles.append([])
-                self._section_errors.append(
-                    f"chapter {section.chapter!r} not found in graph")
-                continue
-            try:
-                bundles = assemble_material(graph, chapter_id,
-                                            top_concepts, top_m_facts)
-                self._section_bundles.append(bundles)
-                self._section_errors.append(None)
-            except NoConceptsInChapter as exc:
-                self._section_bundles.append([])
-                self._section_errors.append(str(exc))
+            chapter_id = view.find_node(section.chapter, NodeKind.HIERARCHY)
+            bundles, error = [], f"chapter {section.chapter!r} not found in graph"
+            if chapter_id is not None:
+                try:
+                    bundles = assemble_material(view, chapter_id, top_concepts, top_m_facts)
+                    error = None
+                except NoConceptsInChapter as exc:
+                    error = str(exc)
+            self._section_bundles.append(bundles)
+            self._section_errors.append(error)
 
         self._slots: list[SlotRef] = []
         for idx, section in enumerate(blueprint.sections):

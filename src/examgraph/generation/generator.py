@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
 from ..assessment import BloomLevel, DifficultyTier, bloom_profile
-from ..errors import GeneratorFailure, MalformedCandidate
-from ..kg import KnowledgeGraph, NodeKind
-from ..ranking import PageRankResult, pagerank, rank_chapter_concepts, rank_concept_facts
+from ..errors import ExamGraphError, GeneratorFailure, MalformedCandidate
+from ..kg import GraphView, KnowledgeGraph, NodeKind
+from ..ranking import cached_pagerank, rank_chapter_concepts, rank_concept_facts
 from ..textutils import normalize_label
 from .material import MaterialBundle
 
@@ -169,49 +169,41 @@ def _wrap_option(label: str, tier: DifficultyTier, concept: str, chapter: str) -
     return f"the {label} case, which illustrates {concept} as treated in {chapter}"
 
 
+def _chapter_fact_pools(view: GraphView, chapter_id: str) -> list[tuple[str, list[str]]]:
+    """Per chapter concept (rank order): (concept id, its top five fact
+    labels in rank order); computed once per revision and chapter."""
+    def build():
+        try:
+            ranked = rank_chapter_concepts(view, chapter_id)
+        except ExamGraphError:  # a chapter from outside this graph: no siblings
+            ranked = []
+        return [(concept_id, [view.node(fid).label
+                              for fid, _ in rank_concept_facts(view, concept_id, 5)])
+                for concept_id, _ in ranked]
+
+    return view.memo(("fact_pools", chapter_id), build)
+
+
+def _global_fact_labels(view: GraphView) -> list[str]:
+    """Every text entity's label, highest score first; once per revision."""
+    scores = cached_pagerank(view).scores
+    return view.memo("fact_labels", lambda: [n.label for n in sorted(
+        (n for n in view.nodes if n.kind == NodeKind.TEXT),
+        key=lambda n: (-scores[n.id], n.id))])
+
+
 class TemplateGenerator:
     """Offline generator: per (tier, bloom) a fixed stem template family,
     the key drawn from the bundle's best fact, distractors from sibling
     concepts in the same chapter (falling back to the rest of the graph).
 
     Deterministic given the seed; the seed drives option order only.
-    The graph is treated as immutable while the generator is alive.
+    Distractors come from the graph's current revision.
     """
 
     def __init__(self, graph: KnowledgeGraph, seed: int = 0):
         self.graph = graph
         self.seed = seed
-        self._scores: PageRankResult | None = None
-        self._chapter_pools: dict[str, list[tuple[str, list[str]]]] = {}
-
-    def _pagerank(self) -> PageRankResult:
-        if self._scores is None:
-            self._scores = pagerank(self.graph)
-        return self._scores
-
-    def _chapter_fact_pools(self, chapter_id: str) -> list[tuple[str, list[str]]]:
-        """Per chapter concept (rank order): (concept id, fact labels in
-        rank order)."""
-        if chapter_id not in self._chapter_pools:
-            pools: list[tuple[str, list[str]]] = []
-            try:
-                ranked = rank_chapter_concepts(self.graph, chapter_id,
-                                               scores=self._pagerank())
-            except Exception:
-                ranked = []
-            for concept_id, _ in ranked:
-                facts = rank_concept_facts(self.graph, concept_id, 5,
-                                           scores=self._pagerank())
-                pools.append((concept_id,
-                              [self.graph.node(fid).label for fid, _ in facts]))
-            self._chapter_pools[chapter_id] = pools
-        return self._chapter_pools[chapter_id]
-
-    def _global_fact_labels(self) -> list[str]:
-        scores = self._pagerank().scores
-        facts = [n for n in self.graph.nodes(NodeKind.TEXT)]
-        facts.sort(key=lambda n: (-scores[n.id], n.id))
-        return [n.label for n in facts]
 
     def _distractors(self, bundle: MaterialBundle, key_label: str) -> list[str]:
         banned = {normalize_label(label) for label in bundle.fact_labels}
@@ -226,8 +218,9 @@ class TemplateGenerator:
             chosen.append(label)
             return len(chosen) == 3
 
+        view = self.graph.view()
         sibling_pools = [
-            labels for concept_id, labels in self._chapter_fact_pools(bundle.chapter_id)
+            labels for concept_id, labels in _chapter_fact_pools(view, bundle.chapter_id)
             if concept_id != bundle.concept_id
         ]
         # breadth-first: every sibling's best fact before anyone's second
@@ -236,7 +229,7 @@ class TemplateGenerator:
             for pool in sibling_pools:
                 if level < len(pool) and take(pool[level]):
                     return chosen
-        for label in self._global_fact_labels():
+        for label in _global_fact_labels(view):
             if take(label):
                 return chosen
         raise GeneratorFailure(

@@ -6,8 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import NoConceptsInChapter
-from ..kg import EdgeKind, KnowledgeGraph
-from ..ranking import PageRankConfig, pagerank, rank_chapter_concepts, rank_concept_facts
+from ..kg import EdgeKind, GraphView, KnowledgeGraph
+from ..ranking import PageRankConfig, rank_chapter_concepts, rank_concept_facts
 
 
 @dataclass
@@ -28,25 +28,25 @@ class MaterialBundle:
         return [label for _, label in self.facts]
 
 
-def _one_hop_fact_triples(graph: KnowledgeGraph, fact_ids: list[str]
+def _one_hop_fact_triples(view: GraphView, fact_ids: list[str]
                           ) -> list[tuple[str, str, str]]:
     triples: list[tuple[str, str, str]] = []
     seen = set()
     for fid in fact_ids:
-        for edge in graph.out_edges(fid) + graph.in_edges(fid):
+        for edge in view.out_edges.get(fid, ()) + view.in_edges.get(fid, ()):
             if edge.kind != EdgeKind.FACT or edge in seen:
                 continue
             seen.add(edge)
             triples.append((
-                graph.node(edge.src).label,
+                view.node(edge.src).label,
                 edge.label or "",
-                graph.node(edge.dst).label,
+                view.node(edge.dst).label,
             ))
     triples.sort()
     return triples
 
 
-def assemble_material(graph: KnowledgeGraph, chapter: str,
+def assemble_material(graph: KnowledgeGraph | GraphView, chapter: str,
                       top_concepts: int = 10, top_m_facts: int = 5,
                       config: PageRankConfig | None = None) -> list[MaterialBundle]:
     """Bundles for the chapter's ``top_concepts`` highest-ranked concepts.
@@ -56,25 +56,24 @@ def assemble_material(graph: KnowledgeGraph, chapter: str,
     """
     if top_concepts < 1 or top_m_facts < 1:
         raise ValueError("top_concepts and top_m_facts must be >= 1")
-    scores = pagerank(graph, config)
-    concepts = rank_chapter_concepts(graph, chapter, scores=scores)
+    view = graph.view()
+    concepts = rank_chapter_concepts(view, chapter, config)
+    chapter_label = view.node(chapter).label
     if not concepts:
-        raise NoConceptsInChapter(
-            f"chapter {graph.node(chapter).label!r} has no concepts")
-    chapter_label = graph.node(chapter).label
+        raise NoConceptsInChapter(f"chapter {chapter_label!r} has no concepts")
     bundles = []
     for concept_id, _ in concepts[:top_concepts]:
-        ranked_facts = rank_concept_facts(graph, concept_id, top_m_facts, scores=scores)
+        ranked_facts = rank_concept_facts(view, concept_id, top_m_facts, config)
         if not ranked_facts:
             continue
         fact_ids = [fid for fid, _ in ranked_facts]
         bundles.append(MaterialBundle(
             concept_id=concept_id,
-            concept_label=graph.node(concept_id).label,
+            concept_label=view.node(concept_id).label,
             chapter_id=chapter,
             chapter_label=chapter_label,
-            facts=[(fid, graph.node(fid).label) for fid in fact_ids],
-            sub_connections=_one_hop_fact_triples(graph, fact_ids),
+            facts=[(fid, view.node(fid).label) for fid in fact_ids],
+            sub_connections=_one_hop_fact_triples(view, fact_ids),
         ))
     if not bundles:
         raise NoConceptsInChapter(

@@ -8,15 +8,21 @@ hierarchy (chapter) nodes, connected by four edge kinds:
 * ``part_of``     hierarchy -> hierarchy (chapter nesting, child to parent)
 * ``include_in``  concept -> hierarchy (concept filed under a chapter)
 
-Mutations on one graph are serialized behind a lock (single-writer contract);
-reads are lock-free and may run concurrently.
+Writers serialize on the graph's lock; each effective mutation (a new node,
+raw label, source ref or edge, not an exact duplicate) bumps ``revision``.
+Readers never touch the live dicts but read ``view()``: an immutable snapshot
+built at most once per revision, on which derived data such as PageRank
+scores, the lexicon and chapter rankings is memoised.
 """
 
 from __future__ import annotations
 
+import re
 import threading
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import groupby
 
 from ..errors import (
     DuplicateSubject,
@@ -28,6 +34,8 @@ from ..errors import (
     UnknownSubject,
 )
 from ..textutils import normalize_label
+
+ID_PATTERN = re.compile(r"^n(\d+)$")
 
 
 class NodeKind(Enum):
@@ -69,20 +77,59 @@ class Edge:
     label: str | None = None  # relation label, fact edges only
 
 
+class GraphView:
+    """One revision of a graph, frozen: node copies sorted by id, sorted edges,
+    in/out adjacency tuples, and a memo for data derived from this revision."""
+
+    def __init__(self, graph: KnowledgeGraph):  # under the graph's write lock
+        self.subject = graph.subject
+        self.revision = graph.revision
+        self.nodes = tuple(
+            Node(n.id, n.kind, n.label, set(n.raw_labels), list(n.source_refs))
+            for n in sorted(graph._nodes.values(), key=lambda n: n.id))
+        self.edges = tuple(sorted(
+            graph._edges, key=lambda e: (e.src, e.dst, e.kind.value, e.label or "")))
+        self._by_id = {n.id: n for n in self.nodes}
+        self._by_key = {(n.kind, n.label): n.id for n in self.nodes}
+        # a stable sort by target keeps each node's in-edges in source order
+        by_dst = sorted(self.edges, key=lambda e: e.dst)
+        self.out_edges = {k: tuple(es) for k, es in groupby(self.edges, lambda e: e.src)}
+        self.in_edges = {k: tuple(es) for k, es in groupby(by_dst, lambda e: e.dst)}
+        self._memo: dict = {}
+
+    def view(self) -> GraphView:
+        return self
+
+    def node(self, node_id: str) -> Node:
+        try:
+            return self._by_id[node_id]
+        except KeyError:
+            raise UnknownNode(f"no node {node_id!r} in graph {self.subject!r}") from None
+
+    def find_node(self, label: str, kind: NodeKind) -> str | None:
+        return self._by_key.get((kind, normalize_label(label)))
+
+    def memo(self, key, compute):
+        """``compute()``'s value for ``key``, the first stored if threads race."""
+        if key not in self._memo:
+            self._memo.setdefault(key, compute())
+        return self._memo[key]
+
+
 class KnowledgeGraph:
     """Mutable typed multigraph for one subject."""
 
     def __init__(self, subject: str):
         self.subject = subject
+        self.revision = 0
         self._nodes: dict[str, Node] = {}
         self._by_key: dict[tuple[NodeKind, str], str] = {}
         self._edges: set[Edge] = set()
-        self._out: dict[str, list[Edge]] = {}
-        self._in: dict[str, list[Edge]] = {}
         self._next_id = 0
         # reentrant so compound mutations (triple = 2 upserts + 1 edge)
         # serialize as one writer operation
         self._write_lock = threading.RLock()
+        self._view = GraphView(self)
 
     # -- inspection --
 
@@ -97,6 +144,13 @@ class KnowledgeGraph:
     def edge_count(self) -> int:
         return len(self._edges)
 
+    def view(self) -> GraphView:
+        """The immutable view of the current revision."""
+        with self._write_lock:
+            if self._view.revision != self.revision:
+                self._view = GraphView(self)
+            return self._view
+
     def node(self, node_id: str) -> Node:
         try:
             return self._nodes[node_id]
@@ -107,16 +161,10 @@ class KnowledgeGraph:
         return node_id in self._nodes
 
     def nodes(self, kind: NodeKind | None = None) -> list[Node]:
-        ns = self._nodes.values()
-        if kind is not None:
-            ns = (n for n in ns if n.kind == kind)
-        return sorted(ns, key=lambda n: n.id)
+        return [n for n in self.view().nodes if kind is None or n.kind == kind]
 
     def edges(self, kind: EdgeKind | None = None) -> list[Edge]:
-        es = self._edges
-        if kind is not None:
-            es = (e for e in es if e.kind == kind)
-        return sorted(es, key=lambda e: (e.src, e.dst, e.kind.value, e.label or ""))
+        return [e for e in self.view().edges if kind is None or e.kind == kind]
 
     def find_node(self, label: str, kind: NodeKind) -> str | None:
         """NodeId for a (normalized) label of the given kind, if present."""
@@ -141,10 +189,14 @@ class KnowledgeGraph:
                 self._next_id += 1
                 self._nodes[node_id] = Node(id=node_id, kind=kind, label=norm)
                 self._by_key[(kind, norm)] = node_id
+                self.revision += 1
             node = self._nodes[node_id]
-            node.raw_labels.add(surface_label)
+            if surface_label not in node.raw_labels:
+                node.raw_labels.add(surface_label)
+                self.revision += 1
             if source_ref is not None and source_ref not in node.source_refs:
                 node.source_refs.append(source_ref)
+                self.revision += 1
             return node_id
 
     def assert_fact_triple(self, head: str, relation: str, tail: str,
@@ -165,28 +217,45 @@ class KnowledgeGraph:
         """Add a typed structural edge (is_a / part_of / include_in)."""
         if kind == EdgeKind.FACT:
             raise KindMismatch("fact edges are added via assert_fact_triple")
-        with self._write_lock:
-            src_node = self.node(src)
-            dst_node = self.node(dst)
-            want_src, want_dst = _EDGE_TYPING[kind]
-            if src_node.kind != want_src or dst_node.kind != want_dst:
-                raise KindMismatch(
-                    f"{kind.value} requires {want_src.value}->{want_dst.value}, "
-                    f"got {src_node.kind.value}->{dst_node.kind.value}"
-                )
-            edge = Edge(kind, src, dst)
-            self._add_edge(edge)
+        edge = Edge(kind, src, dst)
+        self._add_edge(edge)
         return edge
 
-    def _add_edge(self, edge: Edge) -> None:
-        if edge.src not in self._nodes or edge.dst not in self._nodes:
-            raise UnknownNode("edge endpoints must exist in this graph")
+    def restore(self, item: Node | Edge) -> None:
+        """Add a stored edge, or node under its own id (snapshot import);
+        duplicates are errors, labels are normalized as ``find_node`` wants."""
+        if isinstance(item, Edge):
+            if not self._add_edge(item):
+                raise ValueError("duplicate edge")
+            return
+        node = replace(item, label=normalize_label(item.label))
+        if not node.label:
+            raise EmptyLabel(f"label {item.label!r} is empty after normalization")
         with self._write_lock:
+            if node.id in self._nodes or (node.kind, node.label) in self._by_key:
+                raise ValueError(
+                    f"duplicate node {node.id!r} ({node.kind.value}, {node.label!r})")
+            self._nodes[node.id] = node
+            self._by_key[(node.kind, node.label)] = node.id
+            m = ID_PATTERN.match(node.id)
+            if m:
+                self._next_id = max(self._next_id, int(m.group(1)) + 1)
+            self.revision += 1
+
+    def _add_edge(self, edge: Edge) -> bool:
+        """Add a typed edge between existing nodes; False if already there."""
+        with self._write_lock:
+            src_kind, dst_kind = self.node(edge.src).kind, self.node(edge.dst).kind
+            want_src, want_dst = _EDGE_TYPING[edge.kind]
+            if src_kind != want_src or dst_kind != want_dst:
+                raise KindMismatch(
+                    f"{edge.kind.value} requires {want_src.value}->{want_dst.value}, "
+                    f"got {src_kind.value}->{dst_kind.value}")
             if edge in self._edges:
-                return
+                return False
             self._edges.add(edge)
-            self._out.setdefault(edge.src, []).append(edge)
-            self._in.setdefault(edge.dst, []).append(edge)
+            self.revision += 1
+            return True
 
     # -- queries --
 
@@ -194,40 +263,33 @@ class KnowledgeGraph:
                         kind_filter: EdgeKind | None = None) -> list[tuple[Edge, Node]]:
         """Incident edges with the node on the far end, deterministically
         ordered by (neighbor id, edge kind, label)."""
-        if node_id not in self._nodes:
-            raise UnknownNode(f"no node {node_id!r} in graph {self.subject!r}")
+        view = self.view()
+        view.node(node_id)  # raises UnknownNode
         if direction not in ("in", "out", "both"):
             raise ValueError(f"direction must be in/out/both, got {direction!r}")
         found: list[tuple[Edge, Node]] = []
         seen: set[tuple[Edge, str]] = set()  # self-loops are incident once
         if direction in ("out", "both"):
-            for e in self._out.get(node_id, ()):
+            for e in view.out_edges.get(node_id, ()):
                 if kind_filter is None or e.kind == kind_filter:
-                    found.append((e, self._nodes[e.dst]))
+                    found.append((e, view.node(e.dst)))
                     seen.add((e, e.dst))
         if direction in ("in", "both"):
-            for e in self._in.get(node_id, ()):
+            for e in view.in_edges.get(node_id, ()):
                 if (kind_filter is None or e.kind == kind_filter) \
                         and (e, e.src) not in seen:
-                    found.append((e, self._nodes[e.src]))
+                    found.append((e, view.node(e.src)))
         found.sort(key=lambda pair: (pair[1].id, pair[0].kind.value, pair[0].label or ""))
         return found
 
-    def out_edges(self, node_id: str) -> list[Edge]:
-        return list(self._out.get(node_id, ()))
-
-    def in_edges(self, node_id: str) -> list[Edge]:
-        return list(self._in.get(node_id, ()))
-
     def stats(self) -> dict:
-        nodes = {k.value: 0 for k in NodeKind}
-        for n in self._nodes.values():
-            nodes[n.kind.value] += 1
-        edges = {k.value: 0 for k in EdgeKind}
-        for e in self._edges:
-            edges[e.kind.value] += 1
+        view = self.view()
+        nodes = Counter({k.value: 0 for k in NodeKind})
+        nodes.update(n.kind.value for n in view.nodes)
+        edges = Counter({k.value: 0 for k in EdgeKind})
+        edges.update(e.kind.value for e in view.edges)
         return {"subject": self.subject, "nodes": nodes, "edges": edges,
-                "node_total": len(self._nodes), "edge_total": len(self._edges)}
+                "node_total": len(view.nodes), "edge_total": len(view.edges)}
 
 
 class GraphRegistry:

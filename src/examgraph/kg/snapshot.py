@@ -13,19 +13,16 @@ ids, labels and edges.
 from __future__ import annotations
 
 import json
-import re
 
-from ..errors import MalformedSnapshot
-from .graph import _EDGE_TYPING, Edge, EdgeKind, KnowledgeGraph, Node, NodeKind
+from ..errors import EmptyLabel, KindMismatch, MalformedSnapshot, UnknownNode
+from .graph import ID_PATTERN, Edge, EdgeKind, KnowledgeGraph, Node, NodeKind
 
 SNAPSHOT_FORMAT = "kaqg-kg"
 SNAPSHOT_VERSION = 1
 
-_ID_SUFFIX = re.compile(r"^n(\d+)$")
-
 
 def _node_sort_key(node_id: str) -> tuple:
-    m = _ID_SUFFIX.match(node_id)
+    m = ID_PATTERN.match(node_id)
     return (0, int(m.group(1)), "") if m else (1, 0, node_id)
 
 
@@ -107,40 +104,20 @@ def import_graph(stream: bytes | str) -> KnowledgeGraph:
         _fail(line_no, "header subject must be a non-empty string")
 
     graph = KnowledgeGraph(subject)
-    max_id = -1
     for line_no, record in records[1:]:
         kind = record.get("type")
         if kind == "node":
-            node = _parse_node(record, line_no)
-            if graph.has_node(node.id):
-                _fail(line_no, f"duplicate node id {node.id!r}")
-            graph._nodes[node.id] = node
-            key = (node.kind, node.label)
-            if key in graph._by_key:
-                _fail(line_no, f"duplicate node ({node.kind.value}, {node.label!r})")
-            graph._by_key[key] = node.id
-            m = _ID_SUFFIX.match(node.id)
-            if m:
-                max_id = max(max_id, int(m.group(1)))
+            item = _parse_node(record, line_no)
         elif kind == "edge":
-            edge = _parse_edge(record, line_no)
-            if not graph.has_node(edge.src) or not graph.has_node(edge.dst):
-                _fail(line_no, "edge references unknown node")
-            src_kind = graph.node(edge.src).kind
-            dst_kind = graph.node(edge.dst).kind
-            want = _EDGE_TYPING[edge.kind]
-            if (src_kind, dst_kind) != want:
-                _fail(line_no, f"edge kind {edge.kind.value} violates node typing")
-            if edge in graph._edges:
-                _fail(line_no, "duplicate edge")
-            graph._edges.add(edge)
-            graph._out.setdefault(edge.src, []).append(edge)
-            graph._in.setdefault(edge.dst, []).append(edge)
+            item = _parse_edge(record, line_no)
         elif kind == "header":
             _fail(line_no, "unexpected second header")
         else:
             _fail(line_no, f"unknown record type {kind!r}")
-    graph._next_id = max_id + 1
+        try:
+            graph.restore(item)
+        except (ValueError, EmptyLabel, KindMismatch, UnknownNode) as exc:
+            _fail(line_no, str(exc))
     return graph
 
 

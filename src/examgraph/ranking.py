@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import EmptyGraph, NotAConcept, NotAHierarchyNode
-from .kg import EdgeKind, KnowledgeGraph, NodeKind
+from .kg import EdgeKind, GraphView, KnowledgeGraph, NodeKind
 
 
 @dataclass
@@ -40,103 +40,106 @@ class PageRankResult:
     iterations: int = 0
     converged: bool = False
 
-    def __getitem__(self, node_id: str) -> float:
-        return self.scores[node_id]
 
-
-def pagerank(graph: KnowledgeGraph, config: PageRankConfig | None = None) -> PageRankResult:
-    """Fixed-point scores for every node; deterministic for a given graph
-    and config (fixed node order, fixed summation order)."""
+def pagerank(graph: KnowledgeGraph | GraphView,
+             config: PageRankConfig | None = None) -> PageRankResult:
+    """Fixed-point scores for every node, computed afresh; deterministic for
+    a given graph and config (fixed node order, fixed summation order)."""
     config = config or PageRankConfig()
-    node_ids = sorted(n.id for n in graph.nodes())
-    if not node_ids:
-        raise EmptyGraph(f"graph {graph.subject!r} has no nodes")
+    view = graph.view()
+    if not view.nodes:
+        raise EmptyGraph(f"graph {view.subject!r} has no nodes")
 
-    out_degree = {nid: 0 for nid in node_ids}
-    incoming: dict[str, list[str]] = {nid: [] for nid in node_ids}
-    for edge in graph.edges():
-        out_degree[edge.src] += 1
-        incoming[edge.dst].append(edge.src)
-    for sources in incoming.values():
-        sources.sort()
+    # nodes in id order; edges are sorted source-first, so every in-link
+    # list is in ascending source order too
+    index = {node.id: i for i, node in enumerate(view.nodes)}
+    out_degree = [len(view.out_edges.get(nid, ())) for nid in index]
+    incoming = [[index[e.src] for e in view.in_edges.get(nid, ())] for nid in index]
 
     d = config.damping
     base = 1.0 - d
-    scores = {nid: 1.0 for nid in node_ids}
-    iterations = 0
+    scores = [1.0] * len(index)
     converged = False
-    while iterations < config.max_iter:
-        iterations += 1
-        new_scores = {}
+    for iterations in range(1, config.max_iter + 1):
+        share = [s / deg if deg else 0.0 for s, deg in zip(scores, out_degree)]
+        new_scores = []
         delta = 0.0
-        for nid in node_ids:
+        for old, sources in zip(scores, incoming):
             total = 0.0
-            for src in incoming[nid]:
-                total += scores[src] / out_degree[src]
+            for src in sources:  # not sum(): keep this exact summation order
+                total += share[src]
             value = base + d * total
-            new_scores[nid] = value
-            change = abs(value - scores[nid])
+            new_scores.append(value)
+            change = abs(value - old)
             if change > delta:
                 delta = change
         scores = new_scores
-        if delta < config.tol:
-            converged = True
+        converged = delta < config.tol
+        if converged:
             break
-    return PageRankResult(scores=scores, iterations=iterations, converged=converged)
+    return PageRankResult(scores=dict(zip(index, scores)),
+                          iterations=iterations, converged=converged)
 
 
-def _chapter_and_descendants(graph: KnowledgeGraph, chapter: str) -> set[str]:
+def cached_pagerank(graph: KnowledgeGraph | GraphView,
+                    config: PageRankConfig | None = None) -> PageRankResult:
+    """``pagerank`` of the current revision, computed once per revision and
+    config and shared by every caller; treat the result as read-only."""
+    config = config or PageRankConfig()
+    view = graph.view()
+    return view.memo(("pagerank", config.damping, config.tol, config.max_iter),
+                     lambda: pagerank(view, config))
+
+
+def _chapter_and_descendants(view: GraphView, chapter: str) -> set[str]:
     # part_of edges run child -> parent, so descendants arrive via in-edges
     members = {chapter}
     stack = [chapter]
     while stack:
         current = stack.pop()
-        for edge in graph.in_edges(current):
+        for edge in view.in_edges.get(current, ()):
             if edge.kind == EdgeKind.PART_OF and edge.src not in members:
                 members.add(edge.src)
                 stack.append(edge.src)
     return members
 
 
-def rank_chapter_concepts(graph: KnowledgeGraph, chapter: str,
-                          config: PageRankConfig | None = None,
-                          scores: PageRankResult | None = None) -> list[tuple[str, float]]:
-    """Concepts filed under a chapter (or its nested sub-chapters), highest
-    score first; ties break on ascending node id."""
-    node = graph.node(chapter)
-    if node.kind != NodeKind.HIERARCHY:
-        raise NotAHierarchyNode(f"{chapter!r} is a {node.kind.value} node")
-    chapters = _chapter_and_descendants(graph, chapter)
-    concept_ids = {
-        edge.src
-        for ch in chapters
-        for edge in graph.in_edges(ch)
-        if edge.kind == EdgeKind.INCLUDE_IN
-    }
-    if not concept_ids:
-        return []
-    result = scores or pagerank(graph, config)
-    ranked = [(cid, result.scores[cid]) for cid in concept_ids]
+def _by_score(view: GraphView, node_ids: set[str],
+              config: PageRankConfig | None) -> list[tuple[str, float]]:
+    scores = cached_pagerank(view, config).scores
+    ranked = [(nid, scores[nid]) for nid in node_ids]
     ranked.sort(key=lambda pair: (-pair[1], pair[0]))
     return ranked
 
 
-def rank_concept_facts(graph: KnowledgeGraph, concept: str, top_m: int,
-                       config: PageRankConfig | None = None,
-                       scores: PageRankResult | None = None) -> list[tuple[str, float]]:
+def rank_chapter_concepts(graph: KnowledgeGraph | GraphView, chapter: str,
+                          config: PageRankConfig | None = None) -> list[tuple[str, float]]:
+    """Concepts filed under a chapter (or its nested sub-chapters), highest
+    score first; ties break on ascending node id."""
+    view = graph.view()
+    node = view.node(chapter)
+    if node.kind != NodeKind.HIERARCHY:
+        raise NotAHierarchyNode(f"{chapter!r} is a {node.kind.value} node")
+    concept_ids = {
+        edge.src
+        for ch in _chapter_and_descendants(view, chapter)
+        for edge in view.in_edges.get(ch, ())
+        if edge.kind == EdgeKind.INCLUDE_IN
+    }
+    return _by_score(view, concept_ids, config) if concept_ids else []
+
+
+def rank_concept_facts(graph: KnowledgeGraph | GraphView, concept: str, top_m: int,
+                       config: PageRankConfig | None = None) -> list[tuple[str, float]]:
     """Text entities tied to a concept by is_a edges, ranked by the same
     whole-graph scores, truncated to the top ``top_m``."""
-    node = graph.node(concept)
+    view = graph.view()
+    node = view.node(concept)
     if node.kind != NodeKind.CONCEPT:
         raise NotAConcept(f"{concept!r} is a {node.kind.value} node")
     if top_m < 1:
         raise ValueError(f"top_m must be >= 1, got {top_m}")
     fact_ids = {
-        edge.src for edge in graph.in_edges(concept) if edge.kind == EdgeKind.IS_A
+        edge.src for edge in view.in_edges.get(concept, ()) if edge.kind == EdgeKind.IS_A
     }
-    if not fact_ids:
-        return []
-    result = scores or pagerank(graph, config)
-    ranked = [(fid, result.scores[fid]) for fid in fact_ids]
-    ranked.sort(key=lambda pair: (-pair[1], pair[0]))
-    return ranked[:top_m]
+    return _by_score(view, fact_ids, config)[:top_m] if fact_ids else []

@@ -351,3 +351,16 @@ def test_tcp_wildcard_publish_reported():
         client.close()
         server.stop()
         bus.close()
+
+
+def test_tcp_server_stop_ends_its_accept_thread():
+    bus = MessageBus()
+    before = set(threading.enumerate())
+    server = TcpBusServer(bus)
+    server.start()
+    accept = [t for t in threading.enumerate()
+              if t not in before and t.name == "tcp-bus-accept"]
+    assert len(accept) == 1
+    server.stop()
+    assert not accept[0].is_alive()
+    bus.close()

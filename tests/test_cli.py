@@ -253,3 +253,14 @@ def test_agents_run_smoke(workspace, capsys):
                                      "question_evaluation"}
     assert status["subjects"] == ["envsci"]
     assert status["tcp"]["port"] > 0
+
+
+@pytest.mark.parametrize("flag, label", [("--chapter", "Ch 9"),
+                                         ("--facts-of", "nolore")])
+def test_rank_missing_node_reports_unknown_node(workspace, capsys, flag, label):
+    ingest_all(workspace)
+    capsys.readouterr()
+    assert main(["rank", "--subject", "envsci", flag, label,
+                 "--data-dir", workspace["data_dir"]]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_code"] == "unknown_node"

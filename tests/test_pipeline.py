@@ -241,3 +241,36 @@ def test_tcp_loopback_pipeline_byte_identical(stack):
     finally:
         client.close()
         server.stop()
+
+
+def test_append_ingest_then_pipeline_exam_matches_direct_call():
+    documents, lexicon, _ = corpus_documents("envsci", ROOTS_A, chapters=2)
+    registry = GraphRegistry()
+    bus = MessageBus()
+    pipeline = run_pipeline(bus, registry, RuleExtractor(lexicon))
+    reports = bus.subscribe("watch-report", "ingest/report")
+    completes = bus.subscribe("watch-complete", "exam/complete")
+    try:
+        for i, document in enumerate(documents):
+            report = publish_and_wait(bus, reports, "ingest/request", {
+                "doc": {"doc_id": document.doc_id, "subject": document.subject,
+                        "chapter_path": document.chapter_path,
+                        "body": document.body, "format": document.format},
+                "append": i > 0}, f"ingest-{i}")
+            assert report.payload["failures"] == []
+            # an exam after every ingest, so a lexicon cached from the first
+            # revision would be visible in the second exam
+            blueprint = {"subject": "envsci", "sections": [
+                {"chapter": f"Ch {i + 1}", "count": 3,
+                 "tiers": {"basic": 1, "applied": 1, "comprehensive": 1}}]}
+            complete = publish_and_wait(bus, completes, "exam/request",
+                                        {"blueprint": blueprint, "seed": 3},
+                                        f"exam-{i}")
+            reference = generate_exam(
+                registry, ExamBlueprint.from_dict(blueprint),
+                TemplateGenerator(registry.get("envsci"), seed=3), seed=3)
+            assert json.dumps(complete.payload, sort_keys=True) == \
+                json.dumps(reference.to_dict(), sort_keys=True)
+    finally:
+        pipeline.stop()
+        bus.close()
