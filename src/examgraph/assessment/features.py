@@ -4,13 +4,11 @@ level classification of question stems."""
 from __future__ import annotations
 
 from enum import Enum, IntEnum
-from typing import Callable, Iterable
+from typing import Iterable
 
 from ..errors import MalformedItem
 from ..kg import GraphView, KnowledgeGraph, NodeKind
 from ..textutils import cosine_similarity, tokenize
-
-SimilarityFn = Callable[[str, str], float]
 
 DEFAULT_TAU = 0.4  # minimum similarity to the key for a distractor to count as plausible
 
@@ -74,7 +72,6 @@ def _mean(values: Iterable[float]) -> float:
 
 
 def measure_features(item, lexicon: frozenset[str] | set[str],
-                     similarity: SimilarityFn = cosine_similarity,
                      tau: float = DEFAULT_TAU,
                      bloom_verbs: dict[BloomLevel, frozenset[str]] | None = None,
                      ) -> dict[FeatureId, float]:
@@ -99,13 +96,13 @@ def measure_features(item, lexicon: frozenset[str] | set[str],
         if stem_tokens else 0.0
     )
     pair_sims = [
-        similarity(options[i], options[j])
+        cosine_similarity(options[i], options[j])
         for i in range(4) for j in range(i + 1, 4)
     ]
     key = options[answer_index]
     plausible = sum(
         1 for i, option in enumerate(options)
-        if i != answer_index and similarity(option, key) >= tau
+        if i != answer_index and cosine_similarity(option, key) >= tau
     )
     return {
         FeatureId.STEM_LENGTH: float(len(stem.split())),
@@ -113,6 +110,6 @@ def measure_features(item, lexicon: frozenset[str] | set[str],
         FeatureId.COGNITIVE_LEVEL: float(classify_bloom(stem, bloom_verbs)),
         FeatureId.OPTION_LENGTH: _mean(len(o.split()) for o in options),
         FeatureId.OPTION_SIMILARITY: _mean(pair_sims),
-        FeatureId.STEM_OPTION_OVERLAP: _mean(similarity(stem, o) for o in options),
+        FeatureId.STEM_OPTION_OVERLAP: _mean(cosine_similarity(stem, o) for o in options),
         FeatureId.PLAUSIBLE_DISTRACTORS: float(plausible),
     }

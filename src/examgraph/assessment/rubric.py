@@ -1,5 +1,5 @@
 """Difficulty rubric: per-feature low/medium/high ratings, total and
-weighted aggregation, tier bands and the evaluation gate.
+weighted aggregation, tier targets and the evaluation gate.
 
 Each of the seven features is rated 1, 2 or 3 against two configurable cut
 points; the total T = sum(d_i) therefore lives in [7, 21]. A weighted sum
@@ -14,14 +14,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from ..errors import AllZeroWeights
-from ..textutils import cosine_similarity
 from .features import (
     DEFAULT_BLOOM_VERBS,
     DEFAULT_TAU,
     FEATURE_ORDER,
     BloomLevel,
     FeatureId,
-    SimilarityFn,
     measure_features,
 )
 
@@ -50,17 +48,11 @@ class DifficultyTier(Enum):
     COMPREHENSIVE_ANALYSIS = "comprehensive"
 
 
-@dataclass(frozen=True)
-class TierSpec:
-    target: float
-    band: tuple[int, int]
-
-
-# Equal partition of the [7, 21] total-difficulty range across three tiers.
-DEFAULT_TIERS: dict[DifficultyTier, TierSpec] = {
-    DifficultyTier.BASIC_RECALL: TierSpec(9.0, (7, 11)),
-    DifficultyTier.APPLIED_UNDERSTANDING: TierSpec(14.0, (12, 16)),
-    DifficultyTier.COMPREHENSIVE_ANALYSIS: TierSpec(19.0, (17, 21)),
+# Target total difficulty D* per tier, spread over the [7, 21] range.
+DEFAULT_TIERS: dict[DifficultyTier, float] = {
+    DifficultyTier.BASIC_RECALL: 9.0,
+    DifficultyTier.APPLIED_UNDERSTANDING: 14.0,
+    DifficultyTier.COMPREHENSIVE_ANALYSIS: 19.0,
 }
 
 # Table-driven encoding of how feature demands grow across Bloom levels.
@@ -92,6 +84,21 @@ def validate_thresholds(thresholds: Thresholds) -> Thresholds:
     return thresholds
 
 
+def validate_gate(epsilon: float | None, weights: Weights | None) -> None:
+    """Reject a gate that cannot work: epsilon must be > 0, and the weights
+    must give every feature a value >= 0, not all of them zero. None skips
+    that check."""
+    if epsilon is not None and not epsilon > 0:
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if weights is None:
+        return
+    for feature in FEATURE_ORDER:
+        if not weights.get(feature, -1.0) >= 0:
+            raise ValueError(f"weight for {feature.value} must be given and >= 0")
+    if not any(weights[f] for f in FEATURE_ORDER):
+        raise AllZeroWeights("feature weights must not all be zero")
+
+
 def rate_features(measurements: dict[FeatureId, float],
                   thresholds: Thresholds | None = None) -> Ratings:
     """Map raw values onto ratings: 1 below cut1, 2 in [cut1, cut2),
@@ -114,11 +121,7 @@ def weighted_difficulty(ratings: Ratings, weights: Weights | None = None) -> flo
     """Weighted total sum(w_i * d_i); equals total_difficulty under unit
     weights."""
     weights = weights or UNIT_WEIGHTS
-    for feature in FEATURE_ORDER:
-        if weights.get(feature, 0.0) < 0:
-            raise ValueError(f"weight for {feature.value} must be >= 0")
-    if all(weights.get(f, 0.0) == 0.0 for f in FEATURE_ORDER):
-        raise AllZeroWeights("feature weights must not all be zero")
+    validate_gate(None, weights)
     return sum(weights[f] * ratings[f] for f in FEATURE_ORDER)
 
 
@@ -154,49 +157,13 @@ class EvaluationResult:
         )
 
 
-def evaluate_item_difficulty(item, target: float, epsilon: float = DEFAULT_EPSILON,
-                             weights: Weights | None = None,
-                             thresholds: Thresholds | None = None,
-                             lexicon: frozenset[str] | set[str] = frozenset(),
-                             similarity: SimilarityFn = cosine_similarity,
-                             tau: float = DEFAULT_TAU,
-                             bloom_verbs: dict[BloomLevel, frozenset[str]] | None = None,
-                             ) -> EvaluationResult:
-    """Measure, rate and aggregate an item, then gate it against the target:
-    pass iff |D - D*| <= epsilon. The breakdown lists every feature's raw
-    value, rating, weight and contribution."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    weights = weights or UNIT_WEIGHTS
-    measurements = measure_features(item, lexicon, similarity, tau, bloom_verbs)
-    ratings = rate_features(measurements, thresholds)
-    difficulty = weighted_difficulty(ratings, weights)
-    breakdown = [
-        {
-            "feature": f.value,
-            "raw": measurements[f],
-            "rating": ratings[f],
-            "weight": weights[f],
-            "contribution": weights[f] * ratings[f],
-        }
-        for f in FEATURE_ORDER
-    ]
-    return EvaluationResult(
-        difficulty=difficulty,
-        target=target,
-        epsilon=epsilon,
-        passed=abs(difficulty - target) <= epsilon,
-        breakdown=breakdown,
-    )
-
-
 @dataclass
 class RubricConfig:
     """Everything the evaluator needs, loadable from one JSON file."""
 
     thresholds: Thresholds = field(default_factory=lambda: dict(DEFAULT_THRESHOLDS))
     weights: Weights = field(default_factory=lambda: dict(UNIT_WEIGHTS))
-    tiers: dict[DifficultyTier, TierSpec] = field(default_factory=lambda: dict(DEFAULT_TIERS))
+    tiers: dict[DifficultyTier, float] = field(default_factory=lambda: dict(DEFAULT_TIERS))
     epsilon: float = DEFAULT_EPSILON
     tau: float = DEFAULT_TAU
     bloom_verbs: dict[BloomLevel, frozenset[str]] = field(
@@ -204,25 +171,39 @@ class RubricConfig:
 
     def __post_init__(self):
         validate_thresholds(self.thresholds)
+        validate_gate(self.epsilon, self.weights)
 
-    def target_for(self, tier: DifficultyTier) -> float:
-        return self.tiers[tier].target
-
-    def evaluate(self, item, tier: DifficultyTier,
-                 lexicon: frozenset[str] | set[str] = frozenset(),
-                 similarity: SimilarityFn = cosine_similarity) -> EvaluationResult:
-        return self.evaluate_with_target(item, self.target_for(tier),
-                                         lexicon, similarity)
-
-    def evaluate_with_target(self, item, target: float,
-                             lexicon: frozenset[str] | set[str] = frozenset(),
-                             similarity: SimilarityFn = cosine_similarity,
-                             ) -> EvaluationResult:
-        return evaluate_item_difficulty(
-            item, target, self.epsilon,
-            weights=self.weights, thresholds=self.thresholds,
-            lexicon=lexicon, similarity=similarity, tau=self.tau,
-            bloom_verbs=self.bloom_verbs,
+    def evaluate(self, item, target: float,
+                 lexicon: frozenset[str] | set[str] = frozenset(), *,
+                 epsilon: float | None = None,
+                 weights: list[float] | None = None) -> EvaluationResult:
+        """Measure, rate and aggregate an item, then gate it against the
+        target: pass iff |D - D*| <= epsilon. ``epsilon`` and ``weights``
+        (seven values in feature order) are a blueprint's overrides of the
+        rubric's own. The breakdown lists every feature's raw value, rating,
+        weight and contribution."""
+        epsilon = self.epsilon if epsilon is None else epsilon
+        weight_map = (self.weights if weights is None
+                      else dict(zip(FEATURE_ORDER, weights)))
+        measurements = measure_features(item, lexicon, self.tau, self.bloom_verbs)
+        ratings = rate_features(measurements, self.thresholds)
+        difficulty = weighted_difficulty(ratings, weight_map)
+        breakdown = [
+            {
+                "feature": f.value,
+                "raw": measurements[f],
+                "rating": ratings[f],
+                "weight": weight_map[f],
+                "contribution": weight_map[f] * ratings[f],
+            }
+            for f in FEATURE_ORDER
+        ]
+        return EvaluationResult(
+            difficulty=difficulty,
+            target=target,
+            epsilon=epsilon,
+            passed=abs(difficulty - target) <= epsilon,
+            breakdown=breakdown,
         )
 
     def to_dict(self) -> dict:
@@ -230,8 +211,7 @@ class RubricConfig:
             "thresholds": {f.value: list(self.thresholds[f]) for f in FEATURE_ORDER},
             "weights": [self.weights[f] for f in FEATURE_ORDER],
             "tiers": {
-                tier.value: {"target": spec.target, "band": list(spec.band)}
-                for tier, spec in self.tiers.items()
+                tier.value: {"target": target} for tier, target in self.tiers.items()
             },
             "epsilon": self.epsilon,
             "tau": self.tau,
@@ -256,8 +236,7 @@ class RubricConfig:
             kwargs["weights"] = dict(zip(FEATURE_ORDER, values))
         if "tiers" in data:
             kwargs["tiers"] = {
-                DifficultyTier(name): TierSpec(float(spec["target"]),
-                                               (int(spec["band"][0]), int(spec["band"][1])))
+                DifficultyTier(name): float(spec["target"])
                 for name, spec in data["tiers"].items()
             }
         if "epsilon" in data:

@@ -85,7 +85,3 @@ class FrameReader:
             del self._buffer[:_HEADER.size + length]
             messages.append(_decode_body(body))
         return messages
-
-    @property
-    def pending_bytes(self) -> int:
-        return len(self._buffer)

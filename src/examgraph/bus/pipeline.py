@@ -10,9 +10,10 @@ for a retry. When every blueprint slot is resolved the full exam appears on
 `exam/complete`. The *llm* agent serves `llm/request` for LLM-backed
 extractors/generators. Errors surface on `system/errors`.
 
-Generation and evaluation run the same ExamSession / evaluate_candidate
-code as the direct library call, so with a deterministic stack the pipeline
-exam is byte-identical to ``generate_exam``'s.
+Extraction, generation and evaluation run the same extract_document /
+ExamSession / RubricConfig.evaluate code as the direct library call, so with
+a deterministic stack the pipeline exam is byte-identical to
+``generate_exam``'s.
 """
 
 from __future__ import annotations
@@ -24,33 +25,21 @@ from typing import Callable
 
 from ..assessment import EvaluationResult, RubricConfig, build_lexicon
 from ..errors import GatewayTimeout, MalformedResponse
-from ..gateway import CompletionRequest, mock_complete
+from ..gateway import completion_fn
 from ..generation import (
     ExamBlueprint,
     ExamSession,
     QuestionItem,
     TemplateGenerator,
-    evaluate_candidate,
     evaluated_item_payload,
 )
-from ..ingestion import (
-    SourceDocument,
-    apply_extractions,
-    extract_segment,
-    segment_text,
-    transcribe,
-)
+from ..ingestion import SourceDocument, apply_extractions, extract_document
 from ..kg import GraphRegistry
 from .agents import AgentDescriptor, AgentHandle, Outgoing, spawn_agent
 from .core import MessageBus
 
 CompleteFn = Callable[[str, str], str]
 GeneratorFactory = Callable[..., object]  # (graph, seed) -> Generator
-
-
-def default_mock_complete(system_prompt: str, user_prompt: str,
-                          seed: int = 0) -> str:
-    return mock_complete(seed, CompletionRequest(system_prompt, user_prompt))
 
 
 class BusCompletion:
@@ -102,32 +91,19 @@ def _file_extraction_agent(max_chars: int, extractor) -> AgentDescriptor:
     def handler(ctx, message):
         payload = message.payload or {}
         doc = SourceDocument(**payload["doc"])
-        text = transcribe(doc)
-        segments = segment_text(text, max_chars=payload.get("max_chars", max_chars),
-                                doc_id=doc.doc_id)
-        extractions = []
-        failures = []
-        for segment in segments:
-            try:
-                result = extract_segment(segment, extractor)
-                extractions.append({
-                    "segment": segment.index,
-                    "triples": [list(t) for t in result.triples],
-                    "concepts": {k: list(v) for k, v in result.concept_map.items()},
-                })
-            except Exception as exc:
-                failures.append({
-                    "segment": segment.index,
-                    "error_code": getattr(exc, "code", "error"),
-                    "message": str(exc),
-                })
+        segments, extractions, failures = extract_document(
+            doc, extractor, payload.get("max_chars", max_chars))
         return [Outgoing("kg/assert", {
             "subject": doc.subject,
             "doc_id": doc.doc_id,
             "chapter_path": list(doc.chapter_path),
             "append": bool(payload.get("append", False)),
-            "segments": len(segments),
-            "extractions": extractions,
+            "segments": segments,
+            "extractions": [{
+                "segment": index,
+                "triples": [list(t) for t in result.triples],
+                "concepts": {k: list(v) for k, v in result.concept_map.items()},
+            } for index, result in extractions],
             "failures": failures,
         })]
 
@@ -237,10 +213,10 @@ def _question_evaluation_agent(registry: GraphRegistry,
         payload = message.payload or {}
         candidate = payload["candidate"]
         item = QuestionItem.from_payload(candidate["item"])
-        result = evaluate_candidate(
-            item, candidate["target"], candidate["epsilon"],
-            candidate.get("weights"), rubric,
+        result = rubric.evaluate(
+            item, candidate["target"],
             build_lexicon(registry.get(payload["subject"])),
+            epsilon=candidate["epsilon"], weights=candidate.get("weights"),
         )
         if result.passed:
             return [Outgoing("exam/qualified", {
@@ -298,7 +274,7 @@ def run_pipeline(bus: MessageBus, registry: GraphRegistry, extractor,
     rubric = rubric or RubricConfig()
     generator_factory = generator_factory or (
         lambda graph, seed: TemplateGenerator(graph, seed=seed))
-    complete_fn = llm_complete or default_mock_complete
+    complete_fn = llm_complete or completion_fn()
     agents = [
         spawn_agent(bus, _file_extraction_agent(max_chars, extractor)),
         spawn_agent(bus, _kg_management_agent(registry)),

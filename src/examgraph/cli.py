@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .assessment import DifficultyTier, RubricConfig
 from .errors import ExamGraphError, InsufficientMaterial, UnknownNode
-from .gateway import CompletionRequest, ProviderConfig, complete, mock_complete
+from .gateway import ProviderConfig, completion_fn
 from .generation import (
     ExamBlueprint,
     LLMGenerator,
@@ -115,15 +115,20 @@ def _provider(config: dict) -> ProviderConfig:
     )
 
 
-def _complete_fn(args, config: dict):
-    backend = getattr(args, "backend", "mock")
-    if backend == "mock":
-        seed = int(getattr(args, "seed", 0) or 0)
-        return lambda system, user: mock_complete(
-            seed, CompletionRequest(system, user))
-    provider = _provider(config)
-    return lambda system, user: complete(
-        provider, CompletionRequest(system, user))
+def _backend_complete(args, config: dict):
+    """Completion callable for ``--backend``: the seeded mock or, for
+    ``http``, the configured provider."""
+    return completion_fn(_provider(config) if args.backend == "http" else None,
+                         args.seed)
+
+
+def _extractor(args, config: dict):
+    """``--extractor``: rule-based, LLM-backed on the seeded mock
+    (``mock-llm``) or on the configured provider (``llm``)."""
+    if args.extractor == "rule":
+        return RuleExtractor(load_hypernym_lexicon(args.lexicon) if args.lexicon else {})
+    provider = _provider(config) if args.extractor == "llm" else None
+    return LLMExtractor(completion_fn(provider, args.seed))
 
 
 def _emit(data, out: str | None = None) -> None:
@@ -147,15 +152,7 @@ def cmd_ingest(args) -> int:
     config = _load_config(args)
     store = SnapshotStore(_data_dir(args, config))
     store.load(args.subject)
-    hypernyms = load_hypernym_lexicon(args.lexicon) if args.lexicon else {}
-    if args.extractor == "rule":
-        extractor = RuleExtractor(hypernyms)
-    elif args.extractor == "mock-llm":
-        extractor = LLMExtractor(_complete_fn(args, config))
-    else:
-        provider = _provider(config)
-        extractor = LLMExtractor(
-            lambda system, user: complete(provider, CompletionRequest(system, user)))
+    extractor = _extractor(args, config)
     doc_path = Path(args.doc)
     fmt = args.format or ("markdown" if doc_path.suffix.lower() in (".md", ".markdown")
                           else "plain")
@@ -237,7 +234,7 @@ def cmd_generate(args) -> int:
     if args.generator == "template":
         generator = TemplateGenerator(graph, seed=args.seed)
     else:
-        generator = LLMGenerator(_complete_fn(args, config))
+        generator = LLMGenerator(_backend_complete(args, config))
     exam = generate_exam(store.registry, blueprint, generator, rubric,
                          seed=args.seed, top_concepts=args.top_concepts,
                          top_m_facts=args.top_facts, max_retries=args.retries)
@@ -262,15 +259,14 @@ def cmd_evaluate_item(args) -> int:
     if args.target is not None:
         target = args.target
     else:
-        tier = DifficultyTier(args.tier) if args.tier else item.tier
-        target = rubric.target_for(tier)
+        target = rubric.tiers[DifficultyTier(args.tier) if args.tier else item.tier]
     lexicon: frozenset[str] = frozenset()
     if args.subject:
         from .assessment import build_lexicon
 
         store = SnapshotStore(_data_dir(args, config))
         lexicon = build_lexicon(store.get(args.subject))
-    result = rubric.evaluate_with_target(item, target, lexicon)
+    result = rubric.evaluate(item, target, lexicon)
     _emit(result.to_dict())
     return 0
 
@@ -292,15 +288,11 @@ def cmd_agents_run(args) -> int:
     config = _load_config(args)
     store = SnapshotStore(_data_dir(args, config))
     store.load_all()
-    hypernyms = load_hypernym_lexicon(args.lexicon) if args.lexicon else {}
-    if args.extractor == "rule":
-        extractor = RuleExtractor(hypernyms)
-    else:
-        extractor = LLMExtractor(_complete_fn(args, config))
+    extractor = _extractor(args, config)
     rubric = _rubric(args, config)
     bus = MessageBus()
     pipeline = run_pipeline(bus, store.registry, extractor, rubric=rubric,
-                            llm_complete=_complete_fn(args, config))
+                            llm_complete=_backend_complete(args, config))
     server = None
     status = {"status": "running", "agents": pipeline.agent_names,
               "subjects": store.registry.subjects()}
@@ -355,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extractor", choices=["rule", "mock-llm", "llm"], default="rule")
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
-    p.set_defaults(func=cmd_ingest, backend="mock")
+    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("graph", help="graph snapshots and statistics")
     graph_sub = p.add_subparsers(dest="graph_command", required=True)

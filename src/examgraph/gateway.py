@@ -13,6 +13,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import requests
 
@@ -173,3 +174,13 @@ def _mock_item(seed: int, prompt: str) -> str:
         "options": options,
         "answer_index": answer_index,
     }, ensure_ascii=False)
+
+
+def completion_fn(provider: ProviderConfig | None = None,
+                  seed: int = 0) -> Callable[[str, str], str]:
+    """A ``(system_prompt, user_prompt) -> text`` callable for extractors,
+    generators and the llm agent: the offline mock at ``seed`` when no
+    provider is given, otherwise the HTTP provider."""
+    if provider is None:
+        return lambda system, user: mock_complete(seed, CompletionRequest(system, user))
+    return lambda system, user: complete(provider, CompletionRequest(system, user))

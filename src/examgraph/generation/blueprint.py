@@ -8,7 +8,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from ..assessment import DifficultyTier
+from ..assessment import FEATURE_ORDER, DifficultyTier, validate_gate
 from ..errors import AllZeroCounts, BadRatios
 
 TIER_ORDER = (
@@ -79,6 +79,8 @@ class ExamBlueprint:
             raise ValueError("blueprint must request at least one item")
         if self.weights is not None and len(self.weights) != 7:
             raise ValueError("weights must list 7 values in feature order")
+        validate_gate(self.epsilon, None if self.weights is None
+                      else dict(zip(FEATURE_ORDER, self.weights)))
 
     @property
     def total(self) -> int:

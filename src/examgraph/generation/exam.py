@@ -15,14 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from ..assessment import (
-    DifficultyTier,
-    EvaluationResult,
-    FEATURE_ORDER,
-    RubricConfig,
-    build_lexicon,
-    evaluate_item_difficulty,
-)
+from ..assessment import DifficultyTier, EvaluationResult, RubricConfig, build_lexicon
 from ..errors import ExamGraphError, NoConceptsInChapter
 from ..kg import GraphRegistry, KnowledgeGraph, NodeKind
 from .blueprint import TIER_ORDER, ExamBlueprint
@@ -63,20 +56,6 @@ class Candidate:
             "epsilon": self.epsilon,
             "weights": self.weights,
         }
-
-
-def evaluate_candidate(item, target: float, epsilon: float,
-                       weights: list[float] | None, rubric: RubricConfig,
-                       lexicon: frozenset[str]) -> EvaluationResult:
-    """The one evaluation call both the session and the evaluation agent
-    make, so verdicts cannot drift between the two paths."""
-    weight_map = (dict(zip(FEATURE_ORDER, weights)) if weights is not None
-                  else rubric.weights)
-    return evaluate_item_difficulty(
-        item, target, epsilon,
-        weights=weight_map, thresholds=rubric.thresholds,
-        lexicon=lexicon, tau=rubric.tau, bloom_verbs=rubric.bloom_verbs,
-    )
 
 
 def evaluated_item_payload(item: QuestionItem, result: EvaluationResult) -> dict:
@@ -252,7 +231,7 @@ class ExamSession:
                     continue
                 return Candidate(
                     slot=slot, attempt=variant, bundle_index=bundle_index,
-                    item=item, target=self.rubric.target_for(slot.tier),
+                    item=item, target=self.rubric.tiers[slot.tier],
                     epsilon=self.epsilon, weights=self.weights,
                 )
             self._mark_unfilled(slot, "retries_exhausted")
@@ -260,9 +239,9 @@ class ExamSession:
         return None
 
     def evaluate(self, candidate: Candidate) -> EvaluationResult:
-        return evaluate_candidate(candidate.item, candidate.target,
-                                  candidate.epsilon, candidate.weights,
-                                  self.rubric, self.lexicon)
+        return self.rubric.evaluate(candidate.item, candidate.target, self.lexicon,
+                                    epsilon=candidate.epsilon,
+                                    weights=candidate.weights)
 
     def record_result(self, candidate: Candidate, result: EvaluationResult) -> bool:
         """Accept or reject one evaluated candidate; returns True when the

@@ -2,8 +2,8 @@
 generator, and the LLM-backed generator with its strict reply contract.
 
 The template generator builds stems and option scaffolds whose measured
-feature profile lands inside each tier's target band under the default
-rubric thresholds; the evaluation gate still has the final say.
+feature profile lands within epsilon of each tier's target under the
+default rubric thresholds; the evaluation gate still has the final say.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from ..errors import NoConceptsInChapter
 from ..kg import EdgeKind, GraphView, KnowledgeGraph
-from ..ranking import PageRankConfig, rank_chapter_concepts, rank_concept_facts
+from ..ranking import rank_chapter_concepts, rank_concept_facts
 
 
 @dataclass
@@ -47,8 +47,7 @@ def _one_hop_fact_triples(view: GraphView, fact_ids: list[str]
 
 
 def assemble_material(graph: KnowledgeGraph | GraphView, chapter: str,
-                      top_concepts: int = 10, top_m_facts: int = 5,
-                      config: PageRankConfig | None = None) -> list[MaterialBundle]:
+                      top_concepts: int = 10, top_m_facts: int = 5) -> list[MaterialBundle]:
     """Bundles for the chapter's ``top_concepts`` highest-ranked concepts.
 
     Each bundle carries the concept's ``top_m_facts`` best facts and the
@@ -57,13 +56,13 @@ def assemble_material(graph: KnowledgeGraph | GraphView, chapter: str,
     if top_concepts < 1 or top_m_facts < 1:
         raise ValueError("top_concepts and top_m_facts must be >= 1")
     view = graph.view()
-    concepts = rank_chapter_concepts(view, chapter, config)
+    concepts = rank_chapter_concepts(view, chapter)
     chapter_label = view.node(chapter).label
     if not concepts:
         raise NoConceptsInChapter(f"chapter {chapter_label!r} has no concepts")
     bundles = []
     for concept_id, _ in concepts[:top_concepts]:
-        ranked_facts = rank_concept_facts(view, concept_id, top_m_facts, config)
+        ranked_facts = rank_concept_facts(view, concept_id, top_m_facts)
         if not ranked_facts:
             continue
         fact_ids = [fid for fid, _ in ranked_facts]

@@ -266,6 +266,33 @@ def extract_segment(segment: TextSegment, extractor: Extractor) -> ExtractionRes
     return validate_extraction(result)
 
 
+def _failure(index: int, exc: Exception) -> dict:
+    return {"segment": index, "error_code": getattr(exc, "code", "error"),
+            "message": str(exc)}
+
+
+def extract_document(document: SourceDocument, extractor: Extractor,
+                     max_chars: int = 2000
+                     ) -> tuple[int, list[tuple[int, ExtractionResult]], list[dict]]:
+    """Transcribe, segment and extract one document.
+
+    Returns the segment count, ``(segment index, result)`` for every
+    segment that extracted cleanly, and one failure entry per segment that
+    did not; a failing segment never stops the others. An unsupported
+    format raises before any segment is extracted.
+    """
+    segments = segment_text(transcribe(document), max_chars=max_chars,
+                            doc_id=document.doc_id)
+    extractions: list[tuple[int, ExtractionResult]] = []
+    failures: list[dict] = []
+    for segment in segments:
+        try:
+            extractions.append((segment.index, extract_segment(segment, extractor)))
+        except Exception as exc:  # keep going; long documents fail per segment
+            failures.append(_failure(segment.index, exc))
+    return len(segments), extractions, failures
+
+
 # --- assembly ---
 
 @dataclass
@@ -323,43 +350,55 @@ def apply_extraction(graph: KnowledgeGraph, result: ExtractionResult,
             graph.assert_link(EdgeKind.INCLUDE_IN, concept_id, leaf_chapter)
 
 
-def _open_graph(registry: GraphRegistry, subject: str, append: bool) -> KnowledgeGraph:
-    """First ingest creates the graph; re-ingesting into a populated graph
-    requires the explicit append flag (isolation safety by default)."""
-    if registry.has(subject):
-        graph = registry.get(subject)
-        if len(graph) > 0 and not append:
-            raise SubjectCollision(
-                f"subject {subject!r} already has content; pass append=True")
-        return graph
-    return registry.get_or_create(subject)
+def _check_collision(registry: GraphRegistry, subject: str, append: bool) -> None:
+    """Re-ingesting into a populated graph requires the explicit append flag
+    (isolation safety by default)."""
+    if not append and registry.has(subject) and len(registry.get(subject)) > 0:
+        raise SubjectCollision(
+            f"subject {subject!r} already has content; pass append=True")
+
+
+def _assemble(registry: GraphRegistry, subject: str, doc_id: str,
+              chapter_path: list[str],
+              extractions: list[tuple[int, ExtractionResult]], *,
+              append: bool, segments: int, failures: list[dict]) -> IngestReport:
+    """Fold a document's segment results into its subject graph, created on
+    first ingest. A segment that fails to assemble is listed in the
+    report's failures after the extraction failures."""
+    _check_collision(registry, subject, append)
+    graph = registry.get_or_create(subject)
+    report = IngestReport(doc_id=doc_id, subject=subject, segments=segments,
+                          failures=failures)
+    leaf = build_hierarchy(graph, chapter_path)
+    for index, result in extractions:
+        try:
+            apply_extraction(graph, result, leaf, (doc_id, index), report)
+        except Exception as exc:
+            report.failures.append(_failure(index, exc))
+    return report
 
 
 def apply_extractions(registry: GraphRegistry, subject: str, doc_id: str,
                       chapter_path: list[str], entries: list[dict], *,
                       append: bool = False, segments: int = 0,
                       failures: list[dict] | None = None) -> IngestReport:
-    """Assemble pre-extracted segment results (triples + concept maps) into
-    the subject graph; the agent-pipeline counterpart of ingest_document."""
-    graph = _open_graph(registry, subject, append)
-    report = IngestReport(doc_id=doc_id, subject=subject, segments=segments,
-                          failures=list(failures or []))
-    leaf = build_hierarchy(graph, chapter_path)
+    """Assemble pre-extracted segment entries (``{"segment", "triples",
+    "concepts"}`` dicts) into the subject graph; the agent-pipeline
+    counterpart of ingest_document. Entries arrive from outside the
+    process, so each is validated first; an invalid one becomes a failure."""
+    failures = list(failures or [])
+    extractions = []
     for entry in entries:
         index = entry.get("segment", 0)
         try:
-            result = validate_extraction(ExtractionResult(
+            extractions.append((index, validate_extraction(ExtractionResult(
                 triples=[(t[0], t[1], t[2]) for t in entry.get("triples", [])],
                 concept_map={k: list(v) for k, v in entry.get("concepts", {}).items()},
-            ))
-            apply_extraction(graph, result, leaf, (doc_id, index), report)
+            ))))
         except Exception as exc:
-            report.failures.append({
-                "segment": index,
-                "error_code": getattr(exc, "code", "error"),
-                "message": str(exc),
-            })
-    return report
+            failures.append(_failure(index, exc))
+    return _assemble(registry, subject, doc_id, chapter_path, extractions,
+                     append=append, segments=segments, failures=failures)
 
 
 def ingest_document(registry: GraphRegistry, document: SourceDocument,
@@ -368,24 +407,13 @@ def ingest_document(registry: GraphRegistry, document: SourceDocument,
     """Run the full pipeline for one document and assemble its subject graph.
 
     A fresh subject graph is created on first ingest; re-ingesting into a
-    populated graph requires ``append=True``. Extraction failures are
-    isolated per segment and listed in the report.
+    populated graph requires ``append=True``, checked before any segment is
+    extracted. A document that cannot be transcribed leaves the registry
+    untouched. Extraction failures are isolated per segment and listed in
+    the report.
     """
-    graph = _open_graph(registry, document.subject, append)
-    report = IngestReport(doc_id=document.doc_id, subject=document.subject)
-    text = transcribe(document)
-    segments = segment_text(text, max_chars=max_chars, doc_id=document.doc_id)
-    report.segments = len(segments)
-    leaf = build_hierarchy(graph, document.chapter_path)
-    for segment in segments:
-        try:
-            result = extract_segment(segment, extractor)
-            apply_extraction(graph, result, leaf,
-                             (document.doc_id, segment.index), report)
-        except Exception as exc:  # keep going; long documents fail per segment
-            report.failures.append({
-                "segment": segment.index,
-                "error_code": getattr(exc, "code", "error"),
-                "message": str(exc),
-            })
-    return report
+    _check_collision(registry, document.subject, append)
+    segments, extractions, failures = extract_document(document, extractor, max_chars)
+    return _assemble(registry, document.subject, document.doc_id,
+                     document.chapter_path, extractions, append=append,
+                     segments=segments, failures=failures)

@@ -21,7 +21,6 @@ from examgraph.assessment import (
     IrtParams,
     RubricConfig,
     build_lexicon,
-    evaluate_item_difficulty,
     irt_probability,
     rate_features,
     total_difficulty,
@@ -209,10 +208,8 @@ def test_acceptance_6_end_to_end_determinism_and_gating():
     for payload in exam.items:
         tier = DifficultyTier(payload["tier"])
         item = QuestionItem.from_payload(payload)
-        result = evaluate_item_difficulty(
-            item, rubric.target_for(tier), rubric.epsilon,
-            thresholds=rubric.thresholds, lexicon=lexicon, tau=rubric.tau)
-        assert abs(result.difficulty - rubric.target_for(tier)) <= rubric.epsilon
+        result = rubric.evaluate(item, rubric.tiers[tier], lexicon)
+        assert abs(result.difficulty - rubric.tiers[tier]) <= rubric.epsilon
         assert result.difficulty == payload["difficulty"]
         tier_totals.setdefault(tier, []).append(result.difficulty)
 

@@ -14,7 +14,6 @@ from examgraph.assessment import (
     bloom_profile,
     build_lexicon,
     classify_bloom,
-    evaluate_item_difficulty,
     irt_probability,
     measure_features,
     rate_features,
@@ -213,14 +212,15 @@ def test_weighted_difficulty_linear_in_each_weight():
 # --- evaluation gate ---
 
 def test_gate_pass_and_fail():
-    result = evaluate_item_difficulty(item(), target=14.0, epsilon=2.0)
+    rubric = RubricConfig()
+    result = rubric.evaluate(item(), 14.0, epsilon=2.0)
     direct = sum(e["rating"] for e in result.breakdown)
     assert result.difficulty == direct
     assert result.passed == (abs(result.difficulty - 14.0) <= 2.0)
 
-    exact = evaluate_item_difficulty(item(), target=result.difficulty, epsilon=2.0)
+    exact = rubric.evaluate(item(), result.difficulty, epsilon=2.0)
     assert exact.passed
-    far = evaluate_item_difficulty(item(), target=result.difficulty + 3, epsilon=2.0)
+    far = rubric.evaluate(item(), result.difficulty + 3, epsilon=2.0)
     assert not far.passed
 
 
@@ -235,11 +235,21 @@ def test_gate_symmetry():
 
 def test_gate_requires_positive_epsilon():
     with pytest.raises(ValueError):
-        evaluate_item_difficulty(item(), target=14.0, epsilon=0.0)
+        RubricConfig(epsilon=0.0)
+
+
+@pytest.mark.parametrize("weights", [
+    {f: 1.0 for f in FEATURE_ORDER} | {FeatureId.STEM_LENGTH: -1.0},
+    {f: 0.0 for f in FEATURE_ORDER},
+    {f: 1.0 for f in FEATURE_ORDER[:6]},
+])
+def test_rubric_rejects_bad_weights_when_built(weights):
+    with pytest.raises((ValueError, AllZeroWeights)):
+        RubricConfig(weights=weights)
 
 
 def test_breakdown_lists_every_feature():
-    result = evaluate_item_difficulty(item(), target=10.0, epsilon=2.0)
+    result = RubricConfig().evaluate(item(), 10.0, epsilon=2.0)
     assert [e["feature"] for e in result.breakdown] == [f.value for f in FEATURE_ORDER]
     for entry in result.breakdown:
         assert entry["contribution"] == entry["weight"] * entry["rating"]
@@ -264,14 +274,6 @@ def test_bloom_profiles_componentwise_monotone():
             assert high_profile[f] >= low_profile[f]
 
 
-def test_tier_bands_partition_range():
-    config = RubricConfig()
-    bands = [config.tiers[t].band for t in DifficultyTier]
-    assert bands[0][0] == 7 and bands[-1][1] == 21
-    for (_, hi), (lo, _) in zip(bands, bands[1:]):
-        assert lo == hi + 1
-
-
 def test_rubric_config_json_round_trip(tmp_path):
     config = RubricConfig()
     config.weights[FeatureId.STEM_LENGTH] = 2.0
@@ -286,3 +288,9 @@ def test_rubric_config_json_round_trip(tmp_path):
     assert loaded.thresholds == config.thresholds
     assert loaded.tiers == config.tiers
     assert loaded.bloom_verbs == config.bloom_verbs
+
+
+def test_rubric_file_with_tier_bands_still_loads():
+    loaded = RubricConfig.from_dict(
+        {"tiers": {"basic": {"target": 8, "band": [7, 11]}}})
+    assert loaded.tiers == {DifficultyTier.BASIC_RECALL: 8.0}

@@ -130,11 +130,14 @@ def test_blueprint_validate(workspace, capsys):
     assert sum(result["ratios"]) == pytest.approx(1.0)
 
     bad = workspace["tmp"] / "bad.json"
-    data = blueprint_dict()
-    data["sections"][0]["count"] = 5  # tiers sum to 10
-    bad.write_text(json.dumps(data))
-    assert main(["blueprint", "validate", "--blueprint", str(bad)]) == 1
-    assert "error_code" in json.loads(capsys.readouterr().err)
+    counts = blueprint_dict()
+    counts["sections"][0]["count"] = 5  # tiers sum to 10
+    epsilon = dict(blueprint_dict(), epsilon=0)
+    weights = dict(blueprint_dict(), weights=[0] * 7)
+    for data in (counts, epsilon, weights):
+        bad.write_text(json.dumps(data))
+        assert main(["blueprint", "validate", "--blueprint", str(bad)]) == 1
+        assert "error_code" in json.loads(capsys.readouterr().err)
 
 
 def test_generate_deterministic_files(workspace, tmp_path):
@@ -253,6 +256,14 @@ def test_agents_run_smoke(workspace, capsys):
                                      "question_evaluation"}
     assert status["subjects"] == ["envsci"]
     assert status["tcp"]["port"] > 0
+
+
+def test_agents_run_llm_extractor_needs_provider(workspace, capsys):
+    assert main(["agents", "run", "--duration", "0.1", "--extractor", "llm",
+                 "--data-dir", workspace["data_dir"]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no provider configured" in json.loads(captured.err)["message"]
 
 
 @pytest.mark.parametrize("flag, label", [("--chapter", "Ch 9"),

@@ -8,7 +8,6 @@ from examgraph.assessment import (
     DifficultyTier,
     RubricConfig,
     build_lexicon,
-    evaluate_item_difficulty,
 )
 from examgraph.errors import (
     AllZeroCounts,
@@ -364,9 +363,7 @@ def test_generate_exam_items_reevaluate_within_band(corpus):
     for payload in exam.items:
         item = QuestionItem.from_payload(payload)
         tier = DifficultyTier(payload["tier"])
-        result = evaluate_item_difficulty(
-            item, rubric.target_for(tier), rubric.epsilon,
-            thresholds=rubric.thresholds, lexicon=lexicon, tau=rubric.tau)
+        result = rubric.evaluate(item, rubric.tiers[tier], lexicon)
         assert result.passed
         assert result.difficulty == payload["difficulty"]
 
@@ -477,9 +474,7 @@ def test_rejects_log_records_failed_candidates(corpus):
     # force failures: an impossible target with a tight epsilon
     rubric = RubricConfig()
     rubric.tiers = dict(rubric.tiers)
-    from examgraph.assessment import TierSpec
-
-    rubric.tiers[DifficultyTier.BASIC_RECALL] = TierSpec(21.0, (21, 21))
+    rubric.tiers[DifficultyTier.BASIC_RECALL] = 21.0
     rubric.epsilon = 0.5
     blueprint = ExamBlueprint.from_dict({
         "subject": "envsci",

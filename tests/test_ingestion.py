@@ -217,11 +217,23 @@ def test_ingest_twice_with_append_is_idempotent():
 
 
 def test_reingest_without_append_rejected():
+    class MustNotRun:
+        def extract(self, text):
+            raise AssertionError("extracted before the collision check")
+
     registry = GraphRegistry()
     document = doc("The oak supports the fern.", subject="env")
     ingest_document(registry, document, RuleExtractor())
     with pytest.raises(SubjectCollision):
-        ingest_document(registry, document, RuleExtractor())
+        ingest_document(registry, document, MustNotRun())
+
+
+def test_failed_transcription_leaves_no_subject():
+    registry = GraphRegistry()
+    with pytest.raises(UnsupportedFormat):
+        ingest_document(registry, doc("The oak supports the fern.", fmt="pdf",
+                                      subject="ghost"), RuleExtractor())
+    assert registry.subjects() == []
 
 
 def test_chapter_chain_part_of_built_once():

@@ -6,7 +6,7 @@ import pytest
 from examgraph.assessment import RubricConfig
 from examgraph.bus import MessageBus, TcpBusClient, TcpBusServer, run_pipeline
 from examgraph.generation import ExamBlueprint, TemplateGenerator, generate_exam
-from examgraph.ingestion import RuleExtractor, ingest_document
+from examgraph.ingestion import RuleExtractor, SourceDocument, ingest_document
 from examgraph.kg import GraphRegistry
 
 from helpers import ROOTS_A, corpus_documents
@@ -131,6 +131,48 @@ def test_exam_request_unknown_subject_reports_error(stack):
                                {"blueprint": blueprint, "seed": 0}, "exam-x")
     assert message.payload["error_code"] == "unknown_subject"
     assert message.payload["agent"] == "question_generation"
+
+
+def test_exam_request_with_zero_epsilon_reports_error(stack):
+    bus, registry, pipeline, documents, lexicon = stack
+    ingest_document(registry, documents[0], RuleExtractor(lexicon))
+    errors = bus.subscribe("watch-errors", "system/errors")
+    candidates = bus.subscribe("watch-candidates", "exam/candidate")
+    blueprint = {"subject": "envsci", "epsilon": 0, "sections": [
+        {"chapter": "Ch 1", "count": 1, "tiers": {"basic": 1}}]}
+    message = publish_and_wait(bus, errors, "exam/request",
+                               {"blueprint": blueprint, "seed": 0}, "exam-eps")
+    assert message.payload["agent"] == "question_generation"
+    assert "epsilon" in message.payload["message"]
+    assert drain(candidates) == []
+
+
+def test_direct_and_pipeline_ingest_reports_match_with_failing_segment():
+    class FlakyExtractor:
+        def extract(self, text):
+            if "exploded" in text:
+                raise RuntimeError("segment exploded")
+            return RuleExtractor().extract(text)
+
+    paragraphs = ["The oak supports the fern. " * 10,
+                  "The fern exploded. " * 10,
+                  "The pine shades the moss. " * 10]
+    document = {"doc_id": "d1", "subject": "env", "chapter_path": ["Ch 1"],
+                "body": "\n\n".join(paragraphs), "format": "plain"}
+    direct = ingest_document(GraphRegistry(), SourceDocument(**document),
+                             FlakyExtractor(), max_chars=300)
+    assert [f["segment"] for f in direct.failures] == [1]
+
+    bus = MessageBus()
+    pipeline = run_pipeline(bus, GraphRegistry(), FlakyExtractor(), max_chars=300)
+    reports = bus.subscribe("watch-report", "ingest/report")
+    try:
+        report = publish_and_wait(bus, reports, "ingest/request",
+                                  {"doc": document}, "ingest-flaky")
+    finally:
+        pipeline.stop()
+        bus.close()
+    assert report.payload == direct.to_dict()
 
 
 def test_kg_query_round_trip(stack):
