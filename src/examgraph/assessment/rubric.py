@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
-from ..errors import AllZeroWeights
+from ..errors import AllZeroWeights, InvalidParams
 from .features import (
     DEFAULT_BLOOM_VERBS,
     DEFAULT_TAU,
@@ -89,12 +89,12 @@ def validate_gate(epsilon: float | None, weights: Weights | None) -> None:
     must give every feature a value >= 0, not all of them zero. None skips
     that check."""
     if epsilon is not None and not epsilon > 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+        raise InvalidParams(f"epsilon must be > 0, got {epsilon}")
     if weights is None:
         return
     for feature in FEATURE_ORDER:
         if not weights.get(feature, -1.0) >= 0:
-            raise ValueError(f"weight for {feature.value} must be given and >= 0")
+            raise InvalidParams(f"weight for {feature.value} must be given and >= 0")
     if not any(weights[f] for f in FEATURE_ORDER):
         raise AllZeroWeights("feature weights must not all be zero")
 
@@ -157,7 +157,7 @@ class EvaluationResult:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class RubricConfig:
     """Everything the evaluator needs, loadable from one JSON file."""
 
@@ -232,7 +232,7 @@ class RubricConfig:
         if "weights" in data:
             values = [float(w) for w in data["weights"]]
             if len(values) != len(FEATURE_ORDER):
-                raise ValueError(f"weights must list {len(FEATURE_ORDER)} values")
+                raise InvalidParams(f"weights must list {len(FEATURE_ORDER)} values")
             kwargs["weights"] = dict(zip(FEATURE_ORDER, values))
         if "tiers" in data:
             kwargs["tiers"] = {

@@ -28,20 +28,6 @@ def encode_frame(message: Message) -> bytes:
     return _HEADER.pack(len(body)) + body
 
 
-def decode_frame(data: bytes) -> Message:
-    """Decode one complete frame; trailing bytes are an error (use
-    FrameReader for streams)."""
-    if len(data) < _HEADER.size:
-        raise MalformedFrame(f"truncated header: {len(data)} bytes")
-    (length,) = _HEADER.unpack(data[:_HEADER.size])
-    if length > MAX_FRAME_BYTES:
-        raise FrameTooLarge(f"declared frame of {length} bytes (max {MAX_FRAME_BYTES})")
-    body = data[_HEADER.size:]
-    if len(body) != length:
-        raise MalformedFrame(f"declared {length} body bytes, got {len(body)}")
-    return _decode_body(body)
-
-
 def _decode_body(body: bytes) -> Message:
     try:
         data = json.loads(body.decode("utf-8"))
@@ -72,16 +58,32 @@ class FrameReader:
     def feed(self, chunk: bytes) -> list[Message]:
         self._buffer.extend(chunk)
         messages = []
-        while True:
-            if len(self._buffer) < _HEADER.size:
-                break
-            (length,) = _HEADER.unpack(bytes(self._buffer[:_HEADER.size]))
-            if length > MAX_FRAME_BYTES:
-                raise FrameTooLarge(
-                    f"declared frame of {length} bytes (max {MAX_FRAME_BYTES})")
-            if len(self._buffer) < _HEADER.size + length:
-                break
-            body = bytes(self._buffer[_HEADER.size:_HEADER.size + length])
-            del self._buffer[:_HEADER.size + length]
-            messages.append(_decode_body(body))
+        while (message := self._pop()) is not None:
+            messages.append(message)
         return messages
+
+    def _pop(self) -> Message | None:
+        """Remove and decode the first whole frame in the buffer; None
+        while it is incomplete."""
+        if len(self._buffer) < _HEADER.size:
+            return None
+        (length,) = _HEADER.unpack_from(self._buffer)
+        if length > MAX_FRAME_BYTES:
+            raise FrameTooLarge(
+                f"declared frame of {length} bytes (max {MAX_FRAME_BYTES})")
+        if len(self._buffer) < _HEADER.size + length:
+            return None
+        body = bytes(self._buffer[_HEADER.size:_HEADER.size + length])
+        del self._buffer[:_HEADER.size + length]
+        return _decode_body(body)
+
+
+def decode_frame(data: bytes) -> Message:
+    """Decode exactly one complete frame; a short frame or trailing bytes
+    are an error (use FrameReader for streams)."""
+    reader = FrameReader()
+    reader._buffer.extend(data)
+    message = reader._pop()
+    if message is None or reader._buffer:
+        raise MalformedFrame(f"expected exactly one frame, got {len(data)} bytes")
+    return message

@@ -106,7 +106,6 @@ class MessageBus:
         self._names: set[str] = set()
         self._closed = False
         self._queue_capacity = queue_capacity
-        self._reporting_overflow = False
 
     def publish(self, topic: str, payload: Any, *, sender: str,
                 correlation_id: str = "") -> int:
@@ -116,52 +115,40 @@ class MessageBus:
         with self._lock:
             if self._closed:
                 raise BusClosed("bus is closed")
-            key = (sender, topic)
-            seq = self._seq.get(key, 0) + 1
-            self._seq[key] = seq
-            message = Message(topic=topic, correlation_id=correlation_id,
-                              sender=sender, seq=seq, payload=payload)
-            delivered = 0
-            overflowed: list[Subscription] = []
-            for sub in self._subscriptions:
-                if not sub.active or not topic_matches(sub.pattern, topic):
-                    continue
-                try:
-                    sub.queue.put_nowait(message)
-                    delivered += 1
-                except queue.Full:
-                    overflowed.append(sub)
+            message = self._stamp(topic, payload, sender, correlation_id)
+            delivered, overflowed = self._deliver(message)
             for sub in overflowed:
-                self._report_overflow(sub, message)
-            return delivered
-
-    def _report_overflow(self, sub: Subscription, dropped: Message) -> None:
-        # already under self._lock; guard against recursive overflow
-        if self._reporting_overflow:
-            return
-        self._reporting_overflow = True
-        try:
-            diag = Message(
-                topic="system/errors", correlation_id="",
-                sender="bus",
-                seq=self._seq.setdefault(("bus", "system/errors"), 0) + 1,
-                payload={
+                # a report that overflows too is dropped, never reported
+                self._deliver(self._stamp("system/errors", {
                     "error_code": "queue_overflow",
                     "subscriber": sub.agent,
                     "pattern": sub.pattern,
-                    "dropped_topic": dropped.topic,
-                    "dropped_seq": dropped.seq,
-                },
-            )
-            self._seq[("bus", "system/errors")] = diag.seq
-            for other in self._subscriptions:
-                if other.active and topic_matches(other.pattern, "system/errors"):
-                    try:
-                        other.queue.put_nowait(diag)
-                    except queue.Full:
-                        pass
-        finally:
-            self._reporting_overflow = False
+                    "dropped_topic": message.topic,
+                    "dropped_seq": message.seq,
+                }, "bus", ""))
+            return delivered
+
+    def _stamp(self, topic: str, payload: Any, sender: str,
+               correlation_id: str) -> Message:
+        # under self._lock: take the next sequence number of (sender, topic)
+        seq = self._seq.get((sender, topic), 0) + 1
+        self._seq[(sender, topic)] = seq
+        return Message(topic=topic, correlation_id=correlation_id,
+                       sender=sender, seq=seq, payload=payload)
+
+    def _deliver(self, message: Message) -> tuple[int, list[Subscription]]:
+        """Under self._lock: queue the message for every matching
+        subscriber; returns how many took it and the ones that were full."""
+        delivered, overflowed = 0, []
+        for sub in self._subscriptions:
+            if not sub.active or not topic_matches(sub.pattern, message.topic):
+                continue
+            try:
+                sub.queue.put_nowait(message)
+                delivered += 1
+            except queue.Full:
+                overflowed.append(sub)
+        return delivered, overflowed
 
     def subscribe(self, agent: str, pattern: str, *,
                   shared_queue: queue.Queue | None = None) -> Subscription:

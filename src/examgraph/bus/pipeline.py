@@ -158,22 +158,7 @@ def _question_generation_agent(registry: GraphRegistry,
                                generator_factory: GeneratorFactory,
                                rubric: RubricConfig, top_concepts: int,
                                top_m_facts: int, max_retries: int) -> AgentDescriptor:
-    def emit_next(state: dict, request_id: str) -> list[Outgoing]:
-        session: ExamSession = state[request_id]["session"]
-        candidate = session.next_candidate()
-        if candidate is None:
-            exam = session.build_exam()
-            del state[request_id]
-            return [Outgoing("exam/complete", exam.to_dict(),
-                             correlation_id=request_id)]
-        state[request_id]["pending"] = candidate
-        return [Outgoing("exam/candidate", {
-            "subject": session.blueprint.subject,
-            "candidate": candidate.to_payload(),
-        }, correlation_id=request_id)]
-
     def handler(ctx, message):
-        state = ctx.state
         payload = message.payload or {}
         if message.topic == "exam/request":
             request_id = message.correlation_id or f"{message.sender}-{message.seq}"
@@ -181,24 +166,28 @@ def _question_generation_agent(registry: GraphRegistry,
             seed = int(payload.get("seed", 0))
             graph = registry.get(blueprint.subject)  # raises -> system/errors
             generator = generator_factory(graph, seed)
-            session = ExamSession(
+            session = ctx.state[request_id] = ExamSession(
                 graph, blueprint, generator, rubric, seed=seed,
                 top_concepts=int(payload.get("top_concepts", top_concepts)),
                 top_m_facts=int(payload.get("top_m_facts", top_m_facts)),
                 max_retries=int(payload.get("max_retries", max_retries)),
             )
-            state[request_id] = {"session": session, "pending": None}
-            return emit_next(state, request_id)
-
-        request_id = message.correlation_id
-        entry = state.get(request_id)
-        if entry is None or entry["pending"] is None:
-            return []
-        session: ExamSession = entry["session"]
-        result = EvaluationResult.from_dict(payload["evaluation"])
-        session.record_result(entry["pending"], result)
-        entry["pending"] = None
-        return emit_next(state, request_id)
+        else:
+            request_id = message.correlation_id
+            session = ctx.state.get(request_id)
+            if session is None or session.pending is None:
+                return []
+            session.record_result(session.pending,
+                                  EvaluationResult.from_dict(payload["evaluation"]))
+        candidate = session.next_candidate()
+        if candidate is None:
+            del ctx.state[request_id]
+            return [Outgoing("exam/complete", session.build_exam().to_dict(),
+                             correlation_id=request_id)]
+        return [Outgoing("exam/candidate", {
+            "subject": session.blueprint.subject,
+            "candidate": candidate.to_payload(),
+        }, correlation_id=request_id)]
 
     return AgentDescriptor(
         "question_generation",

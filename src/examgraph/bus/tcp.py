@@ -209,7 +209,6 @@ class TcpBusClient:
     def __init__(self, host: str, port: int, name: str,
                  subscriptions: list[str] | None = None, timeout: float = 10.0):
         self.name = name
-        self._seq: dict[str, int] = {}
         self._inbox: queue.Queue = queue.Queue()
         self._reader = FrameReader()
         self._sock = socket.create_connection((host, port), timeout=timeout)
@@ -251,10 +250,9 @@ class TcpBusClient:
 
     def publish(self, topic: str, payload, correlation_id: str = "") -> None:
         validate_topic(topic, allow_wildcard=False)
-        seq = self._seq.get(topic, 0) + 1
-        self._seq[topic] = seq
+        # the hub numbers every frame it publishes, so the client sends seq 0
         self._send(Message(topic=topic, correlation_id=correlation_id,
-                           sender=self.name, seq=seq, payload=payload))
+                           sender=self.name, seq=0, payload=payload))
 
     def get(self, timeout: float | None = None) -> Message | None:
         """Next received frame; None when the connection has closed.

@@ -25,8 +25,6 @@ from .textutils import naive_svo, split_sentences
 class CompletionRequest:
     system_prompt: str
     user_prompt: str
-    temperature: float = 0.0
-    max_tokens: int = 512
     timeout: float = 30.0
 
     def __post_init__(self):
@@ -62,8 +60,8 @@ def complete(config: ProviderConfig, request: CompletionRequest) -> str:
             {"role": "system", "content": request.system_prompt},
             {"role": "user", "content": request.user_prompt},
         ],
-        "temperature": request.temperature,
-        "max_tokens": request.max_tokens,
+        "temperature": 0.0,
+        "max_tokens": 512,
     }
     headers = {"Content-Type": "application/json"}
     token = os.environ.get(config.auth_env, "")

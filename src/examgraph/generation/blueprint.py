@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from ..assessment import FEATURE_ORDER, DifficultyTier, validate_gate
-from ..errors import AllZeroCounts, BadRatios
+from ..errors import AllZeroCounts, BadRatios, InvalidParams
 
 TIER_ORDER = (
     DifficultyTier.BASIC_RECALL,
@@ -65,7 +65,7 @@ class BlueprintSection:
                 f"expected {self.count}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExamBlueprint:
     subject: str
     sections: list[BlueprintSection]
@@ -78,7 +78,7 @@ class ExamBlueprint:
         if self.total < 1:
             raise ValueError("blueprint must request at least one item")
         if self.weights is not None and len(self.weights) != 7:
-            raise ValueError("weights must list 7 values in feature order")
+            raise InvalidParams("weights must list 7 values in feature order")
         validate_gate(self.epsilon, None if self.weights is None
                       else dict(zip(FEATURE_ORDER, self.weights)))
 

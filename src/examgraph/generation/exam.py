@@ -1,19 +1,17 @@
 """The generate / evaluate / retry loop and final exam assembly.
 
-:class:`ExamSession` is a sequential state machine that yields one candidate
-at a time and consumes one evaluation verdict at a time. The direct library
-call (:func:`generate_exam`) and the agent pipeline drive the same machine,
-which is what makes their outputs identical under a deterministic stack.
-
-Retry policy per blueprint slot: alternate advancing the template variant
-and the ranked material bundle, i.e. (b0,v0), (b0,v1), (b1,v1), (b1,v2),
-(b2,v2), ... up to ``max_retries`` candidates.
+:class:`ExamSession` writes the loop once, as a generator that yields one
+candidate at a time and takes one evaluation verdict at a time. The direct
+library call (:func:`generate_exam`) and the agent pipeline step the same
+loop, which is what makes their outputs identical under a deterministic
+stack.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from ..assessment import DifficultyTier, EvaluationResult, RubricConfig, build_lexicon
 from ..errors import ExamGraphError, NoConceptsInChapter
@@ -127,7 +125,20 @@ def _attempt_pairs(start: int, n_bundles: int, max_retries: int) -> list[tuple[i
 
 
 class ExamSession:
-    """Sequential candidate producer/consumer for one blueprint run."""
+    """One blueprint run: yields one candidate at a time and takes one
+    evaluation verdict at a time.
+
+    Retry policy: slots are filled in section -> tier -> slot order. Slot k
+    of a cell (section, tier) tries up to ``max_retries`` (bundle, variant)
+    pairs, alternately advancing the template variant and the ranked
+    bundle from bundle k: (k,0), (k,1), (k+1,1), (k+1,2), ... (bundles
+    wrap around), skipping pairs already accepted in that cell. A generator
+    failure is logged as a reject and moves to the next pair; a candidate
+    that fails the gate is logged as ``gate_failed`` and does the same; the
+    first accepted candidate fills the slot. A slot whose pairs run out is
+    unfilled (``retries_exhausted``), as is every slot of a section without
+    material.
+    """
 
     def __init__(self, graph: KnowledgeGraph, blueprint: ExamBlueprint,
                  generator: Generator, rubric: RubricConfig | None = None, *,
@@ -147,96 +158,81 @@ class ExamSession:
                         else self.rubric.epsilon)
         self.weights = list(blueprint.weights) if blueprint.weights else None
 
-        self._section_bundles: list[list[MaterialBundle]] = []
-        self._section_errors: list[str | None] = []
+        # per section: its ranked bundles, and why its slots go unfilled
+        # when there are none
+        self._material: list[tuple[list[MaterialBundle], str]] = []
         for section in blueprint.sections:
             chapter_id = view.find_node(section.chapter, NodeKind.HIERARCHY)
-            bundles, error = [], f"chapter {section.chapter!r} not found in graph"
+            bundles, reason = [], f"chapter {section.chapter!r} not found in graph"
             if chapter_id is not None:
                 try:
                     bundles = assemble_material(view, chapter_id, top_concepts, top_m_facts)
-                    error = None
+                    reason = "no material"
                 except NoConceptsInChapter as exc:
-                    error = str(exc)
-            self._section_bundles.append(bundles)
-            self._section_errors.append(error)
+                    reason = str(exc)
+            self._material.append((bundles, reason))
 
-        self._slots: list[SlotRef] = []
-        for idx, section in enumerate(blueprint.sections):
-            for tier in TIER_ORDER:
-                for k in range(section.tier_counts.get(tier, 0)):
-                    self._slots.append(SlotRef(idx, section.chapter, tier, k))
-
-        self._cursor = 0
-        self._pairs: list[tuple[int, int]] | None = None
-        self._accepted: dict[tuple[int, DifficultyTier], set[tuple[int, int]]] = {}
-        self._missing: dict[tuple[int, DifficultyTier], dict] = {}
         self.items: list[dict] = []
         self.rejects: list[dict] = []
+        self.unfilled: list[dict] = []
+        self.pending: Candidate | None = None  # awaiting record_result
+        self._loop = self._run()
 
-    @property
-    def done(self) -> bool:
-        return self._cursor >= len(self._slots)
-
-    def _cell_key(self, slot: SlotRef) -> tuple[int, DifficultyTier]:
-        return (slot.section, slot.tier)
-
-    def _advance_slot(self) -> None:
-        self._cursor += 1
-        self._pairs = None
-
-    def _mark_unfilled(self, slot: SlotRef, reason: str) -> None:
-        cell = self._missing.setdefault(self._cell_key(slot), {
-            "chapter": slot.chapter,
-            "tier": slot.tier.value,
-            "missing": 0,
-            "error_code": "insufficient_material",
-            "reason": reason,
-        })
-        cell["missing"] += 1
+    def _run(self) -> Iterator[Candidate | bool]:
+        """The retry policy: yields each candidate, receives its verdict,
+        then yields whether the candidate was accepted."""
+        for index, section in enumerate(self.blueprint.sections):
+            bundles, reason = self._material[index]
+            for tier in TIER_ORDER:
+                count = section.tier_counts.get(tier, 0)
+                used: set[tuple[int, int]] = set()  # pairs accepted in this cell
+                for k in range(count if bundles else 0):
+                    for pair in _attempt_pairs(k, len(bundles), self.max_retries):
+                        if pair in used:
+                            continue
+                        bundle_index, variant = pair
+                        where = {"chapter": section.chapter, "tier": tier.value,
+                                 "slot": k, "attempt": variant,
+                                 "bundle_index": bundle_index}
+                        try:
+                            item = generate_candidate(
+                                bundles[bundle_index], tier, DEFAULT_TIER_BLOOM[tier],
+                                self.generator, variant, subject=self.blueprint.subject)
+                        except ExamGraphError as exc:
+                            self.rejects.append(
+                                {**where, "reason": exc.code, "message": str(exc)})
+                            continue
+                        result = yield Candidate(
+                            slot=SlotRef(index, section.chapter, tier, k),
+                            attempt=variant, bundle_index=bundle_index,
+                            item=item, target=self.rubric.tiers[tier],
+                            epsilon=self.epsilon, weights=self.weights)
+                        if result.passed:
+                            self.items.append(evaluated_item_payload(item, result))
+                            used.add(pair)
+                            yield True
+                            break
+                        self.rejects.append({
+                            **where, "reason": "gate_failed", "stem": item.stem,
+                            "difficulty": result.difficulty, "target": result.target,
+                            "breakdown": result.breakdown,
+                        })
+                        yield False
+                if count > len(used):
+                    self.unfilled.append({
+                        "chapter": section.chapter,
+                        "tier": tier.value,
+                        "missing": count - len(used),
+                        "error_code": "insufficient_material",
+                        "reason": "retries_exhausted" if bundles else reason,
+                    })
 
     def next_candidate(self) -> Candidate | None:
-        """Produce the next candidate item, or None when every slot has been
-        resolved. Generator failures consume retries and are logged."""
-        while self._cursor < len(self._slots):
-            slot = self._slots[self._cursor]
-            bundles = self._section_bundles[slot.section]
-            if not bundles:
-                self._mark_unfilled(
-                    slot, self._section_errors[slot.section] or "no material")
-                self._advance_slot()
-                continue
-            if self._pairs is None:
-                raw = _attempt_pairs(slot.slot, len(bundles), self.max_retries)
-                used = self._accepted.get(self._cell_key(slot), set())
-                self._pairs = [p for p in raw if p not in used]
-            while self._pairs:
-                bundle_index, variant = self._pairs.pop(0)
-                bundle = bundles[bundle_index]
-                bloom = DEFAULT_TIER_BLOOM[slot.tier]
-                try:
-                    item = generate_candidate(bundle, slot.tier, bloom,
-                                              self.generator, variant,
-                                              subject=self.blueprint.subject)
-                except ExamGraphError as exc:
-                    self.rejects.append({
-                        "chapter": slot.chapter,
-                        "tier": slot.tier.value,
-                        "slot": slot.slot,
-                        "attempt": variant,
-                        "bundle_index": bundle_index,
-                        "reason": exc.code,
-                        "message": str(exc),
-                    })
-                    continue
-                return Candidate(
-                    slot=slot, attempt=variant, bundle_index=bundle_index,
-                    item=item, target=self.rubric.tiers[slot.tier],
-                    epsilon=self.epsilon, weights=self.weights,
-                )
-            self._mark_unfilled(slot, "retries_exhausted")
-            self._advance_slot()
-        return None
+        """The candidate awaiting a verdict, or None when every slot has
+        been resolved."""
+        if self.pending is None:
+            self.pending = next(self._loop, None)
+        return self.pending
 
     def evaluate(self, candidate: Candidate) -> EvaluationResult:
         return self.rubric.evaluate(candidate.item, candidate.target, self.lexicon,
@@ -244,31 +240,12 @@ class ExamSession:
                                     weights=candidate.weights)
 
     def record_result(self, candidate: Candidate, result: EvaluationResult) -> bool:
-        """Accept or reject one evaluated candidate; returns True when the
-        item was accepted."""
-        slot = candidate.slot
-        if result.passed:
-            self.items.append(evaluated_item_payload(candidate.item, result))
-            self._accepted.setdefault(self._cell_key(slot), set()).add(
-                (candidate.bundle_index, candidate.attempt))
-            self._advance_slot()
-            return True
-        self.rejects.append({
-            "chapter": slot.chapter,
-            "tier": slot.tier.value,
-            "slot": slot.slot,
-            "attempt": candidate.attempt,
-            "bundle_index": candidate.bundle_index,
-            "reason": "gate_failed",
-            "stem": candidate.item.stem,
-            "difficulty": result.difficulty,
-            "target": result.target,
-            "breakdown": result.breakdown,
-        })
-        if not self._pairs:
-            self._mark_unfilled(slot, "retries_exhausted")
-            self._advance_slot()
-        return False
+        """Feed the verdict on the pending candidate to the loop; returns
+        True when the item was accepted."""
+        if candidate is not self.pending:
+            raise ValueError("record_result expects the pending candidate")
+        self.pending = None
+        return self._loop.send(result)
 
     def build_exam(self) -> Exam:
         items = []
@@ -276,8 +253,6 @@ class ExamSession:
             final = dict(payload)
             final["id"] = f"q{idx:04d}"
             items.append(final)
-        unfilled = [self._missing[key] for key in sorted(
-            self._missing, key=lambda k: (k[0], TIER_ORDER.index(k[1])))]
         return Exam(
             subject=self.blueprint.subject,
             blueprint_sha256=self.blueprint.sha256(),
@@ -285,7 +260,7 @@ class ExamSession:
             requested=self.blueprint.total,
             items=items,
             rejects=self.rejects,
-            unfilled=unfilled,
+            unfilled=self.unfilled,
         )
 
 
@@ -303,9 +278,6 @@ def generate_exam(registry: GraphRegistry, blueprint: ExamBlueprint,
     session = ExamSession(graph, blueprint, generator, rubric, seed=seed,
                           top_concepts=top_concepts, top_m_facts=top_m_facts,
                           max_retries=max_retries)
-    while True:
-        candidate = session.next_candidate()
-        if candidate is None:
-            break
+    for candidate in iter(session.next_candidate, None):
         session.record_result(candidate, session.evaluate(candidate))
     return session.build_exam()

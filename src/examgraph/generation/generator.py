@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from ..assessment import BloomLevel, DifficultyTier, bloom_profile
@@ -55,8 +55,6 @@ class QuestionItem:
     bloom: BloomLevel
     tier: DifficultyTier
     provenance: Provenance | None = None
-    ratings: dict = field(default_factory=dict)
-    difficulty: float | None = None
 
     def to_payload(self) -> dict:
         payload = {

@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedFormat,
 )
 from .kg import EdgeKind, GraphRegistry, KnowledgeGraph, NodeKind
-from .textutils import DEFAULT_RELATION_VERBS, naive_svo, normalize_label, split_sentences
+from .textutils import naive_svo, normalize_label, split_sentences
 
 PLAIN = "plain"
 MARKDOWN = "markdown"
@@ -187,15 +187,13 @@ class RuleExtractor:
     concept mappings come from the configured hypernym lexicon.
     """
 
-    def __init__(self, hypernyms: dict[str, list[str]] | None = None,
-                 verbs: frozenset[str] = DEFAULT_RELATION_VERBS):
+    def __init__(self, hypernyms: dict[str, list[str]] | None = None):
         self.hypernyms = {normalize_label(k): v for k, v in (hypernyms or {}).items()}
-        self.verbs = verbs
 
     def extract(self, text: str) -> ExtractionResult:
         triples: list[tuple[str, str, str]] = []
         for sentence in split_sentences(text):
-            match = naive_svo(sentence, self.verbs)
+            match = naive_svo(sentence)
             if match:
                 triples.append(match)
         concept_map: dict[str, list[str]] = {}

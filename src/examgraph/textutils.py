@@ -28,7 +28,7 @@ AUXILIARIES = frozenset(
     "will would can could may might shall should must do does did".split()
 )
 
-DEFAULT_RELATION_VERBS = frozenset(
+RELATION_VERBS = frozenset(
     """is are was were has have
     harm harms cause causes affect affects include includes contain contains
     produce produces require requires reduce reduces increase increases
@@ -107,11 +107,10 @@ def _strip_phrase(words: list[str]) -> list[str]:
     return words[start:end] if start < end else words
 
 
-def naive_svo(sentence: str, verbs: frozenset[str] | set[str] = DEFAULT_RELATION_VERBS
-              ) -> tuple[str, str, str] | None:
+def naive_svo(sentence: str) -> tuple[str, str, str] | None:
     """First subject-verb-object match in a sentence, or None.
 
-    Scans for the first token in ``verbs`` (optionally preceded by an
+    Scans for the first relation verb (optionally preceded by an
     auxiliary such as 'will') that has words on both sides, then trims
     determiners/stopwords off the noun phrases.
     """
@@ -119,9 +118,10 @@ def naive_svo(sentence: str, verbs: frozenset[str] | set[str] = DEFAULT_RELATION
     for i, w in enumerate(words):
         rel = None
         obj_start = i + 1
-        if w in verbs:
+        if w in RELATION_VERBS:
             rel = w
-        elif w in AUXILIARIES and i + 1 < len(words) and words[i + 1] in verbs:
+        elif (w in AUXILIARIES and i + 1 < len(words)
+              and words[i + 1] in RELATION_VERBS):
             rel = words[i + 1]
             obj_start = i + 2
         if rel is None or i == 0 or obj_start >= len(words):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from types import SimpleNamespace
@@ -192,7 +193,7 @@ def test_weighted_difficulty_rejects_all_zero():
     with pytest.raises(AllZeroWeights):
         weighted_difficulty({f: 2 for f in FEATURE_ORDER},
                             {f: 0.0 for f in FEATURE_ORDER})
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams):
         weighted_difficulty({f: 2 for f in FEATURE_ORDER},
                             {f: -1.0 for f in FEATURE_ORDER})
 
@@ -234,18 +235,30 @@ def test_gate_symmetry():
 
 
 def test_gate_requires_positive_epsilon():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams):
         RubricConfig(epsilon=0.0)
 
 
-@pytest.mark.parametrize("weights", [
-    {f: 1.0 for f in FEATURE_ORDER} | {FeatureId.STEM_LENGTH: -1.0},
-    {f: 0.0 for f in FEATURE_ORDER},
-    {f: 1.0 for f in FEATURE_ORDER[:6]},
+@pytest.mark.parametrize("weights, error", [
+    ({f: 1.0 for f in FEATURE_ORDER} | {FeatureId.STEM_LENGTH: -1.0}, InvalidParams),
+    ({f: 0.0 for f in FEATURE_ORDER}, AllZeroWeights),
+    ({f: 1.0 for f in FEATURE_ORDER[:6]}, InvalidParams),
 ])
-def test_rubric_rejects_bad_weights_when_built(weights):
-    with pytest.raises((ValueError, AllZeroWeights)):
+def test_rubric_rejects_bad_weights_when_built(weights, error):
+    with pytest.raises(error):
         RubricConfig(weights=weights)
+
+
+def test_rubric_weight_count_is_invalid_params():
+    with pytest.raises(InvalidParams):
+        RubricConfig.from_dict({"weights": [1.0] * 6})
+
+
+def test_rubric_config_is_frozen():
+    config = RubricConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.epsilon = 0.0
+    assert config.epsilon == 2.0
 
 
 def test_breakdown_lists_every_feature():
@@ -275,9 +288,9 @@ def test_bloom_profiles_componentwise_monotone():
 
 
 def test_rubric_config_json_round_trip(tmp_path):
-    config = RubricConfig()
-    config.weights[FeatureId.STEM_LENGTH] = 2.0
-    config.epsilon = 1.5
+    weights = {f: 1.0 for f in FEATURE_ORDER} | {FeatureId.STEM_LENGTH: 2.0}
+    config = RubricConfig(weights=weights, epsilon=1.5)
+    assert config.weights[FeatureId.STEM_LENGTH] == 2.0
     path = tmp_path / "rubric.json"
     import json
 

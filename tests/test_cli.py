@@ -134,10 +134,13 @@ def test_blueprint_validate(workspace, capsys):
     counts["sections"][0]["count"] = 5  # tiers sum to 10
     epsilon = dict(blueprint_dict(), epsilon=0)
     weights = dict(blueprint_dict(), weights=[0] * 7)
-    for data in (counts, epsilon, weights):
+    six_weights = dict(blueprint_dict(), weights=[1] * 6)
+    for data, code in ((counts, "error"), (epsilon, "invalid_params"),
+                       (weights, "all_zero_weights"),
+                       (six_weights, "invalid_params")):
         bad.write_text(json.dumps(data))
         assert main(["blueprint", "validate", "--blueprint", str(bad)]) == 1
-        assert "error_code" in json.loads(capsys.readouterr().err)
+        assert json.loads(capsys.readouterr().err)["error_code"] == code
 
 
 def test_generate_deterministic_files(workspace, tmp_path):

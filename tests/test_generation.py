@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import random
 
 import pytest
 
 from examgraph.assessment import (
+    DEFAULT_TIERS,
     BloomLevel,
     DifficultyTier,
     RubricConfig,
@@ -13,6 +15,7 @@ from examgraph.errors import (
     AllZeroCounts,
     BadRatios,
     GeneratorFailure,
+    InvalidParams,
     MalformedCandidate,
     NoConceptsInChapter,
     UnknownSubject,
@@ -109,6 +112,15 @@ def test_blueprint_validation():
         ExamBlueprint.from_dict(bad)
     with pytest.raises(ValueError):
         ExamBlueprint(subject="s", sections=[])
+    with pytest.raises(InvalidParams):
+        ExamBlueprint.from_dict(dict(blueprint_dict(), weights=[1.0] * 6))
+
+
+def test_blueprint_is_frozen():
+    blueprint = ExamBlueprint.from_dict(blueprint_dict())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        blueprint.epsilon = 0.0
+    assert blueprint.epsilon is None
 
 
 # --- material assembly ---
@@ -472,10 +484,8 @@ def test_rejects_log_records_failed_candidates(corpus):
     registry, _, _ = corpus
     graph = registry.get("envsci")
     # force failures: an impossible target with a tight epsilon
-    rubric = RubricConfig()
-    rubric.tiers = dict(rubric.tiers)
-    rubric.tiers[DifficultyTier.BASIC_RECALL] = 21.0
-    rubric.epsilon = 0.5
+    tiers = dict(DEFAULT_TIERS) | {DifficultyTier.BASIC_RECALL: 21.0}
+    rubric = RubricConfig(tiers=tiers, epsilon=0.5)
     blueprint = ExamBlueprint.from_dict({
         "subject": "envsci",
         "sections": [{"chapter": "Ch 1", "count": 1, "tiers": {"basic": 1}}],
@@ -489,3 +499,78 @@ def test_rejects_log_records_failed_candidates(corpus):
         assert reject["difficulty"] < 20
         assert reject["breakdown"]
     assert exam.unfilled[0]["missing"] == 1
+
+
+# --- the generate/evaluate/retry loop ---
+
+def test_always_failing_generator_logs_rejects_and_exhausts_slot(corpus):
+    registry, _, _ = corpus
+    blueprint = ExamBlueprint.from_dict({
+        "subject": "envsci",
+        "sections": [{"chapter": "Ch 1", "count": 1, "tiers": {"basic": 1}}],
+    })
+    exam = generate_exam(registry, blueprint, ThreeOptionGenerator(),
+                         RubricConfig(), max_retries=4)
+    assert exam.items == []
+    assert len(exam.rejects) == 4
+    assert {r["reason"] for r in exam.rejects} == {"malformed_candidate"}
+    assert all(r["message"] for r in exam.rejects)
+    assert exam.unfilled == [{"chapter": "Ch 1", "tier": "basic", "missing": 1,
+                              "error_code": "insufficient_material",
+                              "reason": "retries_exhausted"}]
+
+
+def test_slots_in_one_cell_never_reuse_an_accepted_pair(corpus, monkeypatch):
+    from examgraph.generation import ExamSession
+
+    registry, _, _ = corpus
+    graph = registry.get("envsci")
+    accepted = []
+    record_result = ExamSession.record_result
+
+    def spy(self, candidate, result):
+        ok = record_result(self, candidate, result)
+        if ok:
+            accepted.append((candidate.bundle_index, candidate.attempt))
+        return ok
+
+    monkeypatch.setattr(ExamSession, "record_result", spy)
+    # six slots over four bundles: slots 4 and 5 start on pairs already taken
+    blueprint = ExamBlueprint.from_dict({
+        "subject": "envsci",
+        "sections": [{"chapter": "Ch 1", "count": 6, "tiers": {"basic": 6}}],
+    })
+    exam = generate_exam(registry, blueprint, TemplateGenerator(graph, seed=0),
+                         RubricConfig(epsilon=100.0))
+    assert exam.complete
+    assert accepted == [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1)]
+
+
+def test_loop_call_counts(corpus, monkeypatch):
+    import examgraph.generation.exam as exam_module
+    from examgraph.generation import ExamSession
+
+    registry, _, _ = corpus
+    graph = registry.get("envsci")
+    calls = {"assemble": 0, "record": 0, "evaluate": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(exam_module, "assemble_material",
+                        counted("assemble", exam_module.assemble_material))
+    monkeypatch.setattr(ExamSession, "record_result",
+                        counted("record", ExamSession.record_result))
+    monkeypatch.setattr(RubricConfig, "evaluate",
+                        counted("evaluate", RubricConfig.evaluate))
+    spec = blueprint_dict()
+    spec["epsilon"] = 0.05  # forces rejects and retries
+    exam = generate_exam(registry, ExamBlueprint.from_dict(spec),
+                         TemplateGenerator(graph, seed=11), seed=11)
+    gate_failed = [r for r in exam.rejects if r["reason"] == "gate_failed"]
+    assert gate_failed
+    assert calls["assemble"] == len(spec["sections"])
+    assert calls["record"] == calls["evaluate"] == len(exam.items) + len(gate_failed)

@@ -9,7 +9,7 @@ from examgraph.generation import ExamBlueprint, TemplateGenerator, generate_exam
 from examgraph.ingestion import RuleExtractor, SourceDocument, ingest_document
 from examgraph.kg import GraphRegistry
 
-from helpers import ROOTS_A, corpus_documents
+from helpers import ROOTS_A, ROOTS_B, blueprint_dict, build_registry, corpus_documents
 
 
 def drain(sub, timeout=0.3):
@@ -143,6 +143,7 @@ def test_exam_request_with_zero_epsilon_reports_error(stack):
     message = publish_and_wait(bus, errors, "exam/request",
                                {"blueprint": blueprint, "seed": 0}, "exam-eps")
     assert message.payload["agent"] == "question_generation"
+    assert message.payload["error_code"] == "invalid_params"
     assert "epsilon" in message.payload["message"]
     assert drain(candidates) == []
 
@@ -316,3 +317,27 @@ def test_append_ingest_then_pipeline_exam_matches_direct_call():
     finally:
         pipeline.stop()
         bus.close()
+
+
+def test_pipeline_exam_with_retries_matches_direct_call_bytes():
+    # the 6-chapter, tight-epsilon blueprint of tests/test_golden.py
+    registry, _, _ = build_registry("envsci", ROOTS_A + ROOTS_B, chapters=6)
+    spec = blueprint_dict("envsci", 6)
+    spec["epsilon"] = 0.05
+    direct = generate_exam(registry, ExamBlueprint.from_dict(spec),
+                           TemplateGenerator(registry.get("envsci"), seed=11),
+                           seed=11)
+    assert direct.rejects and direct.unfilled
+    assert any(r["reason"] == "gate_failed" for r in direct.rejects)
+
+    bus = MessageBus()
+    pipeline = run_pipeline(bus, registry, RuleExtractor())
+    completes = bus.subscribe("watch-complete", "exam/complete")
+    try:
+        complete = publish_and_wait(bus, completes, "exam/request",
+                                    {"blueprint": spec, "seed": 11}, "exam-golden")
+    finally:
+        pipeline.stop()
+        bus.close()
+    assert json.dumps(complete.payload, sort_keys=True).encode() == \
+        json.dumps(direct.to_dict(), sort_keys=True).encode()
