@@ -243,7 +243,7 @@ def test_gate_requires_positive_epsilon():
     ({f: 1.0 for f in FEATURE_ORDER} | {FeatureId.STEM_LENGTH: -1.0}, InvalidParams),
     ({f: 0.0 for f in FEATURE_ORDER}, AllZeroWeights),
     ({f: 1.0 for f in FEATURE_ORDER[:6]}, InvalidParams),
-])
+], ids=["weights0", "weights1", "weights2"])
 def test_rubric_rejects_bad_weights_when_built(weights, error):
     with pytest.raises(error):
         RubricConfig(weights=weights)
