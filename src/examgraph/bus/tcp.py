@@ -13,7 +13,13 @@ import queue
 import socket
 import threading
 
-from ..errors import BadPattern, DuplicateName, ExamGraphError, MalformedFrame
+from ..errors import (
+    BadPattern,
+    DuplicateName,
+    ExamGraphError,
+    FrameTooLarge,
+    MalformedFrame,
+)
 from .codec import FrameReader, encode_frame
 from .core import Message, MessageBus, validate_topic
 
@@ -124,8 +130,9 @@ class TcpBusServer:
                     break
                 for message in reader.feed(chunk):
                     self._handle_frame(conn, message)
-        except MalformedFrame as exc:
-            self._send_error(conn, "malformed_frame", str(exc))
+        except (MalformedFrame, FrameTooLarge) as exc:
+            self._send_error(conn, exc.code, str(exc))
+            conn.close(flush=True)
         except OSError:
             pass
         finally:

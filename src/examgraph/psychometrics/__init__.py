@@ -8,7 +8,13 @@ from .anova import (
     two_way_anova,
 )
 from .beta import f_survival, reg_incomplete_beta, t_survival_two_sided
-from .itemstats import ResponseMatrix, item_discrimination, item_p_value
+from .itemstats import (
+    ResponseMatrix,
+    item_discrimination,
+    item_discriminations,
+    item_p_value,
+    item_p_values,
+)
 from .report import analyze
 
 __all__ = [
@@ -19,7 +25,9 @@ __all__ = [
     "analyze",
     "f_survival",
     "item_discrimination",
+    "item_discriminations",
     "item_p_value",
+    "item_p_values",
     "levene_test",
     "one_way_anova",
     "pairwise_welch_bonferroni",

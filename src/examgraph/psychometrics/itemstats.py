@@ -8,7 +8,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from ..errors import TooFewParticipants, UnknownItem
+from ..errors import InvalidParams, TooFewParticipants, UnknownItem
 
 
 @dataclass
@@ -43,13 +43,6 @@ class ResponseMatrix:
         except ValueError:
             raise UnknownItem(f"no item {item!r} in matrix") from None
 
-    def column(self, item: str) -> list[int]:
-        idx = self.item_index(item)
-        return [row[idx] for row in self.rows]
-
-    def total_scores(self) -> dict[str, int]:
-        return {pid: sum(row) for pid, row in zip(self.participants, self.rows)}
-
     @classmethod
     def from_csv(cls, text: str) -> "ResponseMatrix":
         """Parse the response CSV: header ``participant,<item ids...>``,
@@ -69,7 +62,7 @@ class ResponseMatrix:
                 continue
             participants.append(record[0].strip())
             try:
-                rows.append([int(cell) for cell in record[1:]])
+                rows.append(list(map(int, record[1:])))
             except ValueError:
                 raise ValueError(f"non-integer cell on line {line_no}") from None
         return cls(participants, items, rows)
@@ -83,30 +76,42 @@ class ResponseMatrix:
         return out.getvalue()
 
 
+def item_p_values(matrix: ResponseMatrix) -> list[float]:
+    """Proportion of participants answering each item correctly, in
+    ``matrix.items`` order."""
+    n = len(matrix.rows)
+    return [sum(column) / n for column in zip(*matrix.rows)]
+
+
+def item_discriminations(matrix: ResponseMatrix,
+                         fraction: float = 0.25) -> list[float]:
+    """Correct-proportion difference between the top and bottom score
+    groups, for each item in ``matrix.items`` order.
+
+    Participants are ranked once by (total score desc, participant id asc);
+    k = ceil(fraction * n) are taken from each end of that ranking, and each
+    group's column sums are taken once for all items.
+    """
+    if not 0 < fraction <= 0.5:
+        raise InvalidParams(f"fraction must be in (0, 0.5], got {fraction}")
+    n = len(matrix.participants)
+    if n < 4:
+        raise TooFewParticipants(f"discrimination needs >= 4 participants, got {n}")
+    order = sorted(zip(matrix.participants, matrix.rows),
+                   key=lambda entry: (-sum(entry[1]), entry[0]))
+    ranked = [row for _, row in order]
+    k = math.ceil(fraction * n)
+    top = [sum(column) for column in zip(*ranked[:k])]
+    bottom = [sum(column) for column in zip(*ranked[-k:])]
+    return [t / k - b / k for t, b in zip(top, bottom)]
+
+
 def item_p_value(matrix: ResponseMatrix, item: str) -> float:
     """Proportion of participants answering the item correctly."""
-    column = matrix.column(item)
-    return sum(column) / len(column)
+    return item_p_values(matrix)[matrix.item_index(item)]
 
 
 def item_discrimination(matrix: ResponseMatrix, item: str,
                         fraction: float = 0.25) -> float:
-    """Correct-proportion difference between the top and bottom score
-    groups.
-
-    Participants are ranked once by (total score desc, participant id asc);
-    ceil(fraction * n) are taken from each end of that ranking.
-    """
-    if not 0 < fraction <= 0.5:
-        raise ValueError(f"fraction must be in (0, 0.5], got {fraction}")
-    n = len(matrix.participants)
-    if n < 4:
-        raise TooFewParticipants(f"discrimination needs >= 4 participants, got {n}")
-    idx = matrix.item_index(item)
-    totals = matrix.total_scores()
-    ranked = sorted(matrix.participants, key=lambda pid: (-totals[pid], pid))
-    k = math.ceil(fraction * n)
-    by_id = dict(zip(matrix.participants, matrix.rows))
-    top = [by_id[pid][idx] for pid in ranked[:k]]
-    bottom = [by_id[pid][idx] for pid in ranked[-k:]]
-    return sum(top) / k - sum(bottom) / k
+    """Discrimination index of one item; see ``item_discriminations``."""
+    return item_discriminations(matrix, fraction)[matrix.item_index(item)]

@@ -7,7 +7,7 @@ import math
 
 from ..errors import TooFewParticipants
 from .anova import levene_test, one_way_anova, pairwise_welch_bonferroni
-from .itemstats import ResponseMatrix, item_discrimination, item_p_value
+from .itemstats import ResponseMatrix, item_discriminations, item_p_values
 
 
 def _mean_sd(values: list[float]) -> tuple[float, float]:
@@ -28,23 +28,21 @@ def analyze(matrix: ResponseMatrix, groups: dict[str, str] | None = None,
     one-way ANOVA across groups, Levene's test, and Bonferroni-corrected
     pairwise Welch comparisons.
     """
-    item_stats = []
-    for item in matrix.items:
-        try:
-            disc = item_discrimination(matrix, item, discrimination_fraction)
-        except TooFewParticipants:
-            disc = None
-        item_stats.append({
-            "item": item,
-            "p_value": item_p_value(matrix, item),
-            "discrimination": disc,
-        })
+    try:
+        discriminations = item_discriminations(matrix, discrimination_fraction)
+    except TooFewParticipants:
+        discriminations = [None] * len(matrix.items)
+    p_values = item_p_values(matrix)
+    item_stats = [
+        {"item": item, "p_value": p_value, "discrimination": disc}
+        for item, p_value, disc in zip(matrix.items, p_values, discriminations)
+    ]
 
     report: dict = {
         "participants": len(matrix.participants),
         "items": len(matrix.items),
         "item_stats": item_stats,
-        "mean_p_value": _mean_sd([s["p_value"] for s in item_stats])[0],
+        "mean_p_value": _mean_sd(p_values)[0],
     }
     if not groups:
         return report

@@ -1,6 +1,7 @@
 import json
 import queue
 import random
+import socket
 import threading
 
 import pytest
@@ -364,3 +365,36 @@ def test_tcp_server_stop_ends_its_accept_thread():
     server.stop()
     assert not accept[0].is_alive()
     bus.close()
+
+
+@pytest.mark.parametrize("data, code", [
+    (b"\xff\xff\xff\xff", "frame_too_large"),  # declares a 4 GiB body
+    (b"\x00\x00\x00\x02{]", "malformed_frame"),
+], ids=["too_large", "malformed"])
+def test_tcp_bad_frame_gets_one_error_frame(data, code):
+    bus = MessageBus()
+    server = TcpBusServer(bus)
+    server.start()
+    before = set(threading.enumerate())
+    raised = []
+    previous_hook = threading.excepthook
+    threading.excepthook = raised.append
+    try:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(data)
+            received = b""
+            while chunk := sock.recv(65536):  # the hub closes after the error
+                received += chunk
+        readers = [t for t in threading.enumerate()
+                   if t not in before and t.name.startswith("tcp-bus-")]
+        for thread in readers:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+    finally:
+        threading.excepthook = previous_hook
+        server.stop()
+        bus.close()
+    error = decode_frame(received)
+    assert error.topic == "system/errors"
+    assert error.payload["error_code"] == code
+    assert raised == []

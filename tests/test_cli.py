@@ -210,6 +210,16 @@ def test_analyze_csv(workspace, capsys, tmp_path):
     assert "anova" in report
 
 
+def test_analyze_bad_fraction_is_invalid_params(capsys, tmp_path):
+    csv_path = tmp_path / "responses.csv"
+    csv_path.write_text("participant,q1\n" + "".join(
+        f"p{i},{i % 2}\n" for i in range(8)))
+    assert main(["analyze", "--responses", str(csv_path),
+                 "--fraction", "0.7"]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error_code"] == "invalid_params"
+
+
 def test_config_file_supplies_defaults_flags_win(workspace, capsys, tmp_path):
     ingest_all(workspace)
     capsys.readouterr()

@@ -1,15 +1,21 @@
-"""Golden digests: fixed-seed exams and a graph snapshot must stay
-byte-identical across refactors of ranking, material and generation.
+"""Golden digests: fixed-seed exams, a graph snapshot and an item-analysis
+report must stay byte-identical across refactors of ranking, material,
+generation and psychometrics.
 
-The digests were taken from the implementation that reran PageRank for
-every blueprint section; memoising scores per graph revision and the
-integer-indexed power iteration must not change a single byte.
+The exam and snapshot digests were taken from the implementation that reran
+PageRank for every blueprint section; memoising scores per graph revision
+and the integer-indexed power iteration must not change a single byte. The
+report digest was taken from the implementation that ranked participants
+once per item; ranking them once per matrix must not change it either.
 """
 
 import hashlib
+import json
+import random
 
 from examgraph.generation import ExamBlueprint, TemplateGenerator, generate_exam
 from examgraph.kg import export_graph
+from examgraph.psychometrics import ResponseMatrix, analyze
 
 from helpers import ROOTS_A, ROOTS_B, blueprint_dict, build_registry
 
@@ -20,6 +26,8 @@ EXAM_SHA256 = {
     # tight epsilon: rejects, retries and unfilled cells
     0.05: "b9c8cbf25010ebff6ff76664e63c6aedc56a6aae6e5998a3192aaf36adaf2fd5",
 }
+# 40 participants x 12 items in three groups, serialised as `examgraph analyze`
+ANALYSIS_SHA256 = "1cddd26253eda67e1f38aa66440353e54ca20acd0935b489bef140472ebf25fb"
 
 
 def _sha256(data: bytes) -> str:
@@ -37,3 +45,15 @@ def test_six_chapter_exams_and_snapshot_match_golden_digests():
         exam = generate_exam(registry, ExamBlueprint.from_dict(spec),
                              TemplateGenerator(graph, seed=11), seed=11)
         assert _sha256(exam.to_json().encode("utf-8")) == digest, epsilon
+
+
+def test_analysis_report_digest():
+    rng = random.Random(2505)
+    participants = [f"p{i:03d}" for i in range(40)]
+    rows = [[1 if rng.random() < 0.3 + 0.01 * i else 0 for _ in range(12)]
+            for i in range(40)]
+    matrix = ResponseMatrix(participants, [f"q{j:02d}" for j in range(12)], rows)
+    groups = {pid: "abc"[i % 3] for i, pid in enumerate(participants)}
+    text = json.dumps(analyze(matrix, groups), indent=2, sort_keys=True,
+                      ensure_ascii=False)
+    assert _sha256(text.encode("utf-8")) == ANALYSIS_SHA256

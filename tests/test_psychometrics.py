@@ -7,6 +7,7 @@ from scipy import integrate
 from examgraph.errors import (
     DegenerateInput,
     DomainError,
+    InvalidParams,
     TooFewParticipants,
     UnbalancedDesign,
     UnknownItem,
@@ -16,7 +17,9 @@ from examgraph.psychometrics import (
     analyze,
     f_survival,
     item_discrimination,
+    item_discriminations,
     item_p_value,
+    item_p_values,
     levene_test,
     one_way_anova,
     pairwise_welch_bonferroni,
@@ -103,7 +106,7 @@ def test_discrimination_needs_enough_participants():
     matrix = matrix_from_rows([[1], [0], [1]])
     with pytest.raises(TooFewParticipants):
         item_discrimination(matrix, "q00")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams):
         item_discrimination(matrix_from_rows([[1], [0], [1], [0]]), "q00",
                             fraction=0.6)
 
@@ -127,6 +130,46 @@ def test_discrimination_matches_brute_force_on_random_matrices():
         for item in matrix.items:
             assert item_discrimination(matrix, item) == \
                 brute_force_discrimination(matrix, item)
+
+
+def brute_force_p_value(matrix, item):
+    idx = matrix.items.index(item)
+    return sum(row[idx] for row in matrix.rows) / len(matrix.rows)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 25])
+@pytest.mark.parametrize("fraction", [0.1, 0.25, 0.5])
+def test_analyze_item_stats_match_brute_force(n, fraction):
+    rng = random.Random(f"{n}|{fraction}")
+    for _ in range(10):
+        # three items keep totals in 0..3, so most participants tie and the
+        # shuffled ids decide the ranking
+        rows = [[rng.randint(0, 1) for _ in range(3)] for _ in range(n)]
+        participants = [f"p{i:03d}" for i in range(n)]
+        rng.shuffle(participants)
+        matrix = ResponseMatrix(participants, ["q0", "q1", "q2"], rows)
+        expected = [{
+            "item": item,
+            "p_value": brute_force_p_value(matrix, item),
+            "discrimination": (brute_force_discrimination(matrix, item, fraction)
+                               if n >= 4 else None),
+        } for item in matrix.items]
+        assert analyze(matrix, discrimination_fraction=fraction)["item_stats"] \
+            == expected
+
+
+def test_tied_totals_rank_by_participant_id():
+    # equal totals: "a" ranks first and "d" last whatever the row order
+    matrix = ResponseMatrix(["d", "b", "c", "a"], ["q0", "q1"],
+                            [[0, 1], [0, 1], [1, 0], [1, 0]])
+    assert item_discriminations(matrix) == [1.0, -1.0]
+    assert item_p_values(matrix) == [0.5, 0.5]
+
+
+def test_analyze_rejects_bad_fraction_before_counting_participants():
+    for rows in ([[1], [0]], [[1], [0], [1], [0]]):
+        with pytest.raises(InvalidParams):
+            analyze(matrix_from_rows(rows), discrimination_fraction=0.7)
 
 
 def test_permutation_invariance():
@@ -399,3 +442,5 @@ def test_csv_round_trip():
     assert clone.to_csv() == text
     with pytest.raises(ValueError):
         ResponseMatrix.from_csv("wrongheader,q1\np1,1\np2,0\n")
+    with pytest.raises(ValueError, match="non-integer cell on line 3"):
+        ResponseMatrix.from_csv("participant,q1\np1,1\np2,x\n")
