@@ -8,7 +8,7 @@ from typing import Iterable
 
 from ..errors import MalformedItem
 from ..kg import GraphView, KnowledgeGraph, NodeKind
-from ..textutils import cosine_similarity, tokenize
+from ..textutils import cosine_similarity, term_vector, tokenize
 
 DEFAULT_TAU = 0.4  # minimum similarity to the key for a distractor to count as plausible
 
@@ -48,8 +48,13 @@ def classify_bloom(stem: str,
                    verb_lexicon: dict[BloomLevel, frozenset[str]] | None = None) -> BloomLevel:
     """Highest Bloom level whose verb set appears in the stem; Remember when
     no known verb is present."""
+    return _bloom_level(tokenize(stem), verb_lexicon)
+
+
+def _bloom_level(tokens: list[str],
+                 verb_lexicon: dict[BloomLevel, frozenset[str]] | None) -> BloomLevel:
     verbs = verb_lexicon or DEFAULT_BLOOM_VERBS
-    tokens = set(tokenize(stem))
+    tokens = set(tokens)
     best = BloomLevel.REMEMBER
     for level in BloomLevel:
         if tokens & verbs.get(level, frozenset()):
@@ -95,21 +100,24 @@ def measure_features(item, lexicon: frozenset[str] | set[str],
         sum(1 for t in stem_tokens if t in lexicon) / len(stem_tokens)
         if stem_tokens else 0.0
     )
+    stem_vector = term_vector(stem)
+    vectors = [term_vector(o) for o in options]
     pair_sims = [
-        cosine_similarity(options[i], options[j])
+        cosine_similarity(vectors[i], vectors[j])
         for i in range(4) for j in range(i + 1, 4)
     ]
-    key = options[answer_index]
+    key = vectors[answer_index]
     plausible = sum(
-        1 for i, option in enumerate(options)
-        if i != answer_index and cosine_similarity(option, key) >= tau
+        1 for i, vector in enumerate(vectors)
+        if i != answer_index and cosine_similarity(vector, key) >= tau
     )
     return {
         FeatureId.STEM_LENGTH: float(len(stem.split())),
         FeatureId.VOCAB_DENSITY: density,
-        FeatureId.COGNITIVE_LEVEL: float(classify_bloom(stem, bloom_verbs)),
+        FeatureId.COGNITIVE_LEVEL: float(_bloom_level(stem_tokens, bloom_verbs)),
         FeatureId.OPTION_LENGTH: _mean(len(o.split()) for o in options),
         FeatureId.OPTION_SIMILARITY: _mean(pair_sims),
-        FeatureId.STEM_OPTION_OVERLAP: _mean(cosine_similarity(stem, o) for o in options),
+        FeatureId.STEM_OPTION_OVERLAP: _mean(cosine_similarity(stem_vector, v)
+                                             for v in vectors),
         FeatureId.PLAUSIBLE_DISTRACTORS: float(plausible),
     }

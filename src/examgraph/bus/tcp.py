@@ -96,6 +96,8 @@ class TcpBusServer:
                 sock, peer = self._listener.accept()
             except OSError:
                 break
+            # send small frames at once, not after the peer's delayed ACK (Nagle)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn = _Connection(self, sock, peer)
             with self._lock:
                 self._connections.append(conn)
@@ -219,6 +221,7 @@ class TcpBusClient:
         self._inbox: queue.Queue = queue.Queue()
         self._reader = FrameReader()
         self._sock = socket.create_connection((host, port), timeout=timeout)
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock.settimeout(None)
         self._alive = True
         self._send(Message(topic=ANNOUNCE_TOPIC, correlation_id="",

@@ -23,6 +23,7 @@ from .generation import (
     QuestionItem,
     TemplateGenerator,
     generate_exam,
+    pretty_json,
 )
 from .ingestion import (
     LLMExtractor,
@@ -132,7 +133,7 @@ def _extractor(args, config: dict):
 
 
 def _emit(data, out: str | None = None) -> None:
-    text = json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    text = pretty_json(data) + "\n"
     if out:
         Path(out).write_bytes(text.encode("utf-8"))
     else:

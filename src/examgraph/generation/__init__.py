@@ -12,6 +12,7 @@ from .exam import (
     SlotRef,
     evaluated_item_payload,
     generate_exam,
+    pretty_json,
 )
 from .generator import (
     DEFAULT_TIER_BLOOM,
@@ -47,4 +48,5 @@ __all__ = [
     "evaluated_item_payload",
     "generate_candidate",
     "generate_exam",
+    "pretty_json",
 ]

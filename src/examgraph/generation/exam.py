@@ -9,8 +9,8 @@ stack.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from typing import Iterator
 
 from ..assessment import DifficultyTier, EvaluationResult, RubricConfig, build_lexicon
@@ -67,6 +67,80 @@ def evaluated_item_payload(item: QuestionItem, result: EvaluationResult) -> dict
     return payload
 
 
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def pretty_json(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)``,
+    byte for byte, without the pure-Python iterator encoder that ``indent``
+    selects in the standard library. Circular references are not detected."""
+    if not isinstance(obj, (dict, list, tuple)):
+        return _json_scalar(obj)
+    out: list[str] = []
+    _write_json(obj, out, "\n")
+    return "".join(out)
+
+
+def _json_scalar(value) -> str:
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NONFINITE.get(text, text)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    """A key that is not a string, as the standard library converts it."""
+    if isinstance(key, (int, float)) or key is None:
+        return _json_scalar(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _write_json(container, out: list[str], newline: str) -> None:
+    """Append ``container`` (a dict, list or tuple) indented one level below
+    ``newline``, which is a line break plus the enclosing indentation."""
+    inner = newline + "  "
+    if isinstance(container, dict):
+        if not container:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for key, value in sorted(container.items()):
+            if not isinstance(key, str):
+                key = _json_key(key)
+            head = sep + encode_basestring(key) + ": "
+            if isinstance(value, (dict, list, tuple)):
+                out.append(head)
+                _write_json(value, out, inner)
+            else:
+                out.append(head + _json_scalar(value))
+            sep = "," + inner
+        out.append(newline + "}")
+        return
+    if not container:
+        out.append("[]")
+        return
+    sep = "[" + inner
+    for value in container:
+        if isinstance(value, (dict, list, tuple)):
+            out.append(sep)
+            _write_json(value, out, inner)
+        else:
+            out.append(sep + _json_scalar(value))
+        sep = "," + inner
+    out.append(newline + "]")
+
+
 @dataclass
 class Exam:
     subject: str
@@ -96,8 +170,7 @@ class Exam:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2,
-                          ensure_ascii=False) + "\n"
+        return pretty_json(self.to_dict()) + "\n"
 
     @classmethod
     def from_dict(cls, data: dict) -> "Exam":

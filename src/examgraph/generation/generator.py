@@ -204,15 +204,14 @@ class TemplateGenerator:
         self.seed = seed
 
     def _distractors(self, bundle: MaterialBundle, key_label: str) -> list[str]:
-        banned = {normalize_label(label) for label in bundle.fact_labels}
-        banned.add(normalize_label(key_label))
+        # graph labels are stored normalized, so they compare as they are
+        banned = {key_label, *bundle.fact_labels}
         chosen: list[str] = []
 
         def take(label: str) -> bool:
-            norm = normalize_label(label)
-            if norm in banned:
+            if label in banned:
                 return False
-            banned.add(norm)
+            banned.add(label)
             chosen.append(label)
             return len(chosen) == 3
 
@@ -235,10 +234,9 @@ class TemplateGenerator:
             f"{bundle.concept_label!r} (found {len(chosen)})")
 
     def _narration(self, bundle: MaterialBundle, key_label: str) -> str:
-        key_norm = normalize_label(key_label)
         picked: list[tuple[str, str, str]] = []
         for h, r, t in bundle.sub_connections:
-            if key_norm in (normalize_label(h), normalize_label(t)):
+            if key_label in (h, t):
                 continue
             picked.append((h, r, t))
             if len(picked) == 2:
@@ -246,7 +244,7 @@ class TemplateGenerator:
         for label in bundle.fact_labels[1:]:
             if len(picked) >= 2:
                 break
-            if normalize_label(label) != key_norm:
+            if label != key_label:
                 picked.append((label, "belongs with", bundle.concept_label))
         while len(picked) < 2:
             picked.append((bundle.concept_label, "anchors", bundle.chapter_label))

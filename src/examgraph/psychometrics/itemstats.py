@@ -34,7 +34,7 @@ class ResponseMatrix:
             if len(row) != len(self.items):
                 raise ValueError(f"row for {pid!r} has {len(row)} cells, "
                                  f"expected {len(self.items)}")
-            if any(cell not in (0, 1) for cell in row):
+            if row.count(0) + row.count(1) != len(row):
                 raise ValueError(f"row for {pid!r} contains non-binary cells")
 
     def item_index(self, item: str) -> int:

@@ -1,6 +1,6 @@
 """Small deterministic text helpers shared by ingestion, assessment and the
-mock gateway: label normalization, tokenizing, bag-of-words cosine, and the
-naive subject-verb-object sentence heuristic."""
+mock gateway: label normalization, tokenizing, term vectors and their
+cosine, and the naive subject-verb-object sentence heuristic."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import math
 import re
 import unicodedata
 from collections import Counter
+from typing import NamedTuple
 
 _WORD_RE = re.compile(r"[a-z0-9]+(?:['\-][a-z0-9]+)*")
 _SENTENCE_RE = re.compile(r"[.!?]+")
@@ -69,26 +70,32 @@ def tokenize(text: str) -> list[str]:
     return _WORD_RE.findall(text.lower())
 
 
-def content_tokens(text: str) -> list[str]:
-    return [t for t in tokenize(text) if t not in STOPWORDS]
+class TermVector(NamedTuple):
+    """Term frequencies of a text's stopword-filtered tokens and their
+    Euclidean norm; the text itself breaks the tie between empty vectors."""
+
+    text: str
+    counts: Counter
+    norm: float
 
 
-def cosine_similarity(a: str, b: str) -> float:
-    """Cosine over term-frequency vectors of stopword-filtered tokens.
+def term_vector(text: str) -> TermVector:
+    counts = Counter(t for t in tokenize(text) if t not in STOPWORDS)
+    return TermVector(text, counts, math.sqrt(sum(c * c for c in counts.values())))
+
+
+def cosine_similarity(a: TermVector, b: TermVector) -> float:
+    """Cosine between two term vectors.
 
     Two texts with no content tokens compare equal (1.0) only when their
     normalized surface forms match; a single empty side scores 0.0.
     """
-    va = Counter(content_tokens(a))
-    vb = Counter(content_tokens(b))
-    if not va and not vb:
-        return 1.0 if normalize_label(a) == normalize_label(b) else 0.0
-    if not va or not vb:
+    if not a.counts and not b.counts:
+        return 1.0 if normalize_label(a.text) == normalize_label(b.text) else 0.0
+    if not a.counts or not b.counts:
         return 0.0
-    dot = sum(va[t] * vb[t] for t in va.keys() & vb.keys())
-    na = math.sqrt(sum(c * c for c in va.values()))
-    nb = math.sqrt(sum(c * c for c in vb.values()))
-    return dot / (na * nb)
+    dot = sum(a.counts[t] * b.counts[t] for t in a.counts.keys() & b.counts.keys())
+    return dot / (a.norm * b.norm)
 
 
 def split_sentences(text: str) -> list[str]:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -22,6 +23,7 @@ from examgraph.assessment import (
     weighted_difficulty,
 )
 from examgraph.errors import AllZeroWeights, InvalidParams, MalformedItem
+from examgraph.textutils import STOPWORDS, normalize_label, tokenize
 
 
 def item(stem="Define erosion in context.", options=None, answer_index=0):
@@ -120,6 +122,60 @@ def test_measure_malformed_items():
         measure_features(item(options=["a", "b", "c"]), lexicon=frozenset())
     with pytest.raises(MalformedItem):
         measure_features(item(answer_index=7), lexicon=frozenset())
+
+
+def string_cosine(a: str, b: str) -> float:
+    """The cosine as it was computed from two strings before term vectors
+    were built once per item: the reference for the vector version."""
+    va = Counter(t for t in tokenize(a) if t not in STOPWORDS)
+    vb = Counter(t for t in tokenize(b) if t not in STOPWORDS)
+    if not va and not vb:
+        return 1.0 if normalize_label(a) == normalize_label(b) else 0.0
+    if not va or not vb:
+        return 0.0
+    dot = sum(va[t] * vb[t] for t in va.keys() & vb.keys())
+    na = math.sqrt(sum(c * c for c in va.values()))
+    nb = math.sqrt(sum(c * c for c in vb.values()))
+    return dot / (na * nb)
+
+
+def reference_features(stem, options, answer_index, lexicon, tau=0.4):
+    stem_tokens = tokenize(stem)
+    pair_sims = [string_cosine(options[i], options[j])
+                 for i in range(4) for j in range(i + 1, 4)]
+    key = options[answer_index]
+    mean = lambda values: sum(values) / len(values)  # noqa: E731
+    return {
+        FeatureId.STEM_LENGTH: float(len(stem.split())),
+        FeatureId.VOCAB_DENSITY: (sum(1 for t in stem_tokens if t in lexicon)
+                                  / len(stem_tokens) if stem_tokens else 0.0),
+        FeatureId.COGNITIVE_LEVEL: float(classify_bloom(stem)),
+        FeatureId.OPTION_LENGTH: mean([len(o.split()) for o in options]),
+        FeatureId.OPTION_SIMILARITY: mean(pair_sims),
+        FeatureId.STEM_OPTION_OVERLAP: mean([string_cosine(stem, o) for o in options]),
+        FeatureId.PLAUSIBLE_DISTRACTORS: float(sum(
+            1 for i, o in enumerate(options)
+            if i != answer_index and string_cosine(o, key) >= tau)),
+    }
+
+
+def test_measure_features_match_string_cosine_reference():
+    # "the", "Of the!" and "..." have no content tokens: the normalize_label
+    # tie-break decides their similarity
+    words = ["erosion", "Erosion", "soil", "water", "rock", "wind", "the", "of",
+             "an", "apply", "justify", "design", "école", "x2", "it's"]
+    empty = ["the", "The.", "of the", "Of the!", "an", "...", "a a"]
+    lexicon = frozenset({"erosion", "soil", "water", "the"})
+    rng = random.Random(2718)
+    for _ in range(400):
+        def text(low, high):
+            return " ".join(rng.choice(words) for _ in range(rng.randint(low, high)))
+        stem = text(1, 12) + rng.choice(["?", ".", ""])
+        options = [rng.choice(empty) if rng.random() < 0.3 else text(1, 4)
+                   for _ in range(4)]
+        answer_index = rng.randrange(4)
+        got = measure_features(item(stem, options, answer_index), lexicon)
+        assert got == reference_features(stem, options, answer_index, lexicon)
 
 
 def test_classify_bloom_highest_verb_wins():

@@ -354,6 +354,22 @@ def test_tcp_wildcard_publish_reported():
         bus.close()
 
 
+def test_tcp_sockets_disable_nagle_on_both_ends():
+    bus = MessageBus()
+    server = TcpBusServer(bus)
+    server.start()
+    client = TcpBusClient("127.0.0.1", server.port, "remote")
+    try:
+        # the announce was acknowledged, so the hub has accepted the peer
+        (conn,) = server._connections
+        for sock in (client._sock, conn.sock):
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+    finally:
+        client.close()
+        server.stop()
+        bus.close()
+
+
 def test_tcp_server_stop_ends_its_accept_thread():
     bus = MessageBus()
     before = set(threading.enumerate())

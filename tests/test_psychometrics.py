@@ -69,6 +69,20 @@ def test_matrix_validation():
         ResponseMatrix(["p1", "p1"], ["q1"], [[1], [0]])  # duplicate ids
 
 
+@pytest.mark.parametrize("cell, binary", [
+    (0, True), (1, True), (True, True), (False, True), (1.0, True), (0.0, True),
+    (2, False), (-1, False), (0.5, False), ("1", False), (None, False),
+    ([1], False), ({}, False), (float("nan"), False),
+])
+def test_matrix_cells_must_equal_zero_or_one(cell, binary):
+    rows = [[1, cell, 0], [0, 1, 1]]
+    if binary:
+        assert ResponseMatrix(["p1", "p2"], ["q1", "q2", "q3"], rows).rows == rows
+    else:
+        with pytest.raises(ValueError, match="row for 'p1' contains non-binary cells"):
+            ResponseMatrix(["p1", "p2"], ["q1", "q2", "q3"], rows)
+
+
 def test_group_means_reproduce_reported_ordering():
     # Synthetic groups built to sit at the published mean accuracies;
     # the recovered ordering must be Low > ACT ~ Medium > High.

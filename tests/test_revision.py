@@ -2,8 +2,10 @@
 them: PageRank scores, the term lexicon and chapter rankings."""
 
 import json
+import random
 import sys
 import threading
+import unicodedata
 
 import pytest
 
@@ -11,8 +13,17 @@ from examgraph import ranking
 from examgraph.assessment import build_lexicon
 from examgraph.errors import MalformedSnapshot
 from examgraph.generation import ExamBlueprint, TemplateGenerator, generate_exam
-from examgraph.kg import EdgeKind, KnowledgeGraph, NodeKind, export_graph, import_graph
+from examgraph.ingestion import ExtractionResult, SourceDocument, ingest_document
+from examgraph.kg import (
+    EdgeKind,
+    GraphRegistry,
+    KnowledgeGraph,
+    NodeKind,
+    export_graph,
+    import_graph,
+)
 from examgraph.ranking import cached_pagerank, pagerank
+from examgraph.textutils import normalize_label
 
 from helpers import ROOTS_A, blueprint_dict, build_registry
 
@@ -219,3 +230,67 @@ def test_import_rejects_labels_that_collide_after_normalization():
         import_graph("\n".join(lines))
     assert exc_info.value.line_no == 3
     assert exc_info.value.code == "malformed_snapshot"
+
+
+def messy(rng: random.Random, label: str) -> str:
+    """A surface form of ``label`` that normalizes back onto it."""
+    label = "".join(c.upper() if rng.random() < 0.4 else c for c in label)
+    label = label.replace(" ", rng.choice([" ", "  ", "\t", " \n "]))
+    if rng.random() < 0.5:
+        label = unicodedata.normalize("NFD", label)
+    return rng.choice(["", " ", "\"", "(", "« "]) + label + rng.choice(["", ".", "!", " »", "  "])
+
+
+class MessyExtractor:
+    """Triples and concept names in untidy surface forms."""
+
+    WORDS = ["école", "wind turbine", "grid", "solar cell", "ión", "heat pump"]
+
+    def __init__(self, seed: int):
+        self.rng = random.Random(seed)
+
+    def extract(self, text: str) -> ExtractionResult:
+        rng = self.rng
+        triples = [(messy(rng, rng.choice(self.WORDS)), messy(rng, "Feeds"),
+                    messy(rng, rng.choice(self.WORDS) + " unit")) for _ in range(4)]
+        concepts = {h: [messy(rng, "Énergie source")] for h, _, _ in triples[:2]}
+        return ExtractionResult(triples=triples, concept_map=concepts)
+
+
+def assert_view_labels_normalized(graph) -> None:
+    view = graph.view()
+    assert view.nodes
+    for node in view.nodes:
+        assert normalize_label(node.label) == node.label, node
+    for edge in view.edges:
+        assert edge.label is None or normalize_label(edge.label) == edge.label, edge
+
+
+def test_view_labels_are_normalized_after_ingest_append_and_import():
+    """The template generator compares graph labels without normalizing
+    them again; this pins the invariant it relies on."""
+    registry = GraphRegistry()
+    extractor = MessyExtractor(seed=7)
+    documents = [
+        SourceDocument(doc_id=f"d{i}", subject="energy",
+                       chapter_path=["  UNIT 1: Power! ", f"Chapter  {i}."],
+                       body="One sentence.\n\nAnother sentence.")
+        for i in range(2)
+    ]
+    ingest_document(registry, documents[0], extractor)
+    graph = registry.get("energy")
+    assert_view_labels_normalized(graph)
+
+    ingest_document(registry, documents[1], extractor, append=True)
+    assert_view_labels_normalized(graph)
+
+    rng = random.Random(11)
+    lines = export_graph(graph).decode().splitlines()
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        if record["type"] == "node":
+            record["label"] = messy(rng, record["label"])
+            lines[i] = json.dumps(record, ensure_ascii=False)
+    clone = import_graph("\n".join(lines))
+    assert_view_labels_normalized(clone)
+    assert [n.label for n in clone.view().nodes] == [n.label for n in graph.view().nodes]
