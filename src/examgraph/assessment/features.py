@@ -71,6 +71,9 @@ def build_lexicon(graph: KnowledgeGraph | GraphView) -> frozenset[str]:
         for term in (node.label, *tokenize(node.label))))
 
 
+_OPTION_PAIRS = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
+
+
 def _mean(values: Iterable[float]) -> float:
     values = list(values)
     return sum(values) / len(values) if values else 0.0
@@ -85,6 +88,14 @@ def measure_features(item, lexicon: frozenset[str] | set[str],
     ``item`` needs ``stem``, ``options`` (exactly four) and ``answer_index``
     attributes; anything shaped differently raises MalformedItem.
     """
+    return dict(zip(FEATURE_ORDER, measure_row(item, lexicon, tau, bloom_verbs)))
+
+
+def measure_row(item, lexicon: frozenset[str] | set[str],
+                tau: float = DEFAULT_TAU,
+                bloom_verbs: dict[BloomLevel, frozenset[str]] | None = None,
+                ) -> tuple[float, ...]:
+    """The values of ``measure_features`` as a tuple in FEATURE_ORDER."""
     stem = getattr(item, "stem", "") or ""
     options = list(getattr(item, "options", ()) or ())
     answer_index = getattr(item, "answer_index", None)
@@ -100,24 +111,21 @@ def measure_features(item, lexicon: frozenset[str] | set[str],
         sum(1 for t in stem_tokens if t in lexicon) / len(stem_tokens)
         if stem_tokens else 0.0
     )
-    stem_vector = term_vector(stem)
+    stem_vector = term_vector(stem, stem_tokens)
     vectors = [term_vector(o) for o in options]
-    pair_sims = [
-        cosine_similarity(vectors[i], vectors[j])
-        for i in range(4) for j in range(i + 1, 4)
-    ]
-    key = vectors[answer_index]
+    pair_sims = [cosine_similarity(vectors[i], vectors[j]) for i, j in _OPTION_PAIRS]
+    # the cosine is symmetric to the bit, so each distractor's similarity to
+    # the key is the one of their pair
     plausible = sum(
-        1 for i, vector in enumerate(vectors)
-        if i != answer_index and cosine_similarity(vector, key) >= tau
+        1 for (i, j), sim in zip(_OPTION_PAIRS, pair_sims)
+        if answer_index in (i, j) and sim >= tau
     )
-    return {
-        FeatureId.STEM_LENGTH: float(len(stem.split())),
-        FeatureId.VOCAB_DENSITY: density,
-        FeatureId.COGNITIVE_LEVEL: float(_bloom_level(stem_tokens, bloom_verbs)),
-        FeatureId.OPTION_LENGTH: _mean(len(o.split()) for o in options),
-        FeatureId.OPTION_SIMILARITY: _mean(pair_sims),
-        FeatureId.STEM_OPTION_OVERLAP: _mean(cosine_similarity(stem_vector, v)
-                                             for v in vectors),
-        FeatureId.PLAUSIBLE_DISTRACTORS: float(plausible),
-    }
+    return (
+        float(len(stem.split())),
+        density,
+        float(_bloom_level(stem_tokens, bloom_verbs)),
+        _mean(len(o.split()) for o in options),
+        _mean(pair_sims),
+        _mean(cosine_similarity(stem_vector, v) for v in vectors),
+        float(plausible),
+    )

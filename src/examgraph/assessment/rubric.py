@@ -20,7 +20,7 @@ from .features import (
     FEATURE_ORDER,
     BloomLevel,
     FeatureId,
-    measure_features,
+    measure_row,
 )
 
 Thresholds = dict[FeatureId, tuple[float, float]]
@@ -38,6 +38,9 @@ DEFAULT_THRESHOLDS: Thresholds = {
 }
 
 UNIT_WEIGHTS: Weights = {f: 1.0 for f in FEATURE_ORDER}
+
+# read once: Enum.value is a Python-level property
+_FEATURE_NAMES = tuple(f.value for f in FEATURE_ORDER)
 
 DEFAULT_EPSILON = 2.0
 
@@ -84,19 +87,47 @@ def validate_thresholds(thresholds: Thresholds) -> Thresholds:
     return thresholds
 
 
-def validate_gate(epsilon: float | None, weights: Weights | None) -> None:
-    """Reject a gate that cannot work: epsilon must be > 0, and the weights
-    must give every feature a value >= 0, not all of them zero. None skips
-    that check."""
-    if epsilon is not None and not epsilon > 0:
-        raise InvalidParams(f"epsilon must be > 0, got {epsilon}")
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def validate_overrides(epsilon: float | None, weights: list[float] | None) -> None:
+    """Reject a gate that cannot work: epsilon must be a number > 0, and
+    the weights exactly seven numbers in feature order, each >= 0 and not
+    all of them zero. None skips that check. Blueprints and bus peers send
+    these values, so a bad one raises InvalidParams (AllZeroWeights when
+    every weight is zero), never a TypeError."""
+    if epsilon is not None and not (_is_number(epsilon) and epsilon > 0):
+        raise InvalidParams(f"epsilon must be a number > 0, got {epsilon!r}")
     if weights is None:
         return
-    for feature in FEATURE_ORDER:
-        if not weights.get(feature, -1.0) >= 0:
-            raise InvalidParams(f"weight for {feature.value} must be given and >= 0")
-    if not any(weights[f] for f in FEATURE_ORDER):
+    if not isinstance(weights, (list, tuple)) or len(weights) != len(FEATURE_ORDER):
+        raise InvalidParams(f"weights must list {len(FEATURE_ORDER)} values in feature order")
+    for feature, weight in zip(FEATURE_ORDER, weights):
+        if not (_is_number(weight) and weight >= 0):
+            raise InvalidParams(
+                f"weight for {feature.value} must be a number >= 0, got {weight!r}")
+    if not any(weights):
         raise AllZeroWeights("feature weights must not all be zero")
+
+
+def validate_gate(epsilon: float | None, weights: Weights | None) -> None:
+    """``validate_overrides`` for feature-keyed weights; a missing feature
+    is rejected."""
+    validate_overrides(epsilon, None if weights is None
+                       else [weights.get(f) for f in FEATURE_ORDER])
+
+
+def _rate_row(raws, cuts) -> list[int]:
+    """Ratings of raw values against their (cut1, cut2) pairs, both in
+    feature order."""
+    return [1 if raw < cut1 else (2 if raw < cut2 else 3)
+            for raw, (cut1, cut2) in zip(raws, cuts)]
+
+
+def _weighted_sum(weights, ratings) -> float:
+    """sum(w_i * d_i), added left to right in feature order."""
+    return sum(w * d for w, d in zip(weights, ratings))
 
 
 def rate_features(measurements: dict[FeatureId, float],
@@ -104,12 +135,9 @@ def rate_features(measurements: dict[FeatureId, float],
     """Map raw values onto ratings: 1 below cut1, 2 in [cut1, cut2),
     3 at or above cut2."""
     thresholds = validate_thresholds(thresholds or DEFAULT_THRESHOLDS)
-    ratings: Ratings = {}
-    for feature in FEATURE_ORDER:
-        raw = measurements[feature]
-        cut1, cut2 = thresholds[feature]
-        ratings[feature] = 1 if raw < cut1 else (2 if raw < cut2 else 3)
-    return ratings
+    return dict(zip(FEATURE_ORDER, _rate_row(
+        [measurements[f] for f in FEATURE_ORDER],
+        [thresholds[f] for f in FEATURE_ORDER])))
 
 
 def total_difficulty(ratings: Ratings) -> int:
@@ -122,7 +150,8 @@ def weighted_difficulty(ratings: Ratings, weights: Weights | None = None) -> flo
     weights."""
     weights = weights or UNIT_WEIGHTS
     validate_gate(None, weights)
-    return sum(weights[f] * ratings[f] for f in FEATURE_ORDER)
+    return _weighted_sum([weights[f] for f in FEATURE_ORDER],
+                         [ratings[f] for f in FEATURE_ORDER])
 
 
 @dataclass
@@ -181,22 +210,26 @@ class RubricConfig:
         target: pass iff |D - D*| <= epsilon. ``epsilon`` and ``weights``
         (seven values in feature order) are a blueprint's overrides of the
         rubric's own. The breakdown lists every feature's raw value, rating,
-        weight and contribution."""
+        weight and contribution.
+
+        The rubric was validated when it was built; only the overrides are
+        checked here."""
+        validate_overrides(epsilon, weights)
         epsilon = self.epsilon if epsilon is None else epsilon
-        weight_map = (self.weights if weights is None
-                      else dict(zip(FEATURE_ORDER, weights)))
-        measurements = measure_features(item, lexicon, self.tau, self.bloom_verbs)
-        ratings = rate_features(measurements, self.thresholds)
-        difficulty = weighted_difficulty(ratings, weight_map)
+        if weights is None:
+            weights = [self.weights[f] for f in FEATURE_ORDER]
+        raws = measure_row(item, lexicon, self.tau, self.bloom_verbs)
+        ratings = _rate_row(raws, [self.thresholds[f] for f in FEATURE_ORDER])
+        difficulty = _weighted_sum(weights, ratings)
         breakdown = [
             {
-                "feature": f.value,
-                "raw": measurements[f],
-                "rating": ratings[f],
-                "weight": weight_map[f],
-                "contribution": weight_map[f] * ratings[f],
+                "feature": name,
+                "raw": raw,
+                "rating": rating,
+                "weight": weight,
+                "contribution": weight * rating,
             }
-            for f in FEATURE_ORDER
+            for name, raw, rating, weight in zip(_FEATURE_NAMES, raws, ratings, weights)
         ]
         return EvaluationResult(
             difficulty=difficulty,

@@ -8,8 +8,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from ..assessment import FEATURE_ORDER, DifficultyTier, validate_gate
-from ..errors import AllZeroCounts, BadRatios, InvalidParams
+from ..assessment import DifficultyTier, validate_overrides
+from ..errors import AllZeroCounts, BadRatios
 
 TIER_ORDER = (
     DifficultyTier.BASIC_RECALL,
@@ -77,10 +77,7 @@ class ExamBlueprint:
             raise ValueError("blueprint subject must be non-empty")
         if self.total < 1:
             raise ValueError("blueprint must request at least one item")
-        if self.weights is not None and len(self.weights) != 7:
-            raise InvalidParams("weights must list 7 values in feature order")
-        validate_gate(self.epsilon, None if self.weights is None
-                      else dict(zip(FEATURE_ORDER, self.weights)))
+        validate_overrides(self.epsilon, self.weights)
 
     @property
     def total(self) -> int:

@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 import re
 import unicodedata
-from collections import Counter
 from typing import NamedTuple
 
 _WORD_RE = re.compile(r"[a-z0-9]+(?:['\-][a-z0-9]+)*")
@@ -75,12 +74,21 @@ class TermVector(NamedTuple):
     Euclidean norm; the text itself breaks the tie between empty vectors."""
 
     text: str
-    counts: Counter
+    counts: dict[str, int]
     norm: float
 
 
-def term_vector(text: str) -> TermVector:
-    counts = Counter(t for t in tokenize(text) if t not in STOPWORDS)
+def term_vector(text: str, tokens: list[str] | None = None) -> TermVector:
+    """The term vector of ``text``; ``tokens``, when given, must be
+    ``tokenize(text)``, so a caller that has them skips a second scan."""
+    if tokens is None:
+        tokens = tokenize(text)
+    # a plain dict: Counter's constructor costs several times more on the
+    # few tokens of a stem or an option
+    counts: dict[str, int] = {}
+    for token in tokens:
+        if token not in STOPWORDS:
+            counts[token] = counts.get(token, 0) + 1
     return TermVector(text, counts, math.sqrt(sum(c * c for c in counts.values())))
 
 

@@ -23,6 +23,7 @@ from examgraph.assessment import (
     weighted_difficulty,
 )
 from examgraph.errors import AllZeroWeights, InvalidParams, MalformedItem
+from examgraph.generation import BlueprintSection, ExamBlueprint
 from examgraph.textutils import STOPWORDS, normalize_label, tokenize
 
 
@@ -315,6 +316,93 @@ def test_rubric_config_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.epsilon = 0.0
     assert config.epsilon == 2.0
+
+
+@pytest.mark.parametrize("overrides, error", [
+    pytest.param({"weights": [1.0] * 8}, InvalidParams, id="eight-weights"),
+    pytest.param({"weights": [1.0] * 6}, InvalidParams, id="six-weights"),
+    pytest.param({"weights": "1111111"}, InvalidParams, id="weights-string"),
+    pytest.param({"weights": [1.0] * 6 + ["x"]}, InvalidParams, id="weight-string"),
+    pytest.param({"weights": [1.0] * 6 + [None]}, InvalidParams, id="weight-none"),
+    pytest.param({"weights": [1.0] * 6 + [True]}, InvalidParams, id="weight-bool"),
+    pytest.param({"weights": [1.0] * 6 + [-0.5]}, InvalidParams, id="weight-negative"),
+    pytest.param({"weights": [1.0] * 6 + [math.nan]}, InvalidParams, id="weight-nan"),
+    pytest.param({"weights": [0] * 7}, AllZeroWeights, id="weights-all-zero"),
+    pytest.param({"epsilon": "x"}, InvalidParams, id="epsilon-string"),
+    pytest.param({"epsilon": 0}, InvalidParams, id="epsilon-zero"),
+    pytest.param({"epsilon": -1.0}, InvalidParams, id="epsilon-negative"),
+    pytest.param({"epsilon": math.nan}, InvalidParams, id="epsilon-nan"),
+])
+def test_overrides_from_peers_and_blueprints_are_checked(overrides, error):
+    """Overrides reach ``evaluate`` from bus peers: a weight list of the
+    wrong length is not truncated, and a non-number is InvalidParams, not a
+    TypeError. A blueprint runs the same check when it is built."""
+    with pytest.raises(error):
+        RubricConfig().evaluate(item(), 9.0, **overrides)
+    with pytest.raises(error):
+        ExamBlueprint(subject="s", sections=[BlueprintSection(
+            "Ch 1", 1, {DifficultyTier.BASIC_RECALL: 1})], **overrides)
+
+
+def _equivalence_items(rng, count):
+    words = ["erosion", "soil", "water", "river", "delta", "sediment", "rock",
+             "define", "explain", "compare", "judge", "design", "apply",
+             "the", "of", "and", "is", "a", "in"]
+    items = []
+    for _ in range(count):
+        stem = " ".join(rng.choice(words) for _ in range(rng.randint(3, 12)))
+        options = [" ".join(rng.choice(words[:7] + ["the", "of"])
+                            for _ in range(rng.randint(1, 3)))
+                   for _ in range(4)]
+        items.append(item(stem + "?", options, rng.randrange(4)))
+    return items
+
+
+def test_evaluate_matches_measure_rate_weigh_reference():
+    """``evaluate`` rates and weighs in feature order; its verdict and
+    breakdown must be bit-identical to the public three-step path, also
+    for fractional weights and raw values sitting exactly on cut points."""
+    rng = random.Random(71)
+    lexicon = frozenset({"erosion", "sediment", "delta", "river"})
+    items = _equivalence_items(rng, 360)
+    # cut points taken from measured values, so some items sit on each one
+    columns = list(zip(*(measure_features(i, lexicon, 0.3).values() for i in items)))
+    thresholds = {}
+    for feature, column in zip(FEATURE_ORDER, columns):
+        values = sorted(set(column))
+        thresholds[feature] = (values[len(values) // 3], values[2 * len(values) // 3])
+        assert sum(v in thresholds[feature] for v in column) >= 2
+    rubric = RubricConfig(
+        thresholds=thresholds, tau=0.3, epsilon=1.25,
+        weights=dict(zip(FEATURE_ORDER, [0.1, 0.7, 1.3, 0.05, 2.9, 1.1, 0.35])))
+    weight_rows = [None, [0.1, 0.7, 1.3, 0.0, 2.9, 1.1, 0.35],
+                   [1, 2, 0, 3, 1, 0, 1], [1 / 3, 0.2, 0.6, 1.7, 0.3, 0.9, 0.01]]
+
+    passed = 0
+    for n, candidate in enumerate(items):
+        weights = weight_rows[n % len(weight_rows)]
+        epsilon = None if n % 3 else rng.choice([0.5, 1.75, 3.0])
+        target = rng.uniform(4.0, 20.0)
+        result = rubric.evaluate(candidate, target, lexicon,
+                                 epsilon=epsilon, weights=weights)
+
+        measurements = measure_features(candidate, lexicon, rubric.tau,
+                                        rubric.bloom_verbs)
+        ratings = rate_features(measurements, rubric.thresholds)
+        weight_map = (rubric.weights if weights is None
+                      else dict(zip(FEATURE_ORDER, weights)))
+        difficulty = weighted_difficulty(ratings, weight_map)
+        expected_epsilon = rubric.epsilon if epsilon is None else epsilon
+        breakdown = [{"feature": f.value, "raw": measurements[f],
+                      "rating": ratings[f], "weight": weight_map[f],
+                      "contribution": weight_map[f] * ratings[f]}
+                     for f in FEATURE_ORDER]
+        assert float(result.difficulty).hex() == float(difficulty).hex()
+        assert type(result.difficulty) is type(difficulty)
+        assert result.passed == (abs(difficulty - target) <= expected_epsilon)
+        assert repr(result.breakdown) == repr(breakdown)
+        passed += result.passed
+    assert 0 < passed < len(items)
 
 
 def test_breakdown_lists_every_feature():

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -19,6 +20,8 @@ from examgraph.kg import (
     export_graph,
     import_graph,
 )
+
+from examgraph.kg import snapshot as snapshot_module
 
 from helpers import ROOTS_A, ROOTS_B, build_registry
 
@@ -292,6 +295,62 @@ def test_import_malformed_reports_line_numbers():
     with pytest.raises(MalformedSnapshot) as exc_info:
         import_graph("\n".join(bad_edge))
     assert exc_info.value.line_no == 4
+
+
+def _snapshot_lines():
+    graph = KnowledgeGraph("s")
+    graph.assert_fact_triple("a", "r", "b")
+    return export_graph(graph).decode().splitlines()
+
+
+def _node_line(tail):
+    return '{"type":"node","id":"n9","kind":"text","label":"z"' + tail
+
+
+SNAPSHOT_LINE_CASES = {
+    "valid": lambda ls: ls,
+    "spaces-and-tabs": lambda ls: [ls[0], " \t" + ls[1] + "\t ", *ls[2:]],
+    "nbsp-before-record": lambda ls: [ls[0], "\u00a0" + ls[1], *ls[2:]],
+    "nbsp-only-line": lambda ls: [ls[0], "\u00a0", *ls[1:]],
+    "bom-before-header": lambda ls: ["\ufeff" + ls[0], *ls[1:]],
+    "two-objects": lambda ls: [ls[0], ls[1] + ls[1], *ls[2:]],
+    "two-objects-comma": lambda ls: [ls[0], ls[1] + "," + ls[2], *ls[3:]],
+    "trailing-garbage": lambda ls: [ls[0], ls[1] + " x", *ls[2:]],
+    "truncated-string": lambda ls: [*ls, _node_line("")[:-1]],
+    "bad-escape": lambda ls: [*ls, _node_line(',"raw_labels":["\\q"]}')],
+    "lone-surrogate": lambda ls: [*ls, _node_line(',"raw_labels":["\\ud800"]}')],
+    "nan-in-source-ref": lambda ls: [*ls, _node_line(',"source_refs":[["d",NaN]]}')],
+    "infinity-extra-key": lambda ls: [*ls, _node_line(',"x":-Infinity}')],
+    "duplicate-keys": lambda ls: [*ls, _node_line(',"label":"y","id":"n8"}')],
+    "array-line": lambda ls: [*ls, "[1, 2]"],
+    "number-line": lambda ls: [*ls, "42"],
+    "cross-line-object": lambda ls: [ls[0], ls[1] + "," + ls[2],
+                                     _node_line(',"x":[{}'), "{}]}", *ls[3:]],
+}
+
+
+def _import_outcome(text):
+    try:
+        graph = import_graph(text)
+    except MalformedSnapshot as exc:
+        return ("malformed", exc.line_no, exc.reason)
+    return ("graph", graph.subject,
+            [(n.id, n.kind, n.label, sorted(n.raw_labels), n.source_refs)
+             for n in graph.nodes()],
+            [(e.kind, e.src, e.dst, e.label) for e in graph.edges()])
+
+
+@pytest.mark.parametrize("case", sorted(SNAPSHOT_LINE_CASES))
+def test_import_parses_lines_like_json_loads(case, monkeypatch):
+    """Each line must be accepted or refused, with the same line number and
+    message, as when every line goes through ``json.loads``."""
+    text = "\n".join(SNAPSHOT_LINE_CASES[case](_snapshot_lines())) + "\n"
+    outcome = _import_outcome(text)
+    monkeypatch.setattr(snapshot_module, "_parse_line", json.loads)
+    assert outcome == _import_outcome(text)
+    assert (outcome[0] == "graph") == (case in {
+        "valid", "spaces-and-tabs", "nbsp-only-line", "lone-surrogate",
+        "infinity-extra-key", "duplicate-keys"})
 
 
 def test_import_into_occupied_subject_collides():

@@ -286,6 +286,36 @@ def test_tcp_loopback_pipeline_byte_identical(stack):
         server.stop()
 
 
+def test_tcp_candidate_with_eight_weights_reports_invalid_params(stack):
+    bus, registry, pipeline, documents, lexicon = stack
+    ingest_document(registry, documents[0], RuleExtractor(lexicon))
+    server = TcpBusServer(bus)
+    server.start()
+    client = TcpBusClient("127.0.0.1", server.port, "peer", subscriptions=[
+        "system/errors", "exam/qualified", "exam/reject"])
+    try:
+        client.publish("exam/candidate", {"subject": "envsci", "candidate": {
+            "slot": {"section": 0, "chapter": "Ch 1", "tier": "basic", "slot": 0},
+            "attempt": 0,
+            "bundle_index": 0,
+            "item": {"stem": "Define erosion in context.",
+                     "options": ["one", "two", "three", "four"],
+                     "answer_index": 0},
+            "target": 9.0,
+            "epsilon": 2.0,
+            "weights": [1.0] * 8,
+        }}, correlation_id="cand-8")
+        message = client.get(timeout=15)
+        assert message is not None
+        assert message.topic == "system/errors"
+        assert message.correlation_id == "cand-8"
+        assert message.payload["agent"] == "question_evaluation"
+        assert message.payload["error_code"] == "invalid_params"
+    finally:
+        client.close()
+        server.stop()
+
+
 def test_append_ingest_then_pipeline_exam_matches_direct_call():
     documents, lexicon, _ = corpus_documents("envsci", ROOTS_A, chapters=2)
     registry = GraphRegistry()
