@@ -162,10 +162,6 @@ class EvaluationResult:
     passed: bool
     breakdown: list[dict] = field(default_factory=list)
 
-    @property
-    def ratings(self) -> Ratings:
-        return {FeatureId(entry["feature"]): entry["rating"] for entry in self.breakdown}
-
     def to_dict(self) -> dict:
         return {
             "difficulty": self.difficulty,
@@ -256,23 +252,23 @@ class RubricConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RubricConfig":
+        # check the raw values: float() raises a bare ValueError on "x" and
+        # takes true as 1.0
+        validate_overrides(data.get("epsilon"), data.get("weights"))
         kwargs = {}
         if "thresholds" in data:
             kwargs["thresholds"] = {
                 FeatureId(name): (float(lo), float(hi))
                 for name, (lo, hi) in data["thresholds"].items()
             }
-        if "weights" in data:
-            values = [float(w) for w in data["weights"]]
-            if len(values) != len(FEATURE_ORDER):
-                raise InvalidParams(f"weights must list {len(FEATURE_ORDER)} values")
-            kwargs["weights"] = dict(zip(FEATURE_ORDER, values))
+        if data.get("weights") is not None:
+            kwargs["weights"] = dict(zip(FEATURE_ORDER, map(float, data["weights"])))
         if "tiers" in data:
             kwargs["tiers"] = {
                 DifficultyTier(name): float(spec["target"])
                 for name, spec in data["tiers"].items()
             }
-        if "epsilon" in data:
+        if data.get("epsilon") is not None:
             kwargs["epsilon"] = float(data["epsilon"])
         if "tau" in data:
             kwargs["tau"] = float(data["tau"])

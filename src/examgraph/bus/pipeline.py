@@ -156,8 +156,7 @@ def _answer_query(registry: GraphRegistry, payload: dict) -> dict:
 
 def _question_generation_agent(registry: GraphRegistry,
                                generator_factory: GeneratorFactory,
-                               rubric: RubricConfig, top_concepts: int,
-                               top_m_facts: int, max_retries: int) -> AgentDescriptor:
+                               rubric: RubricConfig) -> AgentDescriptor:
     def handler(ctx, message):
         payload = message.payload or {}
         if message.topic == "exam/request":
@@ -166,12 +165,11 @@ def _question_generation_agent(registry: GraphRegistry,
             seed = int(payload.get("seed", 0))
             graph = registry.get(blueprint.subject)  # raises -> system/errors
             generator = generator_factory(graph, seed)
+            # absent settings take ExamSession's defaults
+            knobs = {key: int(payload[key]) for key in
+                     ("top_concepts", "top_m_facts", "max_retries") if key in payload}
             session = ctx.state[request_id] = ExamSession(
-                graph, blueprint, generator, rubric, seed=seed,
-                top_concepts=int(payload.get("top_concepts", top_concepts)),
-                top_m_facts=int(payload.get("top_m_facts", top_m_facts)),
-                max_retries=int(payload.get("max_retries", max_retries)),
-            )
+                graph, blueprint, generator, rubric, seed=seed, **knobs)
         else:
             request_id = message.correlation_id
             session = ctx.state.get(request_id)
@@ -253,8 +251,7 @@ def run_pipeline(bus: MessageBus, registry: GraphRegistry, extractor,
                  generator_factory: GeneratorFactory | None = None,
                  rubric: RubricConfig | None = None, *,
                  llm_complete: CompleteFn | None = None,
-                 max_chars: int = 2000, top_concepts: int = 10,
-                 top_m_facts: int = 5, max_retries: int = 5) -> PipelineHandle:
+                 max_chars: int = 2000) -> PipelineHandle:
     """Spawn the five pipeline agents on the bus and return their handle.
 
     With no ``generator_factory`` the deterministic template generator is
@@ -268,8 +265,7 @@ def run_pipeline(bus: MessageBus, registry: GraphRegistry, extractor,
         spawn_agent(bus, _file_extraction_agent(max_chars, extractor)),
         spawn_agent(bus, _kg_management_agent(registry)),
         spawn_agent(bus, _question_generation_agent(
-            registry, generator_factory, rubric,
-            top_concepts, top_m_facts, max_retries)),
+            registry, generator_factory, rubric)),
         spawn_agent(bus, _llm_agent(complete_fn)),
         spawn_agent(bus, _question_evaluation_agent(registry, rubric)),
     ]

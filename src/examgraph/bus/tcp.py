@@ -188,12 +188,14 @@ class TcpBusServer:
             conn.close(flush=True)
             return
         conn.name = name
-        for pattern in patterns:
-            conn.subscriptions.append(
-                self.bus.subscribe(name, pattern, shared_queue=conn.outbox))
+        # acknowledge first: a frame published right after a subscribe would
+        # otherwise reach the peer ahead of the acknowledgement it waits for
         conn.send_message(Message(
             topic=ANNOUNCE_TOPIC, correlation_id=message.correlation_id,
             sender="bus", seq=0, payload={"ok": True, "name": name}))
+        for pattern in patterns:
+            conn.subscriptions.append(
+                self.bus.subscribe(name, pattern, shared_queue=conn.outbox))
 
     def stop(self) -> None:
         self._running = False

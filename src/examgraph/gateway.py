@@ -15,8 +15,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-import requests
-
 from .errors import AuthError, GatewayTimeout, MalformedResponse, RateLimited
 from .textutils import naive_svo, split_sentences
 
@@ -50,11 +48,16 @@ class ProviderConfig:
 def complete(config: ProviderConfig, request: CompletionRequest) -> str:
     """POST the request and return the first choice's message content.
 
-    5xx responses and timeouts are retried with exponential backoff up to
-    ``config.retries`` attempts; 401/403 fail immediately; 429 raises
-    RateLimited once retries are exhausted.
+    5xx responses, timeouts and transport faults are retried with
+    exponential backoff up to ``config.retries`` attempts; 401/403 fail
+    immediately; 429 raises RateLimited once retries are exhausted; any
+    other status fails at once, 307/308 included (urllib does not re-POST).
     """
-    body = {
+    import urllib.request  # only the HTTP provider needs it
+    from http.client import HTTPException
+    from urllib.error import HTTPError
+
+    data = json.dumps({
         "model": config.model,
         "messages": [
             {"role": "system", "content": request.system_prompt},
@@ -62,46 +65,51 @@ def complete(config: ProviderConfig, request: CompletionRequest) -> str:
         ],
         "temperature": 0.0,
         "max_tokens": 512,
-    }
+    }).encode("utf-8")
     headers = {"Content-Type": "application/json"}
     token = os.environ.get(config.auth_env, "")
     if token:
         headers["Authorization"] = f"Bearer {token}"
+    http_request = urllib.request.Request(config.endpoint, data=data,
+                                          headers=headers, method="POST")
 
     last_error: Exception | None = None
     for attempt in range(config.retries + 1):
         if attempt:
             time.sleep(config.backoff_base * (2 ** (attempt - 1)))
         try:
-            response = requests.post(config.endpoint, json=body,
-                                     headers=headers, timeout=request.timeout)
-        except requests.Timeout as exc:
-            last_error = GatewayTimeout(f"request timed out after {request.timeout}s")
+            with urllib.request.urlopen(http_request, timeout=request.timeout) as response:
+                status, raw = response.status, response.read()
+        except HTTPError as exc:  # urlopen raises it for every status >= 400
+            status, raw = exc.code, b""
+            exc.close()
+        except (OSError, HTTPException) as exc:
+            # a URLError carries the socket error as its reason
+            if isinstance(getattr(exc, "reason", exc), TimeoutError):
+                last_error = GatewayTimeout(f"request timed out after {request.timeout}s")
+            else:
+                last_error = GatewayTimeout(f"transport error: {exc}")
             last_error.__cause__ = exc
             continue
-        except requests.RequestException as exc:
-            last_error = GatewayTimeout(f"transport error: {exc}")
-            last_error.__cause__ = exc
-            continue
-        if response.status_code in (401, 403):
-            raise AuthError(f"provider rejected credentials ({response.status_code})")
-        if response.status_code == 429:
+        if status in (401, 403):
+            raise AuthError(f"provider rejected credentials ({status})")
+        if status == 429:
             last_error = RateLimited("provider rate limit (429)")
             continue
-        if response.status_code >= 500:
-            last_error = MalformedResponse(f"server error {response.status_code}")
+        if status >= 500:
+            last_error = MalformedResponse(f"server error {status}")
             continue
-        if response.status_code != 200:
-            raise MalformedResponse(f"unexpected status {response.status_code}")
-        return _extract_choice(response)
+        if status != 200:
+            raise MalformedResponse(f"unexpected status {status}")
+        return _extract_choice(raw)
     assert last_error is not None
     raise last_error
 
 
-def _extract_choice(response) -> str:
+def _extract_choice(raw: bytes) -> str:
     try:
-        data = response.json()
-    except ValueError as exc:
+        data = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError too
         raise MalformedResponse("response body is not JSON") from exc
     try:
         content = data["choices"][0]["message"]["content"]

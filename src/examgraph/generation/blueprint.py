@@ -119,11 +119,15 @@ class ExamBlueprint:
                 count=int(raw["count"]),
                 tier_counts=tier_counts,
             ))
+        # check the raw values: float() raises a bare ValueError on "x" and
+        # takes true as 1.0
+        epsilon, weights = data.get("epsilon"), data.get("weights")
+        validate_overrides(epsilon, weights)
         return cls(
             subject=data.get("subject", ""),
             sections=sections,
-            epsilon=float(data["epsilon"]) if "epsilon" in data else None,
-            weights=[float(w) for w in data["weights"]] if "weights" in data else None,
+            epsilon=None if epsilon is None else float(epsilon),
+            weights=None if weights is None else [float(w) for w in weights],
         )
 
     @classmethod

@@ -172,18 +172,6 @@ class Exam:
     def to_json(self) -> str:
         return pretty_json(self.to_dict()) + "\n"
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Exam":
-        return cls(
-            subject=data["subject"],
-            blueprint_sha256=data["blueprint_sha256"],
-            seed=data["seed"],
-            requested=data["requested"],
-            items=list(data.get("items", [])),
-            rejects=list(data.get("rejects", [])),
-            unfilled=list(data.get("unfilled", [])),
-        )
-
 
 def _attempt_pairs(start: int, n_bundles: int, max_retries: int) -> list[tuple[int, int]]:
     pairs = [(start % n_bundles, 0)]

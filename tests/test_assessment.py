@@ -332,16 +332,38 @@ def test_rubric_config_is_frozen():
     pytest.param({"epsilon": 0}, InvalidParams, id="epsilon-zero"),
     pytest.param({"epsilon": -1.0}, InvalidParams, id="epsilon-negative"),
     pytest.param({"epsilon": math.nan}, InvalidParams, id="epsilon-nan"),
+    pytest.param({"epsilon": True}, InvalidParams, id="epsilon-bool"),
+    pytest.param({"weights": True}, InvalidParams, id="weights-bool"),
+    pytest.param({"weights": ["x"] * 7}, InvalidParams, id="weight-strings"),
+    pytest.param({"weights": [True] * 7}, InvalidParams, id="weight-bools"),
 ])
 def test_overrides_from_peers_and_blueprints_are_checked(overrides, error):
     """Overrides reach ``evaluate`` from bus peers: a weight list of the
     wrong length is not truncated, and a non-number is InvalidParams, not a
-    TypeError. A blueprint runs the same check when it is built."""
+    TypeError. A blueprint runs the same check when it is built, and both
+    ``from_dict``s run it on the values as JSON gave them: float() would
+    raise a bare ValueError on "x" and take true as 1.0."""
     with pytest.raises(error):
         RubricConfig().evaluate(item(), 9.0, **overrides)
     with pytest.raises(error):
         ExamBlueprint(subject="s", sections=[BlueprintSection(
             "Ch 1", 1, {DifficultyTier.BASIC_RECALL: 1})], **overrides)
+    with pytest.raises(error):
+        RubricConfig.from_dict(overrides)
+    with pytest.raises(error):
+        ExamBlueprint.from_dict({"subject": "s", "sections": [
+            {"chapter": "Ch 1", "count": 1, "tiers": {"basic": 1}}], **overrides})
+
+
+def test_integer_overrides_from_json_become_floats():
+    spec = {"subject": "s", "sections": [
+        {"chapter": "Ch 1", "count": 1, "tiers": {"basic": 1}}]}
+    as_ints = ExamBlueprint.from_dict(dict(spec, epsilon=1, weights=[1] * 7))
+    as_floats = ExamBlueprint.from_dict(dict(spec, epsilon=1.0, weights=[1.0] * 7))
+    assert as_ints.sha256() == as_floats.sha256()
+    # repr tells 1 from 1.0
+    assert repr(RubricConfig.from_dict({"epsilon": 1, "weights": [2] * 7}).to_dict()) == \
+        repr(RubricConfig.from_dict({"epsilon": 1.0, "weights": [2.0] * 7}).to_dict())
 
 
 def _equivalence_items(rng, count):

@@ -326,6 +326,32 @@ def test_tcp_announce_publish_receive():
         bus.close()
 
 
+def test_tcp_frame_published_during_announce_follows_the_ack():
+    """A frame published the moment the hub subscribes a peer reaches the
+    peer after the announce acknowledgement, not ahead of it."""
+    bus = MessageBus()
+    subscribe = bus.subscribe
+
+    def subscribe_then_publish(agent, pattern, **kwargs):
+        sub = subscribe(agent, pattern, **kwargs)
+        bus.publish(pattern, {"text": "early"}, sender="local")
+        return sub
+
+    bus.subscribe = subscribe_then_publish
+    server = TcpBusServer(bus)
+    server.start()
+    client = TcpBusClient("127.0.0.1", server.port, "remote",
+                          subscriptions=["chat/room"])
+    try:
+        first = client.get(timeout=2)
+        assert first.topic == "chat/room"
+        assert first.payload == {"text": "early"}
+    finally:
+        client.close()
+        server.stop()
+        bus.close()
+
+
 def test_tcp_duplicate_name_rejected():
     bus = MessageBus()
     bus.claim_name("taken")

@@ -91,6 +91,29 @@ def test_auth_error_no_retry(stub_server):
     assert len(StubHandler.requests_seen) == 1
 
 
+def test_forbidden_is_auth_error_without_retry(stub_server):
+    StubHandler.script = [(403, {"error": "nope"})]
+    with pytest.raises(AuthError):
+        complete(provider(stub_server), request())
+    assert len(StubHandler.requests_seen) == 1
+
+
+def test_not_found_is_malformed_response_without_retry(stub_server):
+    StubHandler.script = [(404, {"error": "no such route"})]
+    with pytest.raises(MalformedResponse, match="unexpected status 404"):
+        complete(provider(stub_server), request())
+    assert len(StubHandler.requests_seen) == 1
+
+
+def test_connection_refused_is_gateway_timeout(stub_server):
+    config = provider(stub_server, retries=1)
+    stub_server.shutdown()
+    stub_server.server_close()  # nothing listens on the port any more
+    with pytest.raises(GatewayTimeout, match="transport error"):
+        complete(config, request())
+    assert StubHandler.requests_seen == []
+
+
 def test_retry_on_5xx_then_success(stub_server):
     StubHandler.script = [(500, {}), (500, {}), (200, ok_body("third time"))]
     assert complete(provider(stub_server, retries=3), request()) == "third time"

@@ -148,6 +148,18 @@ def test_exam_request_with_zero_epsilon_reports_error(stack):
     assert drain(candidates) == []
 
 
+def test_exam_request_with_string_weights_reports_invalid_params(stack):
+    bus, registry, pipeline, documents, lexicon = stack
+    ingest_document(registry, documents[0], RuleExtractor(lexicon))
+    errors = bus.subscribe("watch-errors", "system/errors")
+    blueprint = {"subject": "envsci", "weights": ["x"] * 7, "sections": [
+        {"chapter": "Ch 1", "count": 1, "tiers": {"basic": 1}}]}
+    message = publish_and_wait(bus, errors, "exam/request",
+                               {"blueprint": blueprint, "seed": 0}, "exam-w")
+    assert message.payload["agent"] == "question_generation"
+    assert message.payload["error_code"] == "invalid_params"
+
+
 def test_direct_and_pipeline_ingest_reports_match_with_failing_segment():
     class FlakyExtractor:
         def extract(self, text):
