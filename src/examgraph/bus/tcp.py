@@ -188,14 +188,13 @@ class TcpBusServer:
             conn.close(flush=True)
             return
         conn.name = name
-        # acknowledge first: a frame published right after a subscribe would
-        # otherwise reach the peer ahead of the acknowledgement it waits for
-        conn.send_message(Message(
-            topic=ANNOUNCE_TOPIC, correlation_id=message.correlation_id,
-            sender="bus", seq=0, payload={"ok": True, "name": name}))
+        # subscribe first: a peer holding the acknowledgement is subscribed
         for pattern in patterns:
             conn.subscriptions.append(
                 self.bus.subscribe(name, pattern, shared_queue=conn.outbox))
+        conn.send_message(Message(
+            topic=ANNOUNCE_TOPIC, correlation_id=message.correlation_id,
+            sender="bus", seq=0, payload={"ok": True, "name": name}))
 
     def stop(self) -> None:
         self._running = False
@@ -224,17 +223,18 @@ class TcpBusClient:
         self._reader = FrameReader()
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sock.settimeout(None)
         self._alive = True
         self._send(Message(topic=ANNOUNCE_TOPIC, correlation_id="",
                            sender=name, seq=0,
                            payload={"name": name,
                                     "subscriptions": list(subscriptions or [])}))
-        self._thread = threading.Thread(target=self._recv_loop,
-                                        name=f"tcp-client-{name}", daemon=True)
-        self._thread.start()
-        ack = self.get(timeout=timeout)
-        if ack is None or ack.topic != ANNOUNCE_TOPIC:
+        ack, frames = None, self._frames()
+        for message in frames:  # frames published once subscribed can lead the ack
+            if message.topic == ANNOUNCE_TOPIC:
+                ack = message
+                break
+            self._inbox.put(message)
+        if ack is None:
             self.close()
             raise MalformedFrame("hub did not acknowledge announce")
         if not ack.payload.get("ok"):
@@ -243,20 +243,26 @@ class TcpBusClient:
             if code == "duplicate_name":
                 raise DuplicateName(ack.payload.get("message", name))
             raise MalformedFrame(ack.payload.get("message", "announce rejected"))
+        self._sock.settimeout(None)
+        self._thread = threading.Thread(target=self._recv_loop, args=(frames,),
+                                        name=f"tcp-client-{name}", daemon=True)
+        self._thread.start()
 
     def _send(self, message: Message) -> None:
         self._sock.sendall(encode_frame(message))
 
-    def _recv_loop(self) -> None:
+    def _frames(self):
+        """Frames off the socket until it closes, fails or the client closes."""
         try:
-            while self._alive:
-                chunk = self._sock.recv(65536)
-                if not chunk:
-                    break
-                for message in self._reader.feed(chunk):
-                    self._inbox.put(message)
+            while self._alive and (chunk := self._sock.recv(65536)):
+                yield from self._reader.feed(chunk)
         except (OSError, ExamGraphError):
             pass
+
+    def _recv_loop(self, frames) -> None:
+        try:
+            for message in frames:
+                self._inbox.put(message)
         finally:
             self._inbox.put(None)
 
@@ -269,8 +275,7 @@ class TcpBusClient:
     def get(self, timeout: float | None = None) -> Message | None:
         """Next received frame; None when the connection has closed.
         Raises queue.Empty on timeout."""
-        value = self._inbox.get(timeout=timeout)
-        return value
+        return self._inbox.get(timeout=timeout)
 
     def close(self) -> None:
         self._alive = False

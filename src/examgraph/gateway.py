@@ -48,10 +48,9 @@ class ProviderConfig:
 def complete(config: ProviderConfig, request: CompletionRequest) -> str:
     """POST the request and return the first choice's message content.
 
-    5xx responses, timeouts and transport faults are retried with
-    exponential backoff up to ``config.retries`` attempts; 401/403 fail
-    immediately; 429 raises RateLimited once retries are exhausted; any
-    other status fails at once, 307/308 included (urllib does not re-POST).
+    5xx, timeouts and transport faults are retried with exponential backoff
+    up to ``config.retries`` attempts; 401/403 fail immediately; 429 raises
+    RateLimited once retries run out; other statuses (307/308 too) fail at once.
     """
     import urllib.request  # only the HTTP provider needs it
     from http.client import HTTPException
@@ -66,12 +65,12 @@ def complete(config: ProviderConfig, request: CompletionRequest) -> str:
         "temperature": 0.0,
         "max_tokens": 512,
     }).encode("utf-8")
-    headers = {"Content-Type": "application/json"}
+    http_request = urllib.request.Request(
+        config.endpoint, data=data, method="POST",
+        headers={"Content-Type": "application/json"})
     token = os.environ.get(config.auth_env, "")
-    if token:
-        headers["Authorization"] = f"Bearer {token}"
-    http_request = urllib.request.Request(config.endpoint, data=data,
-                                          headers=headers, method="POST")
+    if token:  # unredirected: a redirect never carries the token on
+        http_request.add_unredirected_header("Authorization", f"Bearer {token}")
 
     last_error: Exception | None = None
     for attempt in range(config.retries + 1):
@@ -83,8 +82,7 @@ def complete(config: ProviderConfig, request: CompletionRequest) -> str:
         except HTTPError as exc:  # urlopen raises it for every status >= 400
             status, raw = exc.code, b""
             exc.close()
-        except (OSError, HTTPException) as exc:
-            # a URLError carries the socket error as its reason
+        except (OSError, HTTPException) as exc:  # URLError: socket error in .reason
             if isinstance(getattr(exc, "reason", exc), TimeoutError):
                 last_error = GatewayTimeout(f"request timed out after {request.timeout}s")
             else:
@@ -108,7 +106,7 @@ def complete(config: ProviderConfig, request: CompletionRequest) -> str:
 
 def _extract_choice(raw: bytes) -> str:
     try:
-        data = json.loads(raw.decode("utf-8"))
+        data = json.loads(raw)  # bytes: a BOM and UTF-16/32 are detected
     except ValueError as exc:  # UnicodeDecodeError is a ValueError too
         raise MalformedResponse("response body is not JSON") from exc
     try:

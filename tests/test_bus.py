@@ -3,6 +3,7 @@ import queue
 import random
 import socket
 import threading
+import time
 
 import pytest
 
@@ -326,9 +327,10 @@ def test_tcp_announce_publish_receive():
         bus.close()
 
 
-def test_tcp_frame_published_during_announce_follows_the_ack():
+def test_tcp_frame_published_during_announce_is_kept():
     """A frame published the moment the hub subscribes a peer reaches the
-    peer after the announce acknowledgement, not ahead of it."""
+    hub's wire ahead of the announce acknowledgement; the client keeps it
+    and returns it first."""
     bus = MessageBus()
     subscribe = bus.subscribe
 
@@ -346,6 +348,31 @@ def test_tcp_frame_published_during_announce_follows_the_ack():
         first = client.get(timeout=2)
         assert first.topic == "chat/room"
         assert first.payload == {"text": "early"}
+    finally:
+        client.close()
+        server.stop()
+        bus.close()
+
+
+def test_tcp_peer_is_subscribed_once_the_client_is_constructed():
+    """The acknowledgement follows the subscriptions, so a frame published
+    right after the client returns reaches the peer, however slowly the hub
+    subscribes it."""
+    bus = MessageBus()
+    subscribe = bus.subscribe
+
+    def slow_subscribe(agent, pattern, **kwargs):
+        time.sleep(0.05)
+        return subscribe(agent, pattern, **kwargs)
+
+    bus.subscribe = slow_subscribe
+    server = TcpBusServer(bus)
+    server.start()
+    client = TcpBusClient("127.0.0.1", server.port, "remote",
+                          subscriptions=["chat/room"])
+    try:
+        bus.publish("chat/room", {"text": "right after"}, sender="local")
+        assert client.get(timeout=2).payload == {"text": "right after"}
     finally:
         client.close()
         server.stop()

@@ -114,6 +114,50 @@ def test_connection_refused_is_gateway_timeout(stub_server):
     assert StubHandler.requests_seen == []
 
 
+class RedirectHandler(BaseHTTPRequestHandler):
+    """Answers every POST with a 302 to ``location``; a GET, the redirected
+    request, records its Authorization header and gets a completion."""
+    location = ""
+    auth_seen = []
+
+    def do_POST(self):
+        self.send_response(302)
+        self.send_header("Location", type(self).location)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    def do_GET(self):
+        type(self).auth_seen.append(self.headers.get("Authorization"))
+        data = json.dumps(ok_body("redirected")).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_redirect_does_not_carry_the_token(monkeypatch):
+    monkeypatch.setenv("EXAMGRAPH_TEST_TOKEN", "sekrit")
+    origin = HTTPServer(("127.0.0.1", 0), RedirectHandler)
+    target = HTTPServer(("127.0.0.1", 0), RedirectHandler)
+    RedirectHandler.location = f"http://127.0.0.1:{target.server_address[1]}/moved"
+    RedirectHandler.auth_seen = []
+    threads = [threading.Thread(target=server.serve_forever, daemon=True)
+               for server in (origin, target)]
+    for thread in threads:
+        thread.start()
+    try:
+        assert complete(provider(origin), request()) == "redirected"
+        assert RedirectHandler.auth_seen == [None]
+    finally:
+        for server in (origin, target):
+            server.shutdown()
+            server.server_close()
+
+
 def test_retry_on_5xx_then_success(stub_server):
     StubHandler.script = [(500, {}), (500, {}), (200, ok_body("third time"))]
     assert complete(provider(stub_server, retries=3), request()) == "third time"
@@ -135,6 +179,20 @@ def test_malformed_response_body(stub_server):
     StubHandler.script = [(200, {"nothing": "here"})]
     with pytest.raises(MalformedResponse):
         complete(provider(stub_server, retries=0), request())
+
+
+def test_body_with_byte_order_mark_is_json(stub_server):
+    StubHandler.script = [(200, "\ufeff" + json.dumps(ok_body("bom")))]
+    assert complete(provider(stub_server, retries=0), request()) == "bom"
+
+
+def test_body_encoding_utf16_accepted_invalid_utf8_malformed():
+    from examgraph import gateway
+
+    with pytest.raises(MalformedResponse, match="not JSON"):
+        gateway._extract_choice(b'{"choices": "\xff"}')
+    assert gateway._extract_choice(
+        json.dumps(ok_body("wide")).encode("utf-16")) == "wide"
 
 
 def test_timeout_raises_after_retries(stub_server):
