@@ -91,6 +91,20 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _json_number(value, what: str) -> float:
+    """A number from a config file as a float: float() would raise a bare
+    ValueError on "x" and take true as 1.0."""
+    if not _is_number(value):
+        raise InvalidParams(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_cut_points(name: str, pair) -> tuple[float, float]:
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise InvalidParams(f"thresholds for {name} must be a [cut1, cut2] list, got {pair!r}")
+    return _json_number(pair[0], f"{name} cut1"), _json_number(pair[1], f"{name} cut2")
+
+
 def validate_overrides(epsilon: float | None, weights: list[float] | None) -> None:
     """Reject a gate that cannot work: epsilon must be a number > 0, and
     the weights exactly seven numbers in feature order, each >= 0 and not
@@ -258,20 +272,20 @@ class RubricConfig:
         kwargs = {}
         if "thresholds" in data:
             kwargs["thresholds"] = {
-                FeatureId(name): (float(lo), float(hi))
-                for name, (lo, hi) in data["thresholds"].items()
+                FeatureId(name): _json_cut_points(name, pair)
+                for name, pair in data["thresholds"].items()
             }
         if data.get("weights") is not None:
             kwargs["weights"] = dict(zip(FEATURE_ORDER, map(float, data["weights"])))
         if "tiers" in data:
             kwargs["tiers"] = {
-                DifficultyTier(name): float(spec["target"])
+                DifficultyTier(name): _json_number(spec["target"], f"{name} target")
                 for name, spec in data["tiers"].items()
             }
         if data.get("epsilon") is not None:
             kwargs["epsilon"] = float(data["epsilon"])
         if "tau" in data:
-            kwargs["tau"] = float(data["tau"])
+            kwargs["tau"] = _json_number(data["tau"], "tau")
         if "bloom_verbs" in data:
             kwargs["bloom_verbs"] = {
                 BloomLevel[name.upper()]: frozenset(verbs)

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from ..assessment import DifficultyTier, validate_overrides
-from ..errors import AllZeroCounts, BadRatios
+from ..errors import AllZeroCounts, BadRatios, InvalidParams
 
 TIER_ORDER = (
     DifficultyTier.BASIC_RECALL,
@@ -45,6 +45,14 @@ def allocate_counts(ratios: list[float], total: int) -> list[int]:
     for i in remainders[:leftover]:
         counts[i] += 1
     return counts
+
+
+def _json_count(value, what: str) -> int:
+    """A count from a blueprint: int() would read 2.7 as 2, true as 1 and
+    "3" as 3."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidParams(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass
@@ -113,10 +121,10 @@ class ExamBlueprint:
             tiers_raw = raw.get("tiers", {})
             tier_counts = {}
             for name, value in tiers_raw.items():
-                tier_counts[DifficultyTier(name)] = int(value)
+                tier_counts[DifficultyTier(name)] = _json_count(value, f"{name} count")
             sections.append(BlueprintSection(
                 chapter=raw["chapter"],
-                count=int(raw["count"]),
+                count=_json_count(raw["count"], "section count"),
                 tier_counts=tier_counts,
             ))
         # check the raw values: float() raises a bare ValueError on "x" and

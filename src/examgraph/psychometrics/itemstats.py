@@ -55,6 +55,9 @@ class ResponseMatrix:
         if not header or header[0].strip() != "participant":
             raise ValueError("first CSV column must be 'participant'")
         items = [h.strip() for h in header[1:]]
+        binary = _binary_rows(text, len(items))
+        if binary is not None:
+            return cls(binary[0], items, binary[1])
         participants: list[str] = []
         rows: list[list[int]] = []
         for line_no, record in enumerate(reader, start=2):
@@ -76,6 +79,33 @@ class ResponseMatrix:
         return out.getvalue()
 
 
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _binary_rows(text: str, width: int) -> tuple[list[str], list[list[int]]] | None:
+    """Participants and rows after the header line when the text has no
+    quote, CR or NUL and each line is blank or ``id,b,...,b`` with ``width``
+    0/1 cells, which csv.reader + int read the same way; else None."""
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    commas = "," * (width - 1)
+    limit = csv.field_size_limit()
+    participants: list[str] = []
+    rows: list[list[int]] = []
+    for line in text.split("\n")[1:]:
+        pid, _, cells = line.partition(",")
+        if (len(cells) == 2 * width - 1 and len(pid) <= limit
+                and cells.isascii() and cells[1::2] == commas):
+            bits = cells[::2].encode("ascii")
+            if not bits.translate(None, b"01"):
+                participants.append(pid.strip())
+                rows.append(list(bits.translate(_BITS)))
+                continue
+        if line.strip():
+            return None
+    return participants, rows
+
+
 def item_p_values(matrix: ResponseMatrix) -> list[float]:
     """Proportion of participants answering each item correctly, in
     ``matrix.items`` order."""
@@ -92,14 +122,21 @@ def item_discriminations(matrix: ResponseMatrix,
     k = ceil(fraction * n) are taken from each end of that ranking, and each
     group's column sums are taken once for all items.
     """
+    return _discriminations(matrix, fraction, [sum(row) for row in matrix.rows])
+
+
+def _discriminations(matrix: ResponseMatrix, fraction: float,
+                     totals: list[int]) -> list[float]:
+    """``item_discriminations`` with each participant's total score given,
+    in ``matrix.participants`` order."""
     if not 0 < fraction <= 0.5:
         raise InvalidParams(f"fraction must be in (0, 0.5], got {fraction}")
     n = len(matrix.participants)
     if n < 4:
         raise TooFewParticipants(f"discrimination needs >= 4 participants, got {n}")
-    order = sorted(zip(matrix.participants, matrix.rows),
-                   key=lambda entry: (-sum(entry[1]), entry[0]))
-    ranked = [row for _, row in order]
+    order = sorted(zip(totals, matrix.participants, matrix.rows),
+                   key=lambda entry: (-entry[0], entry[1]))
+    ranked = [row for _, _, row in order]
     k = math.ceil(fraction * n)
     top = [sum(column) for column in zip(*ranked[:k])]
     bottom = [sum(column) for column in zip(*ranked[-k:])]

@@ -7,7 +7,7 @@ import math
 
 from ..errors import TooFewParticipants
 from .anova import levene_test, one_way_anova, pairwise_welch_bonferroni
-from .itemstats import ResponseMatrix, item_discriminations, item_p_values
+from .itemstats import ResponseMatrix, _discriminations, item_p_values
 
 
 def _mean_sd(values: list[float]) -> tuple[float, float]:
@@ -28,8 +28,9 @@ def analyze(matrix: ResponseMatrix, groups: dict[str, str] | None = None,
     one-way ANOVA across groups, Levene's test, and Bonferroni-corrected
     pairwise Welch comparisons.
     """
+    totals = [sum(row) for row in matrix.rows]
     try:
-        discriminations = item_discriminations(matrix, discrimination_fraction)
+        discriminations = _discriminations(matrix, discrimination_fraction, totals)
     except TooFewParticipants:
         discriminations = [None] * len(matrix.items)
     p_values = item_p_values(matrix)
@@ -47,10 +48,8 @@ def analyze(matrix: ResponseMatrix, groups: dict[str, str] | None = None,
     if not groups:
         return report
 
-    accuracy = {
-        pid: sum(row) / len(row)
-        for pid, row in zip(matrix.participants, matrix.rows)
-    }
+    accuracy = {pid: total / len(matrix.items)
+                for pid, total in zip(matrix.participants, totals)}
     by_group: dict[str, list[float]] = {}
     for pid in matrix.participants:
         label = groups.get(pid)

@@ -364,6 +364,32 @@ def test_integer_overrides_from_json_become_floats():
     # repr tells 1 from 1.0
     assert repr(RubricConfig.from_dict({"epsilon": 1, "weights": [2] * 7}).to_dict()) == \
         repr(RubricConfig.from_dict({"epsilon": 1.0, "weights": [2.0] * 7}).to_dict())
+    ints = {"tau": 2, "thresholds": {f.value: [1, 2] for f in FEATURE_ORDER},
+            "tiers": {"basic": {"target": 8}}}
+    floats = {"tau": 2.0, "thresholds": {f.value: [1.0, 2.0] for f in FEATURE_ORDER},
+              "tiers": {"basic": {"target": 8.0}}}
+    assert repr(RubricConfig.from_dict(ints).to_dict()) == \
+        repr(RubricConfig.from_dict(floats).to_dict())
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param({"tau": "x"}, id="tau-string"),
+    pytest.param({"tau": True}, id="tau-bool"),
+    pytest.param({"tau": None}, id="tau-null"),
+    pytest.param({"thresholds": {"stem_length": "ab"}}, id="pair-string"),
+    pytest.param({"thresholds": {"stem_length": {"lo": 1}}}, id="pair-object"),
+    pytest.param({"thresholds": {"stem_length": [15]}}, id="pair-short"),
+    pytest.param({"thresholds": {"stem_length": [15, 35, 50]}}, id="pair-long"),
+    pytest.param({"thresholds": {"stem_length": [15, "x"]}}, id="cut-string"),
+    pytest.param({"thresholds": {"stem_length": [False, True]}}, id="cut-bools"),
+    pytest.param({"tiers": {"basic": {"target": "9"}}}, id="target-string"),
+    pytest.param({"tiers": {"basic": {"target": True}}}, id="target-bool"),
+])
+def test_rubric_numbers_from_json_are_checked(config):
+    """float() would raise a bare ValueError on "x", take true as 1.0 and
+    unpack a two-character string as a pair."""
+    with pytest.raises(InvalidParams):
+        RubricConfig.from_dict(config)
 
 
 def _equivalence_items(rng, count):

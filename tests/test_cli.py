@@ -135,9 +135,17 @@ def test_blueprint_validate(workspace, capsys):
     epsilon = dict(blueprint_dict(), epsilon=0)
     weights = dict(blueprint_dict(), weights=[0] * 7)
     six_weights = dict(blueprint_dict(), weights=[1] * 6)
+    fractional = blueprint_dict()
+    fractional["sections"][0]["count"] = 2.7
+    bool_tier = blueprint_dict()
+    bool_tier["sections"][0]["tiers"]["basic"] = True
+    negative = blueprint_dict()
+    negative["sections"][0]["count"] = -1
     for data, code in ((counts, "error"), (epsilon, "invalid_params"),
                        (weights, "all_zero_weights"),
-                       (six_weights, "invalid_params")):
+                       (six_weights, "invalid_params"),
+                       (fractional, "invalid_params"), (bool_tier, "invalid_params"),
+                       (negative, "error")):
         bad.write_text(json.dumps(data))
         assert main(["blueprint", "validate", "--blueprint", str(bad)]) == 1
         assert json.loads(capsys.readouterr().err)["error_code"] == code

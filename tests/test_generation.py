@@ -114,6 +114,24 @@ def test_blueprint_validation():
         ExamBlueprint(subject="s", sections=[])
     with pytest.raises(InvalidParams):
         ExamBlueprint.from_dict(dict(blueprint_dict(), weights=[1.0] * 6))
+    negative = blueprint_dict()
+    negative["sections"][0]["count"] = -1
+    with pytest.raises(ValueError, match="section count must be >= 0"):
+        ExamBlueprint.from_dict(negative)
+
+
+@pytest.mark.parametrize("count", [2.7, 3.0, True, "3", None])
+def test_blueprint_counts_must_be_json_integers(count):
+    """int() would read 2.7 as 2, true as 1 and "3" as 3."""
+    for where in ("count", "tier"):
+        data = blueprint_dict()
+        section = data["sections"][0]
+        if where == "count":
+            section["count"] = count
+        else:
+            section["tiers"]["basic"] = count
+        with pytest.raises(InvalidParams):
+            ExamBlueprint.from_dict(data)
 
 
 def test_blueprint_is_frozen():

@@ -6,7 +6,10 @@ The exam and snapshot digests were taken from the implementation that reran
 PageRank for every blueprint section; memoising scores per graph revision
 and the integer-indexed power iteration must not change a single byte. The
 report digest was taken from the implementation that ranked participants
-once per item; ranking them once per matrix must not change it either.
+once per item; ranking them once per matrix must not change it either. The
+CSV-read report digest was taken from the implementation that converted
+every response cell with ``int``; the binary-row fast path of
+``ResponseMatrix.from_csv`` must not change it.
 """
 
 import hashlib
@@ -28,6 +31,9 @@ EXAM_SHA256 = {
 }
 # 40 participants x 12 items in three groups, serialised as `examgraph analyze`
 ANALYSIS_SHA256 = "1cddd26253eda67e1f38aa66440353e54ca20acd0935b489bef140472ebf25fb"
+# 200 participants x 96 items in three groups, written with to_csv and read
+# back with from_csv
+CSV_ANALYSIS_SHA256 = "61b9f787653e2b79498c7587ba3a0db6774542df26f63c0d47047ce920aa380a"
 
 
 def _sha256(data: bytes) -> str:
@@ -57,3 +63,17 @@ def test_analysis_report_digest():
     text = json.dumps(analyze(matrix, groups), indent=2, sort_keys=True,
                       ensure_ascii=False)
     assert _sha256(text.encode("utf-8")) == ANALYSIS_SHA256
+
+
+def test_analysis_from_csv_digest():
+    rng = random.Random(9609)
+    participants = [f"p{i:03d}" for i in range(200)]
+    rows = [[1 if rng.random() < 0.2 + 0.003 * i else 0 for _ in range(96)]
+            for i in range(200)]
+    written = ResponseMatrix(participants, [f"q{j:02d}" for j in range(96)], rows)
+    matrix = ResponseMatrix.from_csv(written.to_csv())
+    assert matrix.rows == rows
+    groups = {pid: "abc"[i % 3] for i, pid in enumerate(participants)}
+    text = json.dumps(analyze(matrix, groups), indent=2, sort_keys=True,
+                      ensure_ascii=False)
+    assert _sha256(text.encode("utf-8")) == CSV_ANALYSIS_SHA256

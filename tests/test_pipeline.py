@@ -160,6 +160,21 @@ def test_exam_request_with_string_weights_reports_invalid_params(stack):
     assert message.payload["error_code"] == "invalid_params"
 
 
+def test_exam_request_with_fractional_count_reports_invalid_params(stack):
+    bus, registry, pipeline, documents, lexicon = stack
+    ingest_document(registry, documents[0], RuleExtractor(lexicon))
+    errors = bus.subscribe("watch-errors", "system/errors")
+    candidates = bus.subscribe("watch-candidates", "exam/candidate")
+    blueprint = {"subject": "envsci", "sections": [
+        {"chapter": "Ch 1", "count": 2.7, "tiers": {"basic": 2}}]}
+    message = publish_and_wait(bus, errors, "exam/request",
+                               {"blueprint": blueprint, "seed": 0}, "exam-count")
+    assert message.payload["agent"] == "question_generation"
+    assert message.payload["error_code"] == "invalid_params"
+    assert "2.7" in message.payload["message"]
+    assert drain(candidates) == []
+
+
 def test_direct_and_pipeline_ingest_reports_match_with_failing_segment():
     class FlakyExtractor:
         def extract(self, text):

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import random
 
@@ -458,3 +460,108 @@ def test_csv_round_trip():
         ResponseMatrix.from_csv("wrongheader,q1\np1,1\np2,0\n")
     with pytest.raises(ValueError, match="non-integer cell on line 3"):
         ResponseMatrix.from_csv("participant,q1\np1,1\np2,x\n")
+
+
+def csv_int_reference(text):
+    """``from_csv`` as it read every text before its binary-row fast path:
+    csv.reader, then int on every cell."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError("empty response CSV") from None
+    if not header or header[0].strip() != "participant":
+        raise ValueError("first CSV column must be 'participant'")
+    items = [h.strip() for h in header[1:]]
+    participants, rows = [], []
+    for line_no, record in enumerate(reader, start=2):
+        if not record or not any(cell.strip() for cell in record):
+            continue
+        participants.append(record[0].strip())
+        try:
+            rows.append(list(map(int, record[1:])))
+        except ValueError:
+            raise ValueError(f"non-integer cell on line {line_no}") from None
+    return ResponseMatrix(participants, items, rows)
+
+
+# the last two hold characters that str.splitlines, unlike csv, breaks at
+ODD_CELLS = [" 1", "1 ", "+1", "-0", "01", "\uff11", "\u0661", "1_0", "2", "x",
+             "", " ", "0.0", "1\x1cp9,0", "0\u2028p8,1"]
+ODD_IDS = ["\u00e9", "\u540d\u524d", " p ", "", "p q", "p\x85", "p\x0bq", "p\x1c", "\t"]
+BLANK_LINES = ["", "  ", "\t", ",", " , ", ",,,", "\u3000"]
+
+
+def _mutate(rng, kind, lines):
+    """Apply one named edit to the lines of a CSV text (header first)."""
+    row = rng.randrange(len(lines))
+    cells = lines[row].split(",")
+    col = rng.randrange(len(cells))
+    if kind == "quote":
+        cells[col] = rng.choice(['"{}"', '"{}""x"', '{}"', '"{},{}"']).format(
+            cells[col], cells[col])
+    elif kind == "cr":
+        cells[col] += rng.choice(["\r", "\r\n", "\rx"])
+    elif kind == "nul":
+        cells[col] += "\0"
+    elif kind == "blank":
+        lines.insert(rng.randint(1, len(lines)), rng.choice(BLANK_LINES))
+        return
+    elif kind == "cell" and col:
+        cells[col] = rng.choice(ODD_CELLS)
+    elif kind == "short" and len(cells) > 1:
+        cells.pop()
+    elif kind == "separator" and row and len(cells) > 2:
+        cells[col - 1:col + 1] = [cells[col - 1] + rng.choice(";\t 01") + cells[col]]
+    elif kind == "long":
+        cells.append(rng.choice("01"))
+    elif kind == "trailing_comma":
+        cells.append("")
+    elif kind == "odd_id" and row:
+        cells[0] = rng.choice(ODD_IDS)
+    elif kind == "long_id" and row:
+        cells[0] = "p" * (csv.field_size_limit() + rng.choice([-1, 0, 1]))
+    elif kind == "duplicate_id" and row > 1:
+        cells[0] = lines[1].split(",")[0]
+    lines[row] = ",".join(cells)
+
+
+MUTATIONS = ["none", "quote", "cr", "nul", "blank", "cell", "separator", "short",
+             "long", "trailing_comma", "odd_id", "long_id", "duplicate_id"]
+
+
+def _fuzz_text(rng, kind):
+    width = rng.choice([1, 1, 2, 3, 7])
+    lines = [",".join(["participant", *(f"q{j}" for j in range(width))])]
+    for i in range(rng.randint(0, 8)):
+        lines.append(",".join([f"p{i}", *(rng.choice("01") for _ in range(width))]))
+    for extra in [kind] + rng.choices(MUTATIONS, k=rng.choice([0, 0, 1, 2])):
+        if extra != "none":
+            _mutate(rng, extra, lines)
+    newline = "\r\n" if rng.random() < 0.1 else "\n"
+    return newline.join(lines) + rng.choice([newline, newline, ""])
+
+
+def _outcome(parse, text):
+    try:
+        matrix = parse(text)
+    except (ValueError, csv.Error) as exc:
+        return type(exc), str(exc)
+    return matrix.participants, matrix.items, matrix.rows
+
+
+def test_from_csv_matches_csv_int_reference():
+    """Every text gives the matrix, or the error, that csv.reader + int
+    gives: the fast path takes only the texts it reads the same way."""
+    rng = random.Random(1709)
+    matrices = 0
+    for case in range(1200):
+        text = _fuzz_text(rng, MUTATIONS[case % len(MUTATIONS)])
+        expected = _outcome(csv_int_reference, text)
+        assert _outcome(ResponseMatrix.from_csv, text) == expected, repr(text[:200])
+        matrices += not isinstance(expected[0], type)
+    for text in ("", "\n", "participant\n", "participant,q\n", "participant,q\np1,1\np2,0"):
+        assert _outcome(ResponseMatrix.from_csv, text) == \
+            _outcome(csv_int_reference, text), repr(text)
+    # both outcomes are common, so neither path is checked only vacuously
+    assert 200 < matrices < 1000
