@@ -99,6 +99,21 @@ def _json_number(value, what: str) -> float:
     return float(value)
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise InvalidParams(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _json_member(lookup, name: str, what: str):
+    """The enum member ``lookup`` finds for a config key, which may name
+    no member."""
+    try:
+        return lookup(name)
+    except (KeyError, ValueError):
+        raise InvalidParams(f"unknown {what} {name!r}") from None
+
+
 def _json_cut_points(name: str, pair) -> tuple[float, float]:
     if not isinstance(pair, list) or len(pair) != 2:
         raise InvalidParams(f"thresholds for {name} must be a [cut1, cut2] list, got {pair!r}")
@@ -267,20 +282,23 @@ class RubricConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "RubricConfig":
         # check the raw values: float() raises a bare ValueError on "x" and
-        # takes true as 1.0
+        # takes true as 1.0, and a wrongly shaped value would fail with
+        # whatever error its first use raises
+        data = _json_object(data, "rubric config")
         validate_overrides(data.get("epsilon"), data.get("weights"))
         kwargs = {}
         if "thresholds" in data:
             kwargs["thresholds"] = {
-                FeatureId(name): _json_cut_points(name, pair)
-                for name, pair in data["thresholds"].items()
+                _json_member(FeatureId, name, "feature"): _json_cut_points(name, pair)
+                for name, pair in _json_object(data["thresholds"], "thresholds").items()
             }
         if data.get("weights") is not None:
             kwargs["weights"] = dict(zip(FEATURE_ORDER, map(float, data["weights"])))
         if "tiers" in data:
             kwargs["tiers"] = {
-                DifficultyTier(name): _json_number(spec["target"], f"{name} target")
-                for name, spec in data["tiers"].items()
+                _json_member(DifficultyTier, name, "tier"): _json_number(
+                    _json_object(spec, f"tier {name}").get("target"), f"{name} target")
+                for name, spec in _json_object(data["tiers"], "tiers").items()
             }
         if data.get("epsilon") is not None:
             kwargs["epsilon"] = float(data["epsilon"])
@@ -288,8 +306,9 @@ class RubricConfig:
             kwargs["tau"] = _json_number(data["tau"], "tau")
         if "bloom_verbs" in data:
             kwargs["bloom_verbs"] = {
-                BloomLevel[name.upper()]: frozenset(verbs)
-                for name, verbs in data["bloom_verbs"].items()
+                _json_member(lambda n: BloomLevel[n.upper()], name, "Bloom level"):
+                    frozenset(verbs)
+                for name, verbs in _json_object(data["bloom_verbs"], "bloom_verbs").items()
             }
         return cls(**kwargs)
 

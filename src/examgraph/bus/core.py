@@ -5,10 +5,18 @@ Topics are slash-separated lowercase paths; subscription patterns may use
 subscription with a bounded per-subscriber queue (overflow drops the newest
 message and reports it on ``system/errors``). Sequence numbers increase
 strictly per (sender, topic), and each subscriber sees that order.
+
+Publishing looks exact patterns up by topic and compares the topic only
+with the wildcard patterns, split once at subscribe time, so its cost
+scales with the matching subscriptions, not with all of them. Matches are
+delivered in subscription order. The TCP hub (``tcp.py``) encodes each
+published frame once for all its peers.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 import queue
 import re
 import threading
@@ -63,8 +71,10 @@ def validate_topic(topic: str, allow_wildcard: bool = False) -> list[str]:
 def topic_matches(pattern: str, topic: str) -> bool:
     """True when the pattern covers the topic; ``*`` matches exactly one
     segment."""
-    p_segments = pattern.split("/")
-    t_segments = topic.split("/")
+    return _segments_match(pattern.split("/"), topic.split("/"))
+
+
+def _segments_match(p_segments: list[str], t_segments: list[str]) -> bool:
     if len(p_segments) != len(t_segments):
         return False
     return all(p == "*" or p == t for p, t in zip(p_segments, t_segments))
@@ -77,12 +87,14 @@ class Subscription:
     """Live stream of matching messages; close() stops delivery."""
 
     def __init__(self, bus: "MessageBus", agent: str, pattern: str,
-                 q: queue.Queue):
+                 q: queue.Queue, order: int, segments: list[str]):
         self.bus = bus
         self.agent = agent
         self.pattern = pattern
         self.queue = q
         self.active = True
+        self._order = order  # how many subscriptions the bus made before
+        self._segments = segments
 
     def get(self, timeout: float | None = None) -> Message | None:
         """Next message, None once the subscription (or bus) is closed.
@@ -96,12 +108,19 @@ class Subscription:
         self.bus._unsubscribe(self)
 
 
+_by_order = operator.attrgetter("_order")
+
+
 class MessageBus:
     """Topic router safe for concurrent publish/subscribe from any thread."""
 
     def __init__(self, queue_capacity: int = DEFAULT_QUEUE_CAPACITY):
         self._lock = threading.Lock()
-        self._subscriptions: list[Subscription] = []
+        # the live subscriptions, each in one list in subscription order:
+        # by pattern when it has no wildcard, else in _wildcards
+        self._exact: dict[str, list[Subscription]] = {}
+        self._wildcards: list[Subscription] = []
+        self._order = itertools.count()
         self._seq: dict[tuple[str, str], int] = {}
         self._names: set[str] = set()
         self._closed = False
@@ -138,11 +157,17 @@ class MessageBus:
 
     def _deliver(self, message: Message) -> tuple[int, list[Subscription]]:
         """Under self._lock: queue the message for every matching
-        subscriber; returns how many took it and the ones that were full."""
+        subscriber, in subscription order; returns how many took it and the
+        ones that were full."""
+        matches = self._exact.get(message.topic, [])
+        if self._wildcards:
+            segments = message.topic.split("/")
+            wild = [sub for sub in self._wildcards
+                    if _segments_match(sub._segments, segments)]
+            if wild:
+                matches = sorted(matches + wild, key=_by_order)
         delivered, overflowed = 0, []
-        for sub in self._subscriptions:
-            if not sub.active or not topic_matches(sub.pattern, message.topic):
-                continue
+        for sub in matches:
             try:
                 sub.queue.put_nowait(message)
                 delivered += 1
@@ -154,21 +179,30 @@ class MessageBus:
                   shared_queue: queue.Queue | None = None) -> Subscription:
         """Register interest in a pattern. Overlapping subscriptions by one
         agent each receive their own copy of a matching message."""
-        validate_topic(pattern, allow_wildcard=True)
+        segments = validate_topic(pattern, allow_wildcard=True)
         q = shared_queue if shared_queue is not None else queue.Queue(
             maxsize=self._queue_capacity)
-        sub = Subscription(self, agent, pattern, q)
         with self._lock:
             if self._closed:
                 raise BusClosed("bus is closed")
-            self._subscriptions.append(sub)
+            sub = Subscription(self, agent, pattern, q, next(self._order), segments)
+            if "*" in segments:
+                self._wildcards.append(sub)
+            else:
+                self._exact.setdefault(pattern, []).append(sub)
         return sub
 
     def _unsubscribe(self, sub: Subscription) -> None:
         with self._lock:
-            sub.active = False
-            if sub in self._subscriptions:
-                self._subscriptions.remove(sub)
+            if sub.active:  # under the lock, active means indexed
+                sub.active = False
+                if "*" in sub._segments:
+                    self._wildcards.remove(sub)
+                else:
+                    subs = self._exact[sub.pattern]
+                    subs.remove(sub)
+                    if not subs:
+                        del self._exact[sub.pattern]
         try:
             sub.queue.put_nowait(_CLOSED)
         except queue.Full:
@@ -191,10 +225,13 @@ class MessageBus:
             if self._closed:
                 return
             self._closed = True
-            subs = list(self._subscriptions)
-            self._subscriptions.clear()
+            subs = [*itertools.chain.from_iterable(self._exact.values()),
+                    *self._wildcards]
+            self._exact.clear()
+            self._wildcards.clear()
+            for sub in subs:
+                sub.active = False
         for sub in subs:
-            sub.active = False
             try:
                 sub.queue.put_nowait(_CLOSED)
             except queue.Full:

@@ -12,6 +12,7 @@ import logging
 import queue
 import socket
 import threading
+import weakref
 
 from ..errors import (
     BadPattern,
@@ -76,6 +77,11 @@ class TcpBusServer:
         self._lock = threading.Lock()
         self._running = False
         self._accept_thread: threading.Thread | None = None
+        # frame of each message in a writer's hands, by id(message): the
+        # first writer to send a message encodes it for all, and the entry
+        # goes when the message does
+        self._frames: dict[int, bytes] = {}
+        self._frames_lock = threading.Lock()
 
     def start(self) -> None:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -114,7 +120,9 @@ class TcpBusServer:
             if not isinstance(message, Message):
                 continue  # subscription-close sentinel
             try:
-                conn.sock.sendall(encode_frame(message))
+                frame = self._frame(message)
+                del message  # an idle writer keeps no message, nor its entry
+                conn.sock.sendall(frame)
             except (OSError, ExamGraphError):
                 break
         try:
@@ -122,6 +130,18 @@ class TcpBusServer:
         except OSError:
             pass
         conn.sock.close()
+
+    def _frame(self, message: Message) -> bytes:
+        key = id(message)
+        with self._frames_lock:
+            frame = self._frames.get(key)
+            if frame is None:
+                frame = encode_frame(message)
+                self._frames[key] = frame
+                # an id is reused only after its object is gone, and the
+                # finalizer has dropped the entry by then
+                weakref.finalize(message, self._frames.pop, key, None)
+        return frame
 
     def _read_loop(self, conn: _Connection) -> None:
         reader = FrameReader()

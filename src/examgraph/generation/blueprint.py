@@ -16,6 +16,7 @@ TIER_ORDER = (
     DifficultyTier.APPLIED_UNDERSTANDING,
     DifficultyTier.COMPREHENSIVE_ANALYSIS,
 )
+_TIER_NAMES = frozenset(t.value for t in TIER_ORDER)
 
 
 def allocation_ratios(counts: list[int]) -> list[float]:
@@ -116,15 +117,23 @@ class ExamBlueprint:
     def from_dict(cls, data: dict) -> "ExamBlueprint":
         if not isinstance(data, dict):
             raise ValueError("blueprint must be a JSON object")
+        raw_sections = data.get("sections", [])
+        if not isinstance(raw_sections, list):
+            raise InvalidParams(f"sections must be a list, got {raw_sections!r}")
         sections = []
-        for raw in data.get("sections", []):
-            tiers_raw = raw.get("tiers", {})
+        for raw in raw_sections:
+            if not (isinstance(raw, dict) and isinstance(raw.get("chapter"), str)
+                    and isinstance(raw.get("tiers", {}), dict)):
+                raise InvalidParams("a section must be an object with a chapter string "
+                                    f"and a tiers object, got {raw!r}")
             tier_counts = {}
-            for name, value in tiers_raw.items():
+            for name, value in raw.get("tiers", {}).items():
+                if name not in _TIER_NAMES:
+                    raise InvalidParams(f"unknown tier {name!r}")
                 tier_counts[DifficultyTier(name)] = _json_count(value, f"{name} count")
             sections.append(BlueprintSection(
                 chapter=raw["chapter"],
-                count=_json_count(raw["count"], "section count"),
+                count=_json_count(raw.get("count"), "section count"),
                 tier_counts=tier_counts,
             ))
         # check the raw values: float() raises a bare ValueError on "x" and

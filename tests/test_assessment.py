@@ -384,10 +384,20 @@ def test_integer_overrides_from_json_become_floats():
     pytest.param({"thresholds": {"stem_length": [False, True]}}, id="cut-bools"),
     pytest.param({"tiers": {"basic": {"target": "9"}}}, id="target-string"),
     pytest.param({"tiers": {"basic": {"target": True}}}, id="target-bool"),
+    pytest.param({"thresholds": {"bogus": [1, 2]}}, id="unknown-feature"),
+    pytest.param({"tiers": {"hard": {"target": 9}}}, id="unknown-tier"),
+    pytest.param({"tiers": {"basic": 9}}, id="tier-number"),
+    pytest.param({"tiers": {"basic": {}}}, id="tier-without-target"),
+    pytest.param({"tiers": [9, 14, 19]}, id="tiers-list"),
+    pytest.param({"thresholds": "x"}, id="thresholds-string"),
+    pytest.param({"bloom_verbs": {"ponder": ["muse"]}}, id="unknown-bloom-level"),
+    pytest.param([], id="config-list"),
 ])
 def test_rubric_numbers_from_json_are_checked(config):
     """float() would raise a bare ValueError on "x", take true as 1.0 and
-    unpack a two-character string as a pair."""
+    unpack a two-character string as a pair. A wrongly shaped value or an
+    unknown name is InvalidParams too, not the ValueError, TypeError,
+    KeyError or AttributeError of its first use."""
     with pytest.raises(InvalidParams):
         RubricConfig.from_dict(config)
 

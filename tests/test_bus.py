@@ -1,3 +1,4 @@
+import gc
 import json
 import queue
 import random
@@ -7,6 +8,7 @@ import time
 
 import pytest
 
+import examgraph.bus.tcp as tcp_module
 from examgraph.bus import (
     AgentDescriptor,
     Message,
@@ -149,6 +151,101 @@ def test_overflow_drops_newest_and_reports():
     diag = errors.get(timeout=1)
     assert diag.payload["error_code"] == "queue_overflow"
     assert diag.payload["subscriber"] == "slow"
+
+
+class _LoggingQueue(queue.Queue):
+    """A subscriber queue that logs (its name, item) on every put it takes."""
+
+    def __init__(self, name, log, maxsize=0):
+        super().__init__(maxsize)
+        self.name = name
+        self.log = log
+
+    def _put(self, item):
+        super()._put(item)
+        self.log.append((self.name, item))
+
+
+def test_routing_matches_a_brute_force_scan():
+    """The exact-pattern index and the wildcard list deliver what a scan of
+    every live subscription in subscription order would, in that order."""
+    rng = random.Random(2024)
+    segments = ["a", "b", "c"]
+    log = []
+    bus = MessageBus()
+    shared = _LoggingQueue("shared", log)  # one agent's overlapping patterns
+    live, closed = [], []
+
+    def pattern():
+        return "/".join(rng.choice(segments + ["*"])
+                        for _ in range(rng.randint(1, 3)))
+
+    def subscribe(agent, pat):
+        if agent == "shared":
+            sub = bus.subscribe(agent, pat, shared_queue=shared)
+        else:
+            sub = bus.subscribe(agent, pat,
+                                shared_queue=_LoggingQueue(agent, log))
+        live.append(sub)
+
+    for n in range(8):
+        subscribe(rng.choice(["shared", f"agent{n}"]), pattern())
+    publishes = 0
+    for step in range(600):
+        roll = rng.random()
+        if roll < 0.15:
+            subscribe(rng.choice(["shared", f"agent{step}"]), pattern())
+        elif roll < 0.25 and live:
+            sub = live.pop(rng.randrange(len(live)))
+            sub.close()
+            closed.append(sub)
+        elif roll < 0.3 and closed:
+            sub = rng.choice(closed)
+            sub.close()  # a second close changes nothing
+            subscribe(sub.agent, sub.pattern)  # re-subscribe: last in order
+        else:
+            topic = "/".join(rng.choice(segments)
+                             for _ in range(rng.randint(1, 3)))
+            expected = [sub.queue.name for sub in live
+                        if topic_matches(sub.pattern, topic)]
+            log.clear()
+            delivered = bus.publish(topic, {"step": step}, sender="pub")
+            assert [name for name, _ in log] == expected
+            assert delivered == len(expected)
+            assert all(message.topic == topic for _, message in log)
+            publishes += 1
+    assert publishes > 300
+    assert any("*" in sub.pattern for sub in live)
+    assert any("*" not in sub.pattern for sub in live)
+
+    log.clear()
+    bus.close()
+    # each subscription still live gets its close sentinel, and only those
+    assert sorted(name for name, _ in log) == sorted(sub.queue.name for sub in live)
+    assert all(not sub.active for sub in live + closed)
+    with pytest.raises(BusClosed):
+        bus.publish("a", {}, sender="pub")
+
+
+def test_overflow_reports_follow_subscription_order():
+    """Two full subscribers, a wildcard one subscribed before an exact one:
+    their queue_overflow reports come in subscription order."""
+    bus = MessageBus(queue_capacity=1)
+    wild = bus.subscribe("wild", "flood/*")
+    errors = bus.subscribe("monitor", "system/errors", shared_queue=queue.Queue())
+    roomy = bus.subscribe("roomy", "flood/data", shared_queue=queue.Queue())
+    exact = bus.subscribe("exact", "flood/data")
+    assert bus.publish("flood/data", {"n": 0}, sender="pub") == 3
+    assert bus.publish("flood/data", {"n": 1}, sender="pub") == 1
+    reports = [errors.get(timeout=1).payload for _ in range(2)]
+    assert [(r["subscriber"], r["pattern"]) for r in reports] == \
+        [("wild", "flood/*"), ("exact", "flood/data")]
+    assert all(r["dropped_topic"] == "flood/data" and r["dropped_seq"] == 2
+               for r in reports)
+    for sub in (wild, exact):
+        assert sub.get(timeout=1).payload == {"n": 0}
+    assert [roomy.get(timeout=1).payload["n"] for _ in range(2)] == [0, 1]
+    assert all(sub.queue.empty() for sub in (wild, exact, roomy, errors))
 
 
 def test_closed_bus_rejects_publish():
@@ -375,6 +472,43 @@ def test_tcp_peer_is_subscribed_once_the_client_is_constructed():
         assert client.get(timeout=2).payload == {"text": "right after"}
     finally:
         client.close()
+        server.stop()
+        bus.close()
+
+
+def test_tcp_hub_encodes_each_published_message_once(monkeypatch):
+    """Every peer's writer sends the one frame the first of them encoded,
+    and a frame is kept no longer than its message."""
+    frames = []
+
+    def counting_encode(message):
+        frames.append(encode_frame(message))
+        return frames[-1]
+
+    bus = MessageBus()
+    server = TcpBusServer(bus)
+    server.start()
+    clients = [TcpBusClient("127.0.0.1", server.port, f"peer{i}",
+                            subscriptions=["chat/room"]) for i in range(3)]
+    monkeypatch.setattr(tcp_module, "encode_frame", counting_encode)
+    try:
+        assert bus.publish("chat/room", {"text": "once"}, sender="local") == 3
+        received = [client.get(timeout=2) for client in clients]
+        assert len(frames) == 1
+        assert [encode_frame(message) for message in received] == frames * 3
+
+        for n in range(200):
+            bus.publish("chat/room", {"n": n}, sender="local")
+        for client in clients:
+            assert [client.get(timeout=2).payload for _ in range(200)] == \
+                [{"n": n} for n in range(200)]
+        assert len(frames) == 201
+        del received
+        gc.collect()
+        assert server._frames == {}
+    finally:
+        for client in clients:
+            client.close()
         server.stop()
         bus.close()
 

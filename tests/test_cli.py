@@ -141,11 +141,18 @@ def test_blueprint_validate(workspace, capsys):
     bool_tier["sections"][0]["tiers"]["basic"] = True
     negative = blueprint_dict()
     negative["sections"][0]["count"] = -1
+    unknown_tier = blueprint_dict()
+    unknown_tier["sections"][0]["tiers"]["hard"] = 1
+    no_chapter = blueprint_dict()
+    del no_chapter["sections"][0]["chapter"]
+    sections_string = dict(blueprint_dict(), sections="x")
     for data, code in ((counts, "error"), (epsilon, "invalid_params"),
                        (weights, "all_zero_weights"),
                        (six_weights, "invalid_params"),
                        (fractional, "invalid_params"), (bool_tier, "invalid_params"),
-                       (negative, "error")):
+                       (negative, "error"), (unknown_tier, "invalid_params"),
+                       (no_chapter, "invalid_params"),
+                       (sections_string, "invalid_params")):
         bad.write_text(json.dumps(data))
         assert main(["blueprint", "validate", "--blueprint", str(bad)]) == 1
         assert json.loads(capsys.readouterr().err)["error_code"] == code
@@ -198,6 +205,24 @@ def test_evaluate_item(workspace, capsys, tmp_path):
     assert main(["evaluate-item", "--item", str(path), "--target", "21"]) == 0
     strict = json.loads(capsys.readouterr().out)
     assert strict["passed"] is False
+
+
+@pytest.mark.parametrize("rubric", [
+    pytest.param({"thresholds": {"bogus": [1, 2]}}, id="unknown-feature"),
+    pytest.param({"tiers": {"hard": {"target": 9}}}, id="unknown-tier"),
+    pytest.param({"tiers": {"basic": 9}}, id="tier-number"),
+])
+def test_evaluate_item_with_wrongly_shaped_rubric_is_invalid_params(capsys, tmp_path, rubric):
+    item = {"stem": "Define the borite process in one word.",
+            "options": ["alpha", "beta", "gamma", "delta"],
+            "answer_index": 1, "tier": "basic"}
+    item_path = tmp_path / "item.json"
+    item_path.write_text(json.dumps(item))
+    rubric_path = tmp_path / "rubric.json"
+    rubric_path.write_text(json.dumps(rubric))
+    assert main(["evaluate-item", "--item", str(item_path),
+                 "--rubric", str(rubric_path)]) == 1
+    assert json.loads(capsys.readouterr().err)["error_code"] == "invalid_params"
 
 
 def test_analyze_csv(workspace, capsys, tmp_path):

@@ -134,6 +134,24 @@ def test_blueprint_counts_must_be_json_integers(count):
             ExamBlueprint.from_dict(data)
 
 
+@pytest.mark.parametrize("change", [
+    pytest.param(lambda data: data["sections"][0]["tiers"].update(hard=1), id="unknown-tier"),
+    pytest.param(lambda data: data["sections"][0].pop("chapter"), id="no-chapter"),
+    pytest.param(lambda data: data["sections"][0].update(chapter=1), id="chapter-number"),
+    pytest.param(lambda data: data["sections"][0].pop("count"), id="no-count"),
+    pytest.param(lambda data: data["sections"][0].update(tiers=[4, 3, 3]), id="tiers-list"),
+    pytest.param(lambda data: data.update(sections="x"), id="sections-string"),
+    pytest.param(lambda data: data["sections"].append("x"), id="section-string"),
+])
+def test_blueprint_shapes_from_json_are_checked(change):
+    """Not the ValueError, KeyError or AttributeError of the value's first
+    use."""
+    data = blueprint_dict()
+    change(data)
+    with pytest.raises(InvalidParams):
+        ExamBlueprint.from_dict(data)
+
+
 def test_blueprint_is_frozen():
     blueprint = ExamBlueprint.from_dict(blueprint_dict())
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -175,6 +175,24 @@ def test_exam_request_with_fractional_count_reports_invalid_params(stack):
     assert drain(candidates) == []
 
 
+@pytest.mark.parametrize("sections", [
+    pytest.param([{"chapter": "Ch 1", "count": 1, "tiers": {"hard": 1}}], id="unknown-tier"),
+    pytest.param([{"count": 1, "tiers": {"basic": 1}}], id="no-chapter"),
+    pytest.param("x", id="sections-string"),
+])
+def test_exam_request_with_wrongly_shaped_blueprint_reports_invalid_params(stack, sections):
+    bus, registry, pipeline, documents, lexicon = stack
+    ingest_document(registry, documents[0], RuleExtractor(lexicon))
+    errors = bus.subscribe("watch-errors", "system/errors")
+    candidates = bus.subscribe("watch-candidates", "exam/candidate")
+    message = publish_and_wait(bus, errors, "exam/request", {
+        "blueprint": {"subject": "envsci", "sections": sections}, "seed": 0},
+        "exam-shape")
+    assert message.payload["agent"] == "question_generation"
+    assert message.payload["error_code"] == "invalid_params"
+    assert drain(candidates) == []
+
+
 def test_direct_and_pipeline_ingest_reports_match_with_failing_segment():
     class FlakyExtractor:
         def extract(self, text):
