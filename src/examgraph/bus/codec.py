@@ -55,7 +55,10 @@ class FrameReader:
     def __init__(self):
         self._buffer = bytearray()
 
-    def feed(self, chunk: bytes) -> list[Message]:
+    def feed(self, chunk) -> list[Message]:
+        """Decode the frames that ``chunk`` completes. The reader copies
+        what it keeps, so ``chunk`` may be a view of a buffer that the
+        caller overwrites afterwards."""
         self._buffer.extend(chunk)
         messages = []
         while (message := self._pop()) is not None:

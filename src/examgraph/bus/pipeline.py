@@ -31,7 +31,6 @@ from ..generation import (
     ExamSession,
     QuestionItem,
     TemplateGenerator,
-    evaluated_item_payload,
 )
 from ..ingestion import SourceDocument, apply_extractions, extract_document
 from ..kg import GraphRegistry
@@ -173,9 +172,14 @@ def _question_generation_agent(registry: GraphRegistry,
         else:
             request_id = message.correlation_id
             session = ctx.state.get(request_id)
-            if session is None or session.pending is None:
+            pending = session.pending if session is not None else None
+            if pending is None:
                 return []
-            session.record_result(session.pending,
+            ref = pending.ref()
+            # a duplicate or stale verdict names another candidate: drop it
+            if {key: payload.get(key) for key in ref} != ref:
+                return []
+            session.record_result(pending,
                                   EvaluationResult.from_dict(payload["evaluation"]))
         candidate = session.next_candidate()
         if candidate is None:
@@ -199,20 +203,16 @@ def _question_evaluation_agent(registry: GraphRegistry,
     def handler(ctx, message):
         payload = message.payload or {}
         candidate = payload["candidate"]
-        item = QuestionItem.from_payload(candidate["item"])
         result = rubric.evaluate(
-            item, candidate["target"],
+            QuestionItem.from_payload(candidate["item"]), candidate["target"],
             build_lexicon(registry.get(payload["subject"])),
             epsilon=candidate["epsilon"], weights=candidate.get("weights"),
         )
-        if result.passed:
-            return [Outgoing("exam/qualified", {
-                "slot": candidate["slot"],
-                "item": evaluated_item_payload(item, result),
-                "evaluation": result.to_dict(),
-            })]
-        return [Outgoing("exam/reject", {
-            "candidate": candidate,
+        # the verdict names its candidate but does not carry it: the
+        # generation agent holds the pending item
+        return [Outgoing("exam/qualified" if result.passed else "exam/reject", {
+            "slot": candidate["slot"], "attempt": candidate["attempt"],
+            "bundle_index": candidate["bundle_index"],
             "evaluation": result.to_dict(),
         })]
 

@@ -28,6 +28,10 @@ logger = logging.getLogger(__name__)
 
 ANNOUNCE_TOPIC = "system/announce"
 
+RECV_BYTES = 64 * 1024  # one reused receive buffer per socket
+
+_MISSING = object()
+
 
 class _Connection:
     def __init__(self, server: "TcpBusServer", sock: socket.socket, peer):
@@ -78,9 +82,9 @@ class TcpBusServer:
         self._running = False
         self._accept_thread: threading.Thread | None = None
         # frame of each message in a writer's hands, by id(message): the
-        # first writer to send a message encodes it for all, and the entry
-        # goes when the message does
-        self._frames: dict[int, bytes] = {}
+        # first writer to send a message encodes it for all (None when it
+        # cannot be encoded), and the entry goes when the message does
+        self._frames: dict[int, bytes | None] = {}
         self._frames_lock = threading.Lock()
 
     def start(self) -> None:
@@ -119,11 +123,13 @@ class TcpBusServer:
                 break
             if not isinstance(message, Message):
                 continue  # subscription-close sentinel
+            frame = self._frame(message)
+            del message  # an idle writer keeps no message, nor its entry
+            if frame is None:
+                continue
             try:
-                frame = self._frame(message)
-                del message  # an idle writer keeps no message, nor its entry
                 conn.sock.sendall(frame)
-            except (OSError, ExamGraphError):
+            except OSError:
                 break
         try:
             conn.sock.shutdown(socket.SHUT_RDWR)
@@ -131,26 +137,44 @@ class TcpBusServer:
             pass
         conn.sock.close()
 
-    def _frame(self, message: Message) -> bytes:
+    def _frame(self, message: Message) -> bytes | None:
+        """The frame of ``message``, encoded once for every writer; None for
+        a message that cannot be encoded, which the first writer to try
+        reports once on ``system/errors``."""
         key = id(message)
+        error = None
         with self._frames_lock:
-            frame = self._frames.get(key)
-            if frame is None:
-                frame = encode_frame(message)
+            frame = self._frames.get(key, _MISSING)
+            if frame is _MISSING:
+                try:
+                    frame = encode_frame(message)
+                except (MalformedFrame, FrameTooLarge) as exc:
+                    frame, error = None, exc
                 self._frames[key] = frame
                 # an id is reused only after its object is gone, and the
                 # finalizer has dropped the entry by then
                 weakref.finalize(message, self._frames.pop, key, None)
+        if error is not None:
+            logger.warning("dropping unencodable %s frame: %s", message.topic, error)
+            try:
+                self.bus.publish("system/errors", {
+                    "error_code": error.code, "message": str(error),
+                    "dropped_topic": message.topic,
+                }, sender="bus", correlation_id=message.correlation_id)
+            except ExamGraphError:
+                pass  # the bus has closed
         return frame
 
     def _read_loop(self, conn: _Connection) -> None:
         reader = FrameReader()
+        buffer = bytearray(RECV_BYTES)
+        view = memoryview(buffer)
         try:
             while conn.alive:
-                chunk = conn.sock.recv(65536)
-                if not chunk:
+                size = conn.sock.recv_into(buffer)
+                if not size:
                     break
-                for message in reader.feed(chunk):
+                for message in reader.feed(view[:size]):
                     self._handle_frame(conn, message)
         except (MalformedFrame, FrameTooLarge) as exc:
             self._send_error(conn, exc.code, str(exc))
@@ -273,9 +297,11 @@ class TcpBusClient:
 
     def _frames(self):
         """Frames off the socket until it closes, fails or the client closes."""
+        buffer = bytearray(RECV_BYTES)
+        view = memoryview(buffer)
         try:
-            while self._alive and (chunk := self._sock.recv(65536)):
-                yield from self._reader.feed(chunk)
+            while self._alive and (size := self._sock.recv_into(buffer)):
+                yield from self._reader.feed(view[:size])
         except (OSError, ExamGraphError):
             pass
 

@@ -10,7 +10,6 @@ from .exam import (
     Exam,
     ExamSession,
     SlotRef,
-    evaluated_item_payload,
     generate_exam,
     pretty_json,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "allocate_counts",
     "allocation_ratios",
     "assemble_material",
-    "evaluated_item_payload",
     "generate_candidate",
     "generate_exam",
     "pretty_json",

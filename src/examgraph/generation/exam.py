@@ -39,7 +39,8 @@ class Candidate:
     epsilon: float
     weights: list[float] | None
 
-    def to_payload(self) -> dict:
+    def ref(self) -> dict:
+        """The fields that name this candidate in its verdict."""
         return {
             "slot": {
                 "section": self.slot.section,
@@ -49,6 +50,11 @@ class Candidate:
             },
             "attempt": self.attempt,
             "bundle_index": self.bundle_index,
+        }
+
+    def to_payload(self) -> dict:
+        return {
+            **self.ref(),
             "item": self.item.to_payload(),
             "target": self.target,
             "epsilon": self.epsilon,
@@ -56,7 +62,7 @@ class Candidate:
         }
 
 
-def evaluated_item_payload(item: QuestionItem, result: EvaluationResult) -> dict:
+def _evaluated_item_payload(item: QuestionItem, result: EvaluationResult) -> dict:
     payload = item.to_payload()
     payload["ratings"] = {entry["feature"]: entry["rating"]
                           for entry in result.breakdown}
@@ -269,7 +275,7 @@ class ExamSession:
                             item=item, target=self.rubric.tiers[tier],
                             epsilon=self.epsilon, weights=self.weights)
                         if result.passed:
-                            self.items.append(evaluated_item_payload(item, result))
+                            self.items.append(_evaluated_item_payload(item, result))
                             used.add(pair)
                             yield True
                             break

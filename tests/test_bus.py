@@ -8,9 +8,11 @@ import time
 
 import pytest
 
+import examgraph.bus.codec as codec_module
 import examgraph.bus.tcp as tcp_module
 from examgraph.bus import (
     AgentDescriptor,
+    FrameReader,
     Message,
     MessageBus,
     Outgoing,
@@ -383,6 +385,24 @@ def test_codec_truncation_and_size_limit():
         encode_frame(big)
 
 
+def test_frame_reader_takes_views_of_a_reused_buffer():
+    """A stream split at every byte offset and fed as views of one buffer,
+    overwritten after each feed, yields what a whole-stream feed does."""
+    rng = random.Random(6464)
+    messages = [random_message(rng) for _ in range(4)]
+    stream = b"".join(encode_frame(message) for message in messages)
+    assert FrameReader().feed(stream) == messages
+    buffer = bytearray(len(stream))
+    view = memoryview(buffer)
+    for cut in range(len(stream) + 1):
+        reader, received = FrameReader(), []
+        for piece in (stream[:cut], stream[cut:]):
+            buffer[:len(piece)] = piece
+            received += reader.feed(view[:len(piece)])
+            buffer[:] = b"\xff" * len(buffer)
+        assert received == messages, f"split at byte {cut}"
+
+
 def test_codec_rejects_bad_bodies():
     with pytest.raises(MalformedFrame):
         decode_frame(b"\x00\x00\x00\x02{}")
@@ -506,6 +526,69 @@ def test_tcp_hub_encodes_each_published_message_once(monkeypatch):
         del received
         gc.collect()
         assert server._frames == {}
+    finally:
+        for client in clients:
+            client.close()
+        server.stop()
+        bus.close()
+
+
+def test_tcp_payload_larger_than_the_receive_buffer_round_trips():
+    bus = MessageBus()
+    server = TcpBusServer(bus)
+    server.start()
+    local = bus.subscribe("local", "chat/room")
+    client = TcpBusClient("127.0.0.1", server.port, "remote",
+                          subscriptions=["chat/room"])
+    # two UTF-8 bytes per character: frames of three receive buffers and more
+    up = {"text": "é" * (3 * tcp_module.RECV_BYTES // 2 + 7)}
+    down = {"text": "ü" * (5 * tcp_module.RECV_BYTES // 2 + 3)}
+    try:
+        client.publish("chat/room", up, correlation_id="up")
+        assert local.get(timeout=5).payload == up
+        assert client.get(timeout=5).payload == up
+        bus.publish("chat/room", down, sender="local", correlation_id="down")
+        received = client.get(timeout=5)
+        assert (received.correlation_id, received.payload) == ("down", down)
+    finally:
+        client.close()
+        server.stop()
+        bus.close()
+
+
+@pytest.mark.parametrize("code", ["malformed_frame", "frame_too_large"])
+def test_tcp_hub_drops_an_unencodable_frame_and_reports_it_once(monkeypatch, code):
+    """A publish the hub cannot encode reaches no peer, is reported once on
+    system/errors with its correlation id, and leaves every peer connected."""
+    if code == "malformed_frame":
+        payload = {"bad": {1, 2}}  # a set is not JSON
+    else:
+        monkeypatch.setattr(codec_module, "MAX_FRAME_BYTES", 4096)
+        payload = {"text": "x" * 8192}
+    bus = MessageBus()
+    server = TcpBusServer(bus)
+    server.start()
+    errors = bus.subscribe("watch", "system/errors")
+    clients = [TcpBusClient("127.0.0.1", server.port, f"peer{i}",
+                            subscriptions=["chat/room", "system/errors"])
+               for i in range(2)]
+    try:
+        assert bus.publish("chat/room", payload, sender="local",
+                           correlation_id="bad-1") == 2
+        bus.publish("chat/room", {"text": "after"}, sender="local")
+        for client in clients:
+            received = {m.topic: m for m in (client.get(timeout=2), client.get(timeout=2))}
+            report = received["system/errors"]
+            assert report.payload["error_code"] == code
+            assert report.correlation_id == "bad-1"
+            assert received["chat/room"].payload == {"text": "after"}
+        report = errors.get(timeout=2)
+        assert (report.payload["error_code"], report.correlation_id) == (code, "bad-1")
+        with pytest.raises(queue.Empty):
+            errors.get(timeout=0.3)
+        clients[0].publish("chat/room", {"text": "still here"})
+        for client in clients:
+            assert client.get(timeout=2).payload == {"text": "still here"}
     finally:
         for client in clients:
             client.close()

@@ -3,9 +3,14 @@ import queue
 
 import pytest
 
-from examgraph.assessment import RubricConfig
+from examgraph.assessment import RubricConfig, build_lexicon
 from examgraph.bus import MessageBus, TcpBusClient, TcpBusServer, run_pipeline
-from examgraph.generation import ExamBlueprint, TemplateGenerator, generate_exam
+from examgraph.generation import (
+    ExamBlueprint,
+    QuestionItem,
+    TemplateGenerator,
+    generate_exam,
+)
 from examgraph.ingestion import RuleExtractor, SourceDocument, ingest_document
 from examgraph.kg import GraphRegistry
 
@@ -84,8 +89,12 @@ def test_ingest_and_single_item_exam_equivalence(stack):
         RubricConfig(), seed=42)
     assert json.dumps(complete.payload, sort_keys=True) == \
         json.dumps(reference.to_dict(), sort_keys=True)
-    assert qualified_messages[0].payload["item"]["stem"] == \
-        reference.items[0]["stem"]
+    # the verdict names its slot and carries the evaluation, not the item
+    verdict = qualified_messages[0].payload
+    assert verdict["evaluation"]["breakdown"] == reference.items[0]["breakdown"]
+    assert verdict["slot"] == {"section": 0, "chapter": "Ch 1",
+                               "tier": reference.items[0]["tier"], "slot": 0}
+    assert "item" not in verdict
 
 
 def test_failing_candidate_emits_reject_then_retry(stack):
@@ -120,6 +129,49 @@ def test_failing_candidate_emits_reject_then_retry(stack):
     for reject in reject_messages:
         assert reject.payload["evaluation"]["breakdown"]
         assert reject.payload["evaluation"]["difficulty"] > 9
+
+
+def test_duplicate_and_stale_verdicts_are_ignored(stack):
+    """Grade by hand and send every verdict twice: the copy names a
+    candidate that is no longer pending, so it must not resolve the next
+    one, and the exam still equals the direct call's."""
+    bus, registry, pipeline, documents, lexicon = stack
+    next(agent for agent in pipeline.agents
+         if agent.name == "question_evaluation").stop()
+    ingest_document(registry, documents[0], RuleExtractor(lexicon))
+    inbox = queue.Queue()
+    for topic in ("exam/candidate", "exam/complete"):
+        bus.subscribe("watch", topic, shared_queue=inbox)
+    lexicon_of_graph = build_lexicon(registry.get("envsci"))
+    # a narrow gate: some candidates qualify, most are rejected
+    blueprint = {"subject": "envsci", "epsilon": 0.5, "sections": [
+        {"chapter": "Ch 1", "count": 3,
+         "tiers": {"basic": 1, "applied": 1, "comprehensive": 1}}]}
+    bus.publish("exam/request", {"blueprint": blueprint, "seed": 42},
+                sender="client", correlation_id="exam-1")
+
+    verdicts = []
+    while (message := inbox.get(timeout=15)).topic == "exam/candidate":
+        candidate = message.payload["candidate"]
+        result = RubricConfig().evaluate(
+            QuestionItem.from_payload(candidate["item"]), candidate["target"],
+            lexicon_of_graph, epsilon=candidate["epsilon"],
+            weights=candidate["weights"])
+        verdict = {"slot": candidate["slot"], "attempt": candidate["attempt"],
+                   "bundle_index": candidate["bundle_index"],
+                   "evaluation": result.to_dict()}
+        topic = "exam/qualified" if result.passed else "exam/reject"
+        verdicts.append(topic)
+        for _ in range(2):
+            bus.publish(topic, verdict, sender="client", correlation_id="exam-1")
+
+    reference = generate_exam(
+        registry, ExamBlueprint.from_dict(blueprint),
+        TemplateGenerator(registry.get("envsci"), seed=42), RubricConfig(), seed=42)
+    assert message.payload == reference.to_dict()
+    assert verdicts.count("exam/qualified") == len(reference.items) > 0
+    assert verdicts.count("exam/reject") == len(
+        [r for r in reference.rejects if r["reason"] == "gate_failed"]) > 0
 
 
 def test_exam_request_unknown_subject_reports_error(stack):
