@@ -6,17 +6,15 @@ subscription with a bounded per-subscriber queue (overflow drops the newest
 message and reports it on ``system/errors``). Sequence numbers increase
 strictly per (sender, topic), and each subscriber sees that order.
 
-Publishing looks exact patterns up by topic and compares the topic only
-with the wildcard patterns, split once at subscribe time, so its cost
-scales with the matching subscriptions, not with all of them. Matches are
-delivered in subscription order. The TCP hub (``tcp.py``) encodes each
-published frame once for all its peers.
+Publishing scans the live subscriptions in subscription order: a pattern
+without ``*`` matches when it equals the topic, and only wildcard patterns,
+split once at subscribe time, are compared segment by segment. Matches are
+delivered in that order. The TCP hub (``tcp.py``) encodes each published
+frame once for all its peers.
 """
 
 from __future__ import annotations
 
-import itertools
-import operator
 import queue
 import re
 import threading
@@ -87,14 +85,14 @@ class Subscription:
     """Live stream of matching messages; close() stops delivery."""
 
     def __init__(self, bus: "MessageBus", agent: str, pattern: str,
-                 q: queue.Queue, order: int, segments: list[str]):
+                 q: queue.Queue, segments: list[str]):
         self.bus = bus
         self.agent = agent
         self.pattern = pattern
         self.queue = q
         self.active = True
-        self._order = order  # how many subscriptions the bus made before
-        self._segments = segments
+        # the pattern's segments when it has a wildcard, else None
+        self._segments = segments if "*" in segments else None
 
     def get(self, timeout: float | None = None) -> Message | None:
         """Next message, None once the subscription (or bus) is closed.
@@ -108,19 +106,12 @@ class Subscription:
         self.bus._unsubscribe(self)
 
 
-_by_order = operator.attrgetter("_order")
-
-
 class MessageBus:
     """Topic router safe for concurrent publish/subscribe from any thread."""
 
     def __init__(self, queue_capacity: int = DEFAULT_QUEUE_CAPACITY):
         self._lock = threading.Lock()
-        # the live subscriptions, each in one list in subscription order:
-        # by pattern when it has no wildcard, else in _wildcards
-        self._exact: dict[str, list[Subscription]] = {}
-        self._wildcards: list[Subscription] = []
-        self._order = itertools.count()
+        self._subs: list[Subscription] = []  # live, in subscription order
         self._seq: dict[tuple[str, str], int] = {}
         self._names: set[str] = set()
         self._closed = False
@@ -159,15 +150,15 @@ class MessageBus:
         """Under self._lock: queue the message for every matching
         subscriber, in subscription order; returns how many took it and the
         ones that were full."""
-        matches = self._exact.get(message.topic, [])
-        if self._wildcards:
-            segments = message.topic.split("/")
-            wild = [sub for sub in self._wildcards
-                    if _segments_match(sub._segments, segments)]
-            if wild:
-                matches = sorted(matches + wild, key=_by_order)
+        topic = message.topic
+        segments = topic.split("/")
         delivered, overflowed = 0, []
-        for sub in matches:
+        for sub in self._subs:
+            if sub._segments is None:
+                if sub.pattern != topic:
+                    continue
+            elif not _segments_match(sub._segments, segments):
+                continue
             try:
                 sub.queue.put_nowait(message)
                 delivered += 1
@@ -185,24 +176,15 @@ class MessageBus:
         with self._lock:
             if self._closed:
                 raise BusClosed("bus is closed")
-            sub = Subscription(self, agent, pattern, q, next(self._order), segments)
-            if "*" in segments:
-                self._wildcards.append(sub)
-            else:
-                self._exact.setdefault(pattern, []).append(sub)
+            sub = Subscription(self, agent, pattern, q, segments)
+            self._subs.append(sub)
         return sub
 
     def _unsubscribe(self, sub: Subscription) -> None:
         with self._lock:
-            if sub.active:  # under the lock, active means indexed
+            if sub.active:  # under the lock, active means listed
                 sub.active = False
-                if "*" in sub._segments:
-                    self._wildcards.remove(sub)
-                else:
-                    subs = self._exact[sub.pattern]
-                    subs.remove(sub)
-                    if not subs:
-                        del self._exact[sub.pattern]
+                self._subs.remove(sub)
         try:
             sub.queue.put_nowait(_CLOSED)
         except queue.Full:
@@ -225,10 +207,7 @@ class MessageBus:
             if self._closed:
                 return
             self._closed = True
-            subs = [*itertools.chain.from_iterable(self._exact.values()),
-                    *self._wildcards]
-            self._exact.clear()
-            self._wildcards.clear()
+            subs, self._subs = self._subs, []
             for sub in subs:
                 sub.active = False
         for sub in subs:

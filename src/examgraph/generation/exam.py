@@ -183,7 +183,7 @@ def _attempt_pairs(start: int, n_bundles: int, max_retries: int) -> list[tuple[i
     pairs = [(start % n_bundles, 0)]
     bundle, variant = start, 0
     while len(pairs) < max_retries:
-        if len(pairs) % 2 == 1:
+        if n_bundles == 1 or len(pairs) % 2 == 1:
             variant += 1
         else:
             bundle += 1
@@ -197,14 +197,14 @@ class ExamSession:
 
     Retry policy: slots are filled in section -> tier -> slot order. Slot k
     of a cell (section, tier) tries up to ``max_retries`` (bundle, variant)
-    pairs, alternately advancing the template variant and the ranked
-    bundle from bundle k: (k,0), (k,1), (k+1,1), (k+1,2), ... (bundles
-    wrap around), skipping pairs already accepted in that cell. A generator
-    failure is logged as a reject and moves to the next pair; a candidate
-    that fails the gate is logged as ``gate_failed`` and does the same; the
-    first accepted candidate fills the slot. A slot whose pairs run out is
-    unfilled (``retries_exhausted``), as is every slot of a section without
-    material.
+    pairs, alternately advancing the template variant and the ranked bundle
+    from bundle k: (k,0), (k,1), (k+1,1), (k+1,2), ... (bundles wrap around;
+    with one bundle only the variant advances), skipping pairs already
+    accepted in that cell. A generator failure is logged as a reject and
+    moves to the next pair; a candidate that fails the gate is logged as
+    ``gate_failed`` and does the same; the first accepted candidate fills
+    the slot. A slot whose pairs run out is unfilled
+    (``retries_exhausted``), as is every slot of a section without material.
     """
 
     def __init__(self, graph: KnowledgeGraph, blueprint: ExamBlueprint,

@@ -137,10 +137,6 @@ class KnowledgeGraph:
         return len(self._nodes)
 
     @property
-    def node_count(self) -> int:
-        return len(self._nodes)
-
-    @property
     def edge_count(self) -> int:
         return len(self._edges)
 
@@ -156,9 +152,6 @@ class KnowledgeGraph:
             return self._nodes[node_id]
         except KeyError:
             raise UnknownNode(f"no node {node_id!r} in graph {self.subject!r}") from None
-
-    def has_node(self, node_id: str) -> bool:
-        return node_id in self._nodes
 
     def nodes(self, kind: NodeKind | None = None) -> list[Node]:
         return [n for n in self.view().nodes if kind is None or n.kind == kind]

@@ -169,8 +169,8 @@ class _LoggingQueue(queue.Queue):
 
 
 def test_routing_matches_a_brute_force_scan():
-    """The exact-pattern index and the wildcard list deliver what a scan of
-    every live subscription in subscription order would, in that order."""
+    """Publishing delivers what a brute-force scan of every live
+    subscription in subscription order would, in that order."""
     rng = random.Random(2024)
     segments = ["a", "b", "c"]
     log = []

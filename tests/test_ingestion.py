@@ -189,7 +189,7 @@ def test_ingest_hand_counted_assembly():
     )
     graph = registry.get("env")
     # 2 text entities + 1 concept + 1 hierarchy node
-    assert graph.node_count == 4
+    assert len(graph) == 4
     assert len(graph.nodes(NodeKind.TEXT)) == 2
     assert len(graph.nodes(NodeKind.CONCEPT)) == 1
     assert len(graph.nodes(NodeKind.HIERARCHY)) == 1

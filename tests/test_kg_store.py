@@ -29,7 +29,7 @@ from helpers import ROOTS_A, ROOTS_B, build_registry
 def test_create_subject_graph_empty():
     registry = GraphRegistry()
     graph = registry.create("waste_mgmt")
-    assert graph.node_count == 0
+    assert len(graph) == 0
     assert graph.edge_count == 0
     assert len(registry) == 1
 
@@ -106,7 +106,7 @@ def test_normalization_idempotent_random_labels():
 def test_assert_fact_triple_adds_nodes_and_edge():
     graph = KnowledgeGraph("s")
     edge = graph.assert_fact_triple("Intentional pollution", "harms", "ecosystem")
-    assert graph.node_count == 2
+    assert len(graph) == 2
     assert graph.edge_count == 1
     assert edge.kind == EdgeKind.FACT
     assert edge.label == "harms"

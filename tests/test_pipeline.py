@@ -468,3 +468,35 @@ def test_pipeline_exam_with_retries_matches_direct_call_bytes():
         bus.close()
     assert json.dumps(complete.payload, sort_keys=True).encode() == \
         json.dumps(direct.to_dict(), sort_keys=True).encode()
+
+
+def test_one_bundle_slot_never_repeats_a_candidate():
+    """With one material bundle, each retry of a slot takes the next
+    template variant: no slot tries one (attempt, bundle_index) twice,
+    directly or over the bus, where that pair names the verdict."""
+    registry, _, _ = build_registry("envsci", ROOTS_A, chapters=1)
+    spec = dict(blueprint_dict("envsci", 1), epsilon=0.5)
+    direct = generate_exam(registry, ExamBlueprint.from_dict(spec),
+                           TemplateGenerator(registry.get("envsci"), seed=42),
+                           seed=42, top_concepts=1)
+    tried = [(r["tier"], r["slot"], r["attempt"], r["bundle_index"])
+             for r in direct.rejects]
+    assert {r["reason"] for r in direct.rejects} == {"gate_failed"}
+    assert len(tried) > 10 and len(set(tried)) == len(tried)
+
+    bus = MessageBus()
+    pipeline = run_pipeline(bus, registry, RuleExtractor())
+    completes = bus.subscribe("watch-complete", "exam/complete")
+    candidates = bus.subscribe("watch-candidates", "exam/candidate")
+    try:
+        complete = publish_and_wait(bus, completes, "exam/request", {
+            "blueprint": spec, "seed": 42, "top_concepts": 1}, "exam-1")
+        frames = [m.payload["candidate"] for m in drain(candidates)]
+    finally:
+        pipeline.stop()
+        bus.close()
+    assert complete.payload == direct.to_dict()
+    names = [(json.dumps(c["slot"], sort_keys=True), c["attempt"], c["bundle_index"])
+             for c in frames]
+    assert len(names) == len(direct.items) + len(direct.rejects)
+    assert len(set(names)) == len(names)

@@ -154,7 +154,7 @@ def test_pagerank_memo_is_keyed_by_config():
 def test_readers_beside_a_writer_never_raise():
     registry, _, _ = build_registry("envsci", ROOTS_A, chapters=1)
     graph = registry.get("envsci")
-    nodes_before = graph.node_count
+    nodes_before = len(graph)
     blueprint = ExamBlueprint.from_dict(blueprint_dict("envsci", 1, 1, 1, 1))
     done = threading.Event()
     errors: list[Exception] = []
@@ -199,9 +199,9 @@ def test_readers_beside_a_writer_never_raise():
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     # no write was lost, and the last view saw every one of them
-    assert graph.node_count == nodes_before + 1500
+    assert len(graph) == nodes_before + 1500
     view = graph.view()
-    assert view.revision == graph.revision and len(view.nodes) == graph.node_count
+    assert view.revision == graph.revision and len(view.nodes) == len(graph)
 
 
 def _snapshot_lines() -> list[str]:
