@@ -30,6 +30,7 @@ class FeatureId(Enum):
     OPTION_SIMILARITY = "option_similarity"
     STEM_OPTION_OVERLAP = "stem_option_overlap"
     PLAUSIBLE_DISTRACTORS = "plausible_distractors"
+    __hash__ = object.__hash__  # members are singletons; Enum's hash runs in Python
 
 
 FEATURE_ORDER = tuple(FeatureId)
@@ -75,8 +76,12 @@ _OPTION_PAIRS = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
 
 
 def _mean(values: Iterable[float]) -> float:
-    values = list(values)
-    return sum(values) / len(values) if values else 0.0
+    """Added left to right: sum() rounds floats differently from Python 3.12 on."""
+    total, count = 0, 0
+    for value in values:
+        total += value
+        count += 1
+    return total / count if count else 0.0
 
 
 def measure_features(item, lexicon: frozenset[str] | set[str],

@@ -49,6 +49,7 @@ class DifficultyTier(Enum):
     BASIC_RECALL = "basic"
     APPLIED_UNDERSTANDING = "applied"
     COMPREHENSIVE_ANALYSIS = "comprehensive"
+    __hash__ = object.__hash__  # members are singletons; Enum's hash runs in Python
 
 
 # Target total difficulty D* per tier, spread over the [7, 21] range.
@@ -155,8 +156,12 @@ def _rate_row(raws, cuts) -> list[int]:
 
 
 def _weighted_sum(weights, ratings) -> float:
-    """sum(w_i * d_i), added left to right in feature order."""
-    return sum(w * d for w, d in zip(weights, ratings))
+    """sum(w_i * d_i), added left to right in feature order (not by sum(),
+    which rounds floats differently from Python 3.12 on)."""
+    total = 0
+    for w, d in zip(weights, ratings):
+        total += w * d
+    return total
 
 
 def rate_features(measurements: dict[FeatureId, float],

@@ -10,7 +10,9 @@ stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring
+from functools import cache
+from itertools import repeat
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring
 from typing import Iterator
 
 from ..assessment import DifficultyTier, EvaluationResult, RubricConfig, build_lexicon
@@ -73,76 +75,70 @@ def _evaluated_item_payload(item: QuestionItem, result: EvaluationResult) -> dic
     return payload
 
 
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CONTAINERS = (dict, list, tuple)
 
 
 def pretty_json(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)``,
     byte for byte, without the pure-Python iterator encoder that ``indent``
     selects in the standard library. Circular references are not detected."""
-    if not isinstance(obj, (dict, list, tuple)):
-        return _json_scalar(obj)
+    if not isinstance(obj, _CONTAINERS):
+        return _encoder("\n")(obj, 0)[0]
     out: list[str] = []
     _write_json(obj, out, "\n")
     return "".join(out)
 
 
-def _json_scalar(value) -> str:
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _NONFINITE.get(text, text)
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+@cache
+def _encoder(inner: str):
+    """``json.dumps``'s C encoder (arguments by position), one item per line
+    at ``inner``: a line break plus indentation, so one encoder per depth."""
+    return c_make_encoder(None, JSONEncoder().default, encode_basestring, None,
+                          ": ", "," + inner, True, False, True)
 
 
 def _json_key(key) -> str:
     """A key that is not a string, as the standard library converts it."""
     if isinstance(key, (int, float)) or key is None:
-        return _json_scalar(key)
+        return _encoder("\n")(key, 0)[0]
     raise TypeError(f"keys must be str, int, float, bool or None, "
                     f"not {key.__class__.__name__}")
 
 
-def _write_json(container, out: list[str], newline: str) -> None:
-    """Append ``container`` (a dict, list or tuple) indented one level below
-    ``newline``, which is a line break plus the enclosing indentation."""
+def _write_json(value, out: list[str], newline: str) -> None:
+    """Append the dict, list or tuple ``value`` one level below ``newline``,
+    a line break plus the enclosing indentation. The C encoder writes each
+    scalar, and each leaf (a container that holds no dict, list or tuple)
+    whole, as all of a leaf's items sit at one indentation."""
     inner = newline + "  "
-    if isinstance(container, dict):
-        if not container:
-            out.append("{}")
-            return
+    encode = _encoder(inner)
+    is_dict = isinstance(value, dict)
+    if not any(map(isinstance, value.values() if is_dict else value, repeat(_CONTAINERS))):
+        text = "".join(encode(value, 0))
+        out.append(text if len(text) == 2 else  # "{}" or "[]"
+                   text[0] + inner + text[1:-1] + newline + text[-1])
+        return
+    if is_dict:
         sep = "{" + inner
-        for key, value in sorted(container.items()):
+        for key, child in sorted(value.items()):
             if not isinstance(key, str):
                 key = _json_key(key)
             head = sep + encode_basestring(key) + ": "
-            if isinstance(value, (dict, list, tuple)):
+            if isinstance(child, _CONTAINERS):
                 out.append(head)
-                _write_json(value, out, inner)
+                _write_json(child, out, inner)
             else:
-                out.append(head + _json_scalar(value))
+                out.append(head + encode(child, 0)[0])
             sep = "," + inner
         out.append(newline + "}")
         return
-    if not container:
-        out.append("[]")
-        return
     sep = "[" + inner
-    for value in container:
-        if isinstance(value, (dict, list, tuple)):
+    for child in value:
+        if isinstance(child, _CONTAINERS):
             out.append(sep)
-            _write_json(value, out, inner)
+            _write_json(child, out, inner)
         else:
-            out.append(sep + _json_scalar(value))
+            out.append(sep + encode(child, 0)[0])
         sep = "," + inner
     out.append(newline + "]")
 

@@ -12,7 +12,9 @@ Writers serialize on the graph's lock; each effective mutation (a new node,
 raw label, source ref or edge, not an exact duplicate) bumps ``revision``.
 Readers never touch the live dicts but read ``view()``: an immutable snapshot
 built at most once per revision, on which derived data such as PageRank
-scores, the lexicon and chapter rankings is memoised.
+scores, the lexicon and chapter rankings is memoised. A view shares the
+immutable ``Edge`` tuples and copies the mutable nodes; ``restore`` keeps the
+node it is given, so its one caller, ``import_graph``, passes a fresh one.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import groupby
+from operator import attrgetter
+from typing import NamedTuple
 
 from ..errors import (
     DuplicateSubject,
@@ -42,6 +46,7 @@ class NodeKind(Enum):
     TEXT = "text"
     CONCEPT = "concept"
     HIERARCHY = "hierarchy"
+    __hash__ = object.__hash__  # members are singletons; Enum's hash runs in Python
 
 
 class EdgeKind(Enum):
@@ -49,6 +54,7 @@ class EdgeKind(Enum):
     IS_A = "is_a"
     PART_OF = "part_of"
     INCLUDE_IN = "include_in"
+    __hash__ = object.__hash__
 
 
 # Allowed (source kind, target kind) per edge kind.
@@ -69,8 +75,7 @@ class Node:
     source_refs: list[tuple[str, int]] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     kind: EdgeKind
     src: str
     dst: str
@@ -87,14 +92,15 @@ class GraphView:
         self.nodes = tuple(
             Node(n.id, n.kind, n.label, set(n.raw_labels), list(n.source_refs))
             for n in sorted(graph._nodes.values(), key=lambda n: n.id))
-        self.edges = tuple(sorted(
-            graph._edges, key=lambda e: (e.src, e.dst, e.kind.value, e.label or "")))
+        # sorted by (src, dst, kind, label): the endpoints' kinds fix the edge
+        # kind (_EDGE_TYPING), so equal endpoints never differ in kind
+        self.edges = tuple(sorted(graph._edges, key=attrgetter("src", "dst", "label")))
         self._by_id = {n.id: n for n in self.nodes}
         self._by_key = {(n.kind, n.label): n.id for n in self.nodes}
         # a stable sort by target keeps each node's in-edges in source order
-        by_dst = sorted(self.edges, key=lambda e: e.dst)
-        self.out_edges = {k: tuple(es) for k, es in groupby(self.edges, lambda e: e.src)}
-        self.in_edges = {k: tuple(es) for k, es in groupby(by_dst, lambda e: e.dst)}
+        by_dst = sorted(self.edges, key=attrgetter("dst"))
+        self.out_edges = {k: tuple(es) for k, es in groupby(self.edges, attrgetter("src"))}
+        self.in_edges = {k: tuple(es) for k, es in groupby(by_dst, attrgetter("dst"))}
         self._memo: dict = {}
 
     def view(self) -> GraphView:
@@ -216,14 +222,16 @@ class KnowledgeGraph:
 
     def restore(self, item: Node | Edge) -> None:
         """Add a stored edge, or node under its own id (snapshot import);
-        duplicates are errors, labels are normalized as ``find_node`` wants."""
+        duplicates are errors, labels are normalized as ``find_node`` wants.
+        A node whose label is already normalized is stored as given."""
         if isinstance(item, Edge):
             if not self._add_edge(item):
                 raise ValueError("duplicate edge")
             return
-        node = replace(item, label=normalize_label(item.label))
-        if not node.label:
+        label = normalize_label(item.label)
+        if not label:
             raise EmptyLabel(f"label {item.label!r} is empty after normalization")
+        node = item if label == item.label else replace(item, label=label)
         with self._write_lock:
             if node.id in self._nodes or (node.kind, node.label) in self._by_key:
                 raise ValueError(

@@ -21,6 +21,9 @@ SNAPSHOT_FORMAT = "kaqg-kg"
 SNAPSHOT_VERSION = 1
 
 _DECODER = json.JSONDecoder()
+# kinds by value: the Enum constructor's lookup runs in Python
+_NODE_KINDS = {kind.value: kind for kind in NodeKind}
+_EDGE_KINDS = {kind.value: kind for kind in EdgeKind}
 
 
 def _node_sort_key(node_id: str) -> tuple:
@@ -62,10 +65,19 @@ def _fail(line_no: int, reason: str):
     raise MalformedSnapshot(line_no, reason)
 
 
-def _require(record: dict, key: str, line_no: int):
-    if key not in record:
-        _fail(line_no, f"missing key {key!r}")
-    return record[key]
+def _require(record: dict, keys: tuple[str, ...], line_no: int) -> list:
+    """The values of ``keys``, failing on the first one missing."""
+    try:
+        return [record[key] for key in keys]
+    except KeyError as exc:
+        _fail(line_no, f"missing key {exc.args[0]!r}")
+
+
+def _kind(kinds: dict, raw, what: str, line_no: int):
+    kind = kinds.get(raw) if isinstance(raw, str) else None
+    if kind is None:
+        _fail(line_no, f"unknown {what} kind {raw!r}")
+    return kind
 
 
 def _parse_line(line: str):
@@ -90,12 +102,8 @@ def import_graph(stream: bytes | str) -> KnowledgeGraph:
             _fail(0, f"not valid UTF-8: {exc}")
     else:
         text = stream
-    lines = text.splitlines()
-    if not lines:
-        _fail(0, "empty snapshot")
-
     records = []
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
         try:
@@ -105,15 +113,18 @@ def import_graph(stream: bytes | str) -> KnowledgeGraph:
         if not isinstance(record, dict):
             _fail(line_no, "record is not an object")
         records.append((line_no, record))
+    if not records:
+        _fail(0, "empty snapshot")
 
     line_no, header = records[0]
     if header.get("type") != "header":
         _fail(line_no, "first record must be the header")
     if header.get("format") != SNAPSHOT_FORMAT:
         _fail(line_no, f"unknown format {header.get('format')!r}")
-    if header.get("version") != SNAPSHOT_VERSION:
-        _fail(line_no, f"unsupported version {header.get('version')!r}")
-    subject = _require(header, "subject", line_no)
+    version = header.get("version")
+    if type(version) is not int or version != SNAPSHOT_VERSION:  # not true, not 1.0
+        _fail(line_no, f"unsupported version {version!r}")
+    [subject] = _require(header, ("subject",), line_no)
     if not isinstance(subject, str) or not subject.strip():
         _fail(line_no, "header subject must be a non-empty string")
 
@@ -136,13 +147,8 @@ def import_graph(stream: bytes | str) -> KnowledgeGraph:
 
 
 def _parse_node(record: dict, line_no: int) -> Node:
-    node_id = _require(record, "id", line_no)
-    kind_raw = _require(record, "kind", line_no)
-    label = _require(record, "label", line_no)
-    try:
-        kind = NodeKind(kind_raw)
-    except ValueError:
-        _fail(line_no, f"unknown node kind {kind_raw!r}")
+    node_id, kind_raw, label = _require(record, ("id", "kind", "label"), line_no)
+    kind = _kind(_NODE_KINDS, kind_raw, "node", line_no)
     if not isinstance(node_id, str) or not node_id:
         _fail(line_no, "node id must be a non-empty string")
     if not isinstance(label, str) or not label:
@@ -156,7 +162,7 @@ def _parse_node(record: dict, line_no: int) -> Node:
         _fail(line_no, "source_refs must be a list")
     for ref in refs:
         if (not isinstance(ref, list) or len(ref) != 2
-                or not isinstance(ref[0], str) or not isinstance(ref[1], int)):
+                or not isinstance(ref[0], str) or type(ref[1]) is not int):
             _fail(line_no, f"bad source_ref {ref!r}")
         source_refs.append((ref[0], ref[1]))
     return Node(id=node_id, kind=kind, label=label,
@@ -164,19 +170,16 @@ def _parse_node(record: dict, line_no: int) -> Node:
 
 
 def _parse_edge(record: dict, line_no: int) -> Edge:
-    kind_raw = _require(record, "kind", line_no)
-    src = _require(record, "from", line_no)
-    dst = _require(record, "to", line_no)
-    try:
-        kind = EdgeKind(kind_raw)
-    except ValueError:
-        _fail(line_no, f"unknown edge kind {kind_raw!r}")
-    if kind == EdgeKind.FACT:
-        label = _require(record, "label", line_no)
+    kind_raw, src, dst = _require(record, ("kind", "from", "to"), line_no)
+    kind = _kind(_EDGE_KINDS, kind_raw, "edge", line_no)
+    if not isinstance(src, str) or not isinstance(dst, str):
+        _fail(line_no, "edge from and to must be node id strings")
+    if kind is EdgeKind.FACT:
+        [label] = _require(record, ("label",), line_no)
         if not isinstance(label, str) or not label:
             _fail(line_no, "fact edge label must be a non-empty string")
     else:
         if "label" in record:
             _fail(line_no, f"{kind.value} edges carry no label")
         label = None
-    return Edge(kind=kind, src=src, dst=dst, label=label)
+    return Edge(kind, src, dst, label)

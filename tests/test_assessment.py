@@ -1,7 +1,9 @@
 import dataclasses
 import math
+import operator
 import random
 from collections import Counter
+from functools import reduce
 from types import SimpleNamespace
 
 import pytest
@@ -145,7 +147,8 @@ def reference_features(stem, options, answer_index, lexicon, tau=0.4):
     pair_sims = [string_cosine(options[i], options[j])
                  for i in range(4) for j in range(i + 1, 4)]
     key = options[answer_index]
-    mean = lambda values: sum(values) / len(values)  # noqa: E731
+    # added left to right: sum() rounds floats differently from Python 3.12 on
+    mean = lambda values: reduce(operator.add, values, 0) / len(values)  # noqa: E731
     return {
         FeatureId.STEM_LENGTH: float(len(stem.split())),
         FeatureId.VOCAB_DENSITY: (sum(1 for t in stem_tokens if t in lexicon)

@@ -13,9 +13,11 @@ from examgraph.errors import (
     UnknownNode,
 )
 from examgraph.kg import (
+    Edge,
     EdgeKind,
     GraphRegistry,
     KnowledgeGraph,
+    Node,
     NodeKind,
     export_graph,
     import_graph,
@@ -351,6 +353,147 @@ def test_import_parses_lines_like_json_loads(case, monkeypatch):
     assert (outcome[0] == "graph") == (case in {
         "valid", "spaces-and-tabs", "nbsp-only-line", "lone-surrogate",
         "infinity-extra-key", "duplicate-keys"})
+
+
+HEADER = {"type": "header", "format": "kaqg-kg", "version": 1, "subject": "s"}
+NODE = {"type": "node", "id": "n2", "kind": "concept", "label": "c"}
+EDGE = {"type": "edge", "kind": "fact", "from": "n0", "to": "n1", "label": "r"}
+NODES = ['{"type":"node","id":"n0","kind":"text","label":"a"}',
+         '{"type":"node","id":"n1","kind":"text","label":"b"}']
+DROP = object()
+
+
+def _record(base, **changes):
+    record = {**base, **changes}
+    return json.dumps({k: v for k, v in record.items() if v is not DROP})
+
+
+def _header(**changes):
+    return [_record(HEADER, **changes)]
+
+
+def _node(**changes):
+    return [_record(HEADER), _record(NODE, **changes)]
+
+
+def _edge(**changes):
+    return [_record(HEADER), *NODES, _record(EDGE, **changes)]
+
+
+# One malformed record per rule: the snapshot, then the line and message that
+# import_graph reports.
+MALFORMED_SNAPSHOTS = {
+    "not-utf8": (b"\xff", 0, "not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+                 "in position 0: invalid start byte"),
+    "empty": ("", 0, "empty snapshot"),
+    "blank-lines-only": ("\n \n", 0, "empty snapshot"),
+    "invalid-json": ([_record(HEADER), "{"], 2,
+                     "invalid JSON: Expecting property name enclosed in double quotes"),
+    "not-an-object": ([_record(HEADER), "[1]"], 2, "record is not an object"),
+    "no-header": (NODES, 1, "first record must be the header"),
+    "unknown-format": (_header(format="x"), 1, "unknown format 'x'"),
+    "unsupported-version": (_header(version=2), 1, "unsupported version 2"),
+    "version-true": (_header(version=True), 1, "unsupported version True"),
+    "version-float": (_header(version=1.0), 1, "unsupported version 1.0"),
+    "no-subject": (_header(subject=DROP), 1, "missing key 'subject'"),
+    "blank-subject": (_header(subject=" "), 1, "header subject must be a non-empty string"),
+    "second-header": (_header() * 2, 2, "unexpected second header"),
+    "unknown-type": ([_record(HEADER), '{"type":"x"}'], 2, "unknown record type 'x'"),
+    "no-type": ([_record(HEADER), "{}"], 2, "unknown record type None"),
+    "node-no-id": (_node(id=DROP), 2, "missing key 'id'"),
+    "node-no-kind": (_node(kind=DROP), 2, "missing key 'kind'"),
+    "node-no-label": (_node(label=DROP), 2, "missing key 'label'"),
+    "node-unknown-kind": (_node(kind="fact"), 2, "unknown node kind 'fact'"),
+    "node-list-kind": (_node(kind=["text"]), 2, "unknown node kind ['text']"),
+    "node-int-id": (_node(id=2), 2, "node id must be a non-empty string"),
+    "node-empty-label": (_node(label=""), 2, "node label must be a non-empty string"),
+    "node-blank-label": (_node(label=" "), 2, "label ' ' is empty after normalization"),
+    "node-raw-labels": (_node(raw_labels=["x", 1]), 2, "raw_labels must be a list of strings"),
+    "node-source-refs": (_node(source_refs="d"), 2, "source_refs must be a list"),
+    "node-short-ref": (_node(source_refs=[["d"]]), 2, "bad source_ref ['d']"),
+    "node-bool-ref": (_node(source_refs=[["d", True]]), 2, "bad source_ref ['d', True]"),
+    "node-duplicate-id": ([*_edge()[:3], _record(NODE, id="n0")], 4,
+                          "duplicate node 'n0' (concept, 'c')"),
+    "node-duplicate-label": ([*_edge()[:3], _record(NODE, kind="text", label="A")], 4,
+                             "duplicate node 'n2' (text, 'a')"),
+    "edge-no-kind": (_edge(kind=DROP), 4, "missing key 'kind'"),
+    "edge-no-from": (_edge(**{"from": DROP}), 4, "missing key 'from'"),
+    "edge-no-to": (_edge(to=DROP), 4, "missing key 'to'"),
+    "edge-unknown-kind": (_edge(kind="text"), 4, "unknown edge kind 'text'"),
+    "edge-list-kind": (_edge(kind=["fact"]), 4, "unknown edge kind ['fact']"),
+    "edge-no-label": (_edge(label=DROP), 4, "missing key 'label'"),
+    "edge-empty-label": (_edge(label=""), 4, "fact edge label must be a non-empty string"),
+    "edge-label-on-link": (_edge(kind="is_a"), 4, "is_a edges carry no label"),
+    "edge-list-from": (_edge(**{"from": ["n0"]}), 4, "edge from and to must be node id strings"),
+    "edge-int-to": (_edge(to=0), 4, "edge from and to must be node id strings"),
+    "edge-unknown-node": (_edge(to="n9"), 4, "no node 'n9' in graph 's'"),
+    "edge-kind-mismatch": (_edge(kind="is_a", label=DROP), 4,
+                           "is_a requires text->concept, got text->text"),
+    "edge-duplicate": (_edge() + _edge()[-1:], 5, "duplicate edge"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_SNAPSHOTS)
+def test_import_rejects_each_malformed_record(case):
+    snapshot, line_no, reason = MALFORMED_SNAPSHOTS[case]
+    if isinstance(snapshot, list):
+        snapshot = "\n".join(snapshot) + "\n"
+    with pytest.raises(MalformedSnapshot) as exc_info:
+        import_graph(snapshot)
+    assert (exc_info.value.line_no, exc_info.value.reason) == (line_no, reason)
+    assert exc_info.value.code == "malformed_snapshot"
+
+
+def test_edges_compare_and_hash_by_value():
+    edge = Edge(EdgeKind.FACT, "n0", "n1", "harms")
+    same = Edge(kind=EdgeKind.FACT, src="n0", dst="n1", label="harms")
+    assert edge == same and hash(edge) == hash(same)
+    assert Edge(EdgeKind.IS_A, "n0", "n1") == Edge(EdgeKind.IS_A, "n0", "n1", None)
+    others = [Edge(EdgeKind.FACT, "n0", "n1", "helps"), Edge(EdgeKind.FACT, "n1", "n0", "harms"),
+              Edge(EdgeKind.FACT, "n0", "n2", "harms"), Edge(EdgeKind.IS_A, "n0", "n1")]
+    assert all(edge != other for other in others)
+    assert len({edge, same, *others}) == 5
+    assert Edge._fields == ("kind", "src", "dst", "label")
+    with pytest.raises(AttributeError):
+        edge.label = "helps"
+    # kinds hash by identity: equal members are the same object
+    assert {EdgeKind("fact"): 1}[EdgeKind.FACT] == 1
+    assert {NodeKind("text"): 1}[NodeKind.TEXT] == 1
+
+
+def test_edges_sort_by_endpoints_kind_and_label():
+    rng = random.Random(4242)
+    graph = KnowledgeGraph("s")
+    ids = {kind: [graph.upsert_entity(f"{kind.value} {i}", kind) for i in range(6)]
+           for kind in NodeKind}
+    for _ in range(200):
+        kind = rng.choice(list(EdgeKind))
+        if kind is EdgeKind.FACT:
+            graph.assert_fact_triple(f"text {rng.randrange(6)}", rng.choice("rstuv"),
+                                     f"text {rng.randrange(6)}")
+            continue
+        src_kind, dst_kind = {EdgeKind.IS_A: (NodeKind.TEXT, NodeKind.CONCEPT),
+                              EdgeKind.PART_OF: (NodeKind.HIERARCHY, NodeKind.HIERARCHY),
+                              EdgeKind.INCLUDE_IN: (NodeKind.CONCEPT, NodeKind.HIERARCHY)}[kind]
+        graph.assert_link(kind, rng.choice(ids[src_kind]), rng.choice(ids[dst_kind]))
+    edges = graph.edges()
+    assert len(edges) == graph.edge_count > 100
+    assert edges == sorted(edges, key=lambda e: (e.src, e.dst, e.kind.value, e.label or ""))
+    view = graph.view()
+    for node_id, out in view.out_edges.items():
+        assert list(out) == [e for e in edges if e.src == node_id]
+    for node_id, into in view.in_edges.items():
+        assert list(into) == [e for e in edges if e.dst == node_id]
+
+
+def test_restore_normalizes_a_copy_of_the_node():
+    graph = KnowledgeGraph("s")
+    raw = Node("n4", NodeKind.TEXT, "  Soil  Erosion ", {"Soil Erosion"}, [("d", 1)])
+    graph.restore(raw)
+    assert raw.label == "  Soil  Erosion "
+    assert graph.find_node("soil erosion", NodeKind.TEXT) == "n4"
+    assert graph.node("n4").label == "soil erosion"
+    assert graph.upsert_entity("next", NodeKind.TEXT) == "n5"
 
 
 def test_import_into_occupied_subject_collides():

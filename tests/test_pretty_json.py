@@ -66,6 +66,92 @@ def test_random_payloads_match_json_dumps(seed):
         assert pretty_json(payload) == reference(payload)
 
 
+class Mapping(dict):
+    pass
+
+
+class Sequence(list):
+    pass
+
+
+def leaf_scalar(rng: random.Random):
+    kind = rng.randrange(8)
+    if kind == 0:
+        return rng.choice(list(BloomLevel))  # an IntEnum
+    if kind == 1:
+        return rng.choice([float("nan"), float("inf"), float("-inf")])
+    return random_scalar(rng)
+
+
+def random_leaf(rng: random.Random):
+    """A dict, list or tuple (or a subclass) that holds no dict, list or tuple."""
+    size = rng.choice([0, 1, 2, 3, 7])
+    kind = rng.randrange(5)
+    if kind < 3:
+        return (list, tuple, Sequence)[kind](leaf_scalar(rng) for _ in range(size))
+    key_kind = rng.choice([0, 0, 1, 2])
+    leaf = {random_key(rng, key_kind): leaf_scalar(rng) for _ in range(size)}
+    return Mapping(leaf) if kind == 4 else leaf
+
+
+def leafy_value(rng: random.Random, depth: int):
+    """A payload ``depth`` containers deep whose values are mostly leaves:
+    one child leads on down, its siblings are leaves (some empty), scalars or
+    shallower payloads."""
+    if depth == 0:
+        return random_leaf(rng)
+    children = [leafy_value(rng, depth - 1)]
+    for _ in range(rng.randrange(4)):
+        pick = rng.randrange(4)
+        children.insert(rng.randrange(len(children) + 1), (
+            random_leaf(rng) if pick < 2 else leaf_scalar(rng) if pick == 2
+            else leafy_value(rng, rng.randrange(depth))))
+    kind = rng.randrange(3)
+    if kind < 2:
+        return (list, tuple)[kind](children)
+    key_kind = rng.choice([0, 0, 1])
+    keys = {random_key(rng, key_kind) for _ in range(3 * len(children))}
+    return dict(zip(keys, children))
+
+
+@pytest.mark.parametrize("depth", range(9))
+def test_leafy_payloads_match_json_dumps(depth):
+    rng = random.Random(f"leafy|{depth}")
+    for _ in range(40):
+        payload = leafy_value(rng, depth)
+        assert pretty_json(payload) == reference(payload)
+
+
+@pytest.mark.parametrize("bad", [object(), {1, 2}, b"bytes", complex(1, 2)],
+                         ids=["object", "set", "bytes", "complex"])
+def test_unserialisable_value_in_a_leaf_raises_like_json_dumps(bad):
+    rng = random.Random(f"bad-leaf|{type(bad).__name__}")
+    for depth in range(9):
+        payload = leafy_value(rng, depth)
+        assert pretty_json(payload) == reference(payload)
+        leaf = payload
+        while True:  # walk down to a leaf and plant the bad value in it
+            values = list(leaf.values() if isinstance(leaf, dict) else leaf)
+            nested = [v for v in values if isinstance(v, (dict, list, tuple))]
+            if not nested:
+                break
+            leaf = nested[0]
+        if isinstance(leaf, dict):
+            leaf["bad"] = bad
+            if any(not isinstance(k, str) for k in leaf):
+                continue  # keys that do not sort together fail first
+        elif isinstance(leaf, list):
+            leaf.append(bad)
+        else:
+            continue
+        with pytest.raises(TypeError) as expected:
+            reference(payload)
+        with pytest.raises(TypeError) as got:
+            pretty_json(payload)
+        assert str(got.value) == str(expected.value)
+        assert "is not JSON serializable" in str(got.value)
+
+
 @pytest.mark.parametrize("payload", [
     {}, [], (), "", 0, -0.0, 1e-7, 1e16, float("nan"), float("-inf"), 2**100,
     True, None, "tab\there \"quoted\" \\ é\x01",
