@@ -8,11 +8,21 @@ import math
 import statistics
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable
 
 from ..errors import DegenerateInput, UnbalancedDesign
 from .beta import f_survival, t_survival_two_sided
 
 Sample = list[float]
+
+
+def _sum(values: Iterable[float]) -> float:
+    """Added left to right, as sum() adds floats before Python 3.12 (which
+    compensates), so the analysis bytes are the same on every version."""
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass
@@ -100,11 +110,11 @@ def one_way_anova(groups: list[Sample]) -> AnovaResult:
     _check_groups(groups)
     k = len(groups)
     n_total = sum(len(g) for g in groups)
-    grand = sum(sum(g) for g in groups) / n_total
-    means = [sum(g) / len(g) for g in groups]
-    ss_between = sum(len(g) * (m - grand) ** 2 for g, m in zip(groups, means))
-    ss_within = sum(sum((x - m) ** 2 for x in g) for g, m in zip(groups, means))
-    ss_total = sum(sum((x - grand) ** 2 for x in g) for g in groups)
+    grand = _sum(_sum(g) for g in groups) / n_total
+    means = [_sum(g) / len(g) for g in groups]
+    ss_between = _sum(len(g) * (m - grand) ** 2 for g, m in zip(groups, means))
+    ss_within = _sum(_sum((x - m) ** 2 for x in g) for g, m in zip(groups, means))
+    ss_total = _sum(_sum((x - grand) ** 2 for x in g) for g in groups)
     df_between = k - 1
     df_within = n_total - k
     ms_within = ss_within / df_within
@@ -139,23 +149,23 @@ def two_way_anova(cells: list[list[Sample]]) -> TwoWayAnovaResult:
                 raise UnbalancedDesign(
                     f"unequal cell sizes: expected {n}, got {len(cell)}")
 
-    cell_means = [[sum(cell) / n for cell in row] for row in cells]
-    a_means = [sum(row) / b_levels for row in cell_means]
-    b_means = [sum(cell_means[i][j] for i in range(a_levels)) / a_levels
+    cell_means = [[_sum(cell) / n for cell in row] for row in cells]
+    a_means = [_sum(row) / b_levels for row in cell_means]
+    b_means = [_sum(cell_means[i][j] for i in range(a_levels)) / a_levels
                for j in range(b_levels)]
-    grand = sum(a_means) / a_levels
+    grand = _sum(a_means) / a_levels
 
-    ss_a = b_levels * n * sum((m - grand) ** 2 for m in a_means)
-    ss_b = a_levels * n * sum((m - grand) ** 2 for m in b_means)
-    ss_ab = n * sum(
+    ss_a = b_levels * n * _sum((m - grand) ** 2 for m in a_means)
+    ss_b = a_levels * n * _sum((m - grand) ** 2 for m in b_means)
+    ss_ab = n * _sum(
         (cell_means[i][j] - a_means[i] - b_means[j] + grand) ** 2
         for i in range(a_levels) for j in range(b_levels)
     )
-    ss_resid = sum(
+    ss_resid = _sum(
         (x - cell_means[i][j]) ** 2
         for i in range(a_levels) for j in range(b_levels) for x in cells[i][j]
     )
-    ss_total = sum(
+    ss_total = _sum(
         (x - grand) ** 2
         for row in cells for cell in row for x in cell
     )
@@ -182,11 +192,8 @@ def levene_test(groups: list[Sample]) -> AnovaResult:
     """Brown-Forsythe variant of Levene's homogeneity-of-variance test:
     one-way ANOVA on absolute deviations from each group's median."""
     _check_groups(groups)
-    transformed = [
-        [abs(x - statistics.median(g)) for x in g]
-        for g in groups
-    ]
-    return one_way_anova(transformed)
+    medians = [statistics.median(g) for g in groups]
+    return one_way_anova([[abs(x - m) for x in g] for g, m in zip(groups, medians)])
 
 
 def pairwise_welch_bonferroni(groups: list[Sample],
@@ -200,9 +207,9 @@ def pairwise_welch_bonferroni(groups: list[Sample],
     for i, j in pairs:
         g1, g2 = groups[i], groups[j]
         n1, n2 = len(g1), len(g2)
-        m1, m2 = sum(g1) / n1, sum(g2) / n2
-        v1 = sum((x - m1) ** 2 for x in g1) / (n1 - 1)
-        v2 = sum((x - m2) ** 2 for x in g2) / (n2 - 1)
+        m1, m2 = _sum(g1) / n1, _sum(g2) / n2
+        v1 = _sum((x - m1) ** 2 for x in g1) / (n1 - 1)
+        v2 = _sum((x - m2) ** 2 for x in g2) / (n2 - 1)
         se_sq = v1 / n1 + v2 / n2
         if se_sq == 0.0:
             t_stat = 0.0 if m1 == m2 else math.inf

@@ -6,36 +6,51 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 
 from ..errors import InvalidParams, TooFewParticipants, UnknownItem
 
 
-@dataclass
 class ResponseMatrix:
-    """Complete participants x items matrix of 0/1 scores."""
+    """Complete participants x items matrix of 0/1 scores.
 
-    participants: list[str]
-    items: list[str]
-    rows: list[list[int]]
+    The cells are stored once, packed row-major in one ``bytes`` object with
+    one byte (0 or 1) per cell, and the statistics below count them in C.
+    ``rows`` reads them back as lists of ints, so it cannot disagree with
+    the statistics. A row given to the constructor may be any sequence of
+    cells that each equal 0 or 1.
+    """
 
-    def __post_init__(self):
-        if len(self.participants) < 2:
+    def __init__(self, participants: list[str], items: list[str],
+                 rows: list[list[int]]):
+        if len(participants) < 2:
             raise ValueError("need at least 2 participants")
-        if not self.items:
+        if not items:
             raise ValueError("need at least 1 item")
-        if len(set(self.participants)) != len(self.participants):
+        if len(set(participants)) != len(participants):
             raise ValueError("participant ids must be unique")
-        if len(set(self.items)) != len(self.items):
+        if len(set(items)) != len(items):
             raise ValueError("item ids must be unique")
-        if len(self.rows) != len(self.participants):
+        if len(rows) != len(participants):
             raise ValueError("one row per participant required")
-        for pid, row in zip(self.participants, self.rows):
-            if len(row) != len(self.items):
-                raise ValueError(f"row for {pid!r} has {len(row)} cells, "
-                                 f"expected {len(self.items)}")
-            if row.count(0) + row.count(1) != len(row):
-                raise ValueError(f"row for {pid!r} contains non-binary cells")
+        self.participants = participants
+        self.items = items
+        self._cells = _pack(participants, rows, len(items))
+
+    def __repr__(self) -> str:
+        return (f"ResponseMatrix(participants={self.participants!r}, "
+                f"items={self.items!r}, rows={self.rows!r})")
+
+    def __eq__(self, other):
+        if not isinstance(other, ResponseMatrix):
+            return NotImplemented
+        return (self.participants, self.items, self._cells) == \
+            (other.participants, other.items, other._cells)
+
+    @property
+    def rows(self) -> list[list[int]]:
+        """One new list of 0/1 ints per participant."""
+        cells, width = self._cells, len(self.items)
+        return [list(cells[i:i + width]) for i in range(0, len(cells), width)]
 
     def item_index(self, item: str) -> int:
         try:
@@ -57,7 +72,10 @@ class ResponseMatrix:
         items = [h.strip() for h in header[1:]]
         binary = _binary_rows(text, len(items))
         if binary is not None:
-            return cls(binary[0], items, binary[1])
+            try:
+                return cls(binary[0], items, binary[1])
+            except ValueError:
+                pass  # csv.reader + int below name this text's error
         participants: list[str] = []
         rows: list[list[int]] = []
         for line_no, record in enumerate(reader, start=2):
@@ -74,43 +92,81 @@ class ResponseMatrix:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["participant", *self.items])
-        for pid, row in zip(self.participants, self.rows):
-            writer.writerow([pid, *row])
+        cells, width = self._cells, len(self.items)
+        for pid, start in zip(self.participants, range(0, len(cells), width)):
+            writer.writerow([pid, *cells[start:start + width]])
         return out.getvalue()
 
 
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
+def _pack(participants: list[str], rows, width: int) -> bytes:
+    """The rows' cells as one row-major ``bytes`` object. Lists, tuples and
+    bytes of 0/1 ints are packed and checked in C; only when that fails are
+    the rows walked, which names the first bad row, accepts cells such as
+    ``1.0`` that equal 0 or 1, and raises what any other row raises there."""
+    try:
+        if all(type(row) in (list, tuple, bytes) and len(row) == width
+               for row in rows):
+            cells = b"".join(map(bytes, rows))
+            if not cells.translate(None, b"\x00\x01"):
+                return cells
+    except (TypeError, ValueError):
+        pass
+    for pid, row in zip(participants, rows):
+        if len(row) != width:
+            raise ValueError(f"row for {pid!r} has {len(row)} cells, "
+                             f"expected {width}")
+        if row.count(0) + row.count(1) != len(row):
+            raise ValueError(f"row for {pid!r} contains non-binary cells")
+    return bytes(cell == 1 for row in rows for cell in row)
 
 
-def _binary_rows(text: str, width: int) -> tuple[list[str], list[list[int]]] | None:
-    """Participants and rows after the header line when the text has no
-    quote, CR or NUL and each line is blank or ``id,b,...,b`` with ``width``
-    0/1 cells, which csv.reader + int read the same way; else None."""
+# '0' -> 0 and '1' -> 1; every other byte -> 2, which _pack rejects
+_BITS = bytes({ord("0"): 0, ord("1"): 1}.get(b, 2) for b in range(256))
+
+
+def _binary_rows(text: str, width: int) -> tuple[list[str], list[bytes]] | None:
+    """Participants and packed rows after the header line when the text has
+    no quote, CR or NUL and each line is blank or ``id,c,...,c`` with
+    ``width`` one-character ASCII cells, which csv.reader reads the same
+    way; else None. A cell other than ``0``/``1`` becomes byte 2, so the
+    constructor rejects the rows and ``from_csv`` falls back to csv.reader."""
     if '"' in text or "\r" in text or "\0" in text:
         return None
     commas = "," * (width - 1)
     limit = csv.field_size_limit()
     participants: list[str] = []
-    rows: list[list[int]] = []
+    rows: list[bytes] = []
     for line in text.split("\n")[1:]:
         pid, _, cells = line.partition(",")
         if (len(cells) == 2 * width - 1 and len(pid) <= limit
                 and cells.isascii() and cells[1::2] == commas):
-            bits = cells[::2].encode("ascii")
-            if not bits.translate(None, b"01"):
-                participants.append(pid.strip())
-                rows.append(list(bits.translate(_BITS)))
-                continue
-        if line.strip():
+            participants.append(pid.strip())
+            rows.append(cells[::2].encode("ascii").translate(_BITS))
+        elif line.strip():
             return None
     return participants, rows
+
+
+def _totals(matrix: ResponseMatrix) -> list[int]:
+    """Each participant's total score, in ``matrix.participants`` order."""
+    cells, width = matrix._cells, len(matrix.items)
+    return [cells.count(1, i, i + width) for i in range(0, len(cells), width)]
+
+
+def _column_counts(matrix: ResponseMatrix, rows: list[int] | None = None) -> list[int]:
+    """Number of 1 cells in each item's column, over every participant or
+    over the participants at the given row positions."""
+    cells, width = matrix._cells, len(matrix.items)
+    if rows is not None:
+        cells = b"".join([cells[i * width:(i + 1) * width] for i in rows])
+    return [cells[j::width].count(1) for j in range(width)]
 
 
 def item_p_values(matrix: ResponseMatrix) -> list[float]:
     """Proportion of participants answering each item correctly, in
     ``matrix.items`` order."""
-    n = len(matrix.rows)
-    return [sum(column) / n for column in zip(*matrix.rows)]
+    n = len(matrix.participants)
+    return [count / n for count in _column_counts(matrix)]
 
 
 def item_discriminations(matrix: ResponseMatrix,
@@ -122,7 +178,7 @@ def item_discriminations(matrix: ResponseMatrix,
     k = ceil(fraction * n) are taken from each end of that ranking, and each
     group's column sums are taken once for all items.
     """
-    return _discriminations(matrix, fraction, [sum(row) for row in matrix.rows])
+    return _discriminations(matrix, fraction, _totals(matrix))
 
 
 def _discriminations(matrix: ResponseMatrix, fraction: float,
@@ -131,15 +187,13 @@ def _discriminations(matrix: ResponseMatrix, fraction: float,
     in ``matrix.participants`` order."""
     if not 0 < fraction <= 0.5:
         raise InvalidParams(f"fraction must be in (0, 0.5], got {fraction}")
-    n = len(matrix.participants)
+    participants = matrix.participants
+    n = len(participants)
     if n < 4:
         raise TooFewParticipants(f"discrimination needs >= 4 participants, got {n}")
-    order = sorted(zip(totals, matrix.participants, matrix.rows),
-                   key=lambda entry: (-entry[0], entry[1]))
-    ranked = [row for _, _, row in order]
+    order = sorted(range(n), key=lambda i: (-totals[i], participants[i]))
     k = math.ceil(fraction * n)
-    top = [sum(column) for column in zip(*ranked[:k])]
-    bottom = [sum(column) for column in zip(*ranked[-k:])]
+    top, bottom = _column_counts(matrix, order[:k]), _column_counts(matrix, order[-k:])
     return [t / k - b / k for t, b in zip(top, bottom)]
 
 

@@ -6,16 +6,16 @@ from __future__ import annotations
 import math
 
 from ..errors import TooFewParticipants
-from .anova import levene_test, one_way_anova, pairwise_welch_bonferroni
-from .itemstats import ResponseMatrix, _discriminations, item_p_values
+from .anova import _sum, levene_test, one_way_anova, pairwise_welch_bonferroni
+from .itemstats import ResponseMatrix, _discriminations, _totals, item_p_values
 
 
 def _mean_sd(values: list[float]) -> tuple[float, float]:
     n = len(values)
-    mean = sum(values) / n
+    mean = _sum(values) / n
     if n < 2:
         return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    var = _sum((v - mean) ** 2 for v in values) / (n - 1)
     return mean, math.sqrt(var)
 
 
@@ -28,7 +28,7 @@ def analyze(matrix: ResponseMatrix, groups: dict[str, str] | None = None,
     one-way ANOVA across groups, Levene's test, and Bonferroni-corrected
     pairwise Welch comparisons.
     """
-    totals = [sum(row) for row in matrix.rows]
+    totals = _totals(matrix)
     try:
         discriminations = _discriminations(matrix, discrimination_fraction, totals)
     except TooFewParticipants:

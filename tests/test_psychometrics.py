@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 import random
 
@@ -29,6 +30,7 @@ from examgraph.psychometrics import (
     t_survival_two_sided,
     two_way_anova,
 )
+from examgraph.psychometrics.itemstats import _binary_rows, _totals
 
 
 def beta_quadrature(x, a, b):
@@ -83,6 +85,56 @@ def test_matrix_cells_must_equal_zero_or_one(cell, binary):
     else:
         with pytest.raises(ValueError, match="row for 'p1' contains non-binary cells"):
             ResponseMatrix(["p1", "p2"], ["q1", "q2", "q3"], rows)
+
+
+# Each row set with its outcome before the cells were packed: the exception
+# and its message, or for accepted rows the rows, the CSV body and the P
+# values. Two outcomes changed on purpose, noted where they occur.
+P0_NOT_BINARY = (ValueError, "row for 'p0' contains non-binary cells")
+ODD_ROWS = [
+    ("bad width before a later non-binary row", [[1, 0, 1], [1], [2, 0, 1]],
+     (ValueError, "row for 'p1' has 1 cells, expected 3")),
+    ("non-binary row before a later bad width", [[1, 2, 1], [1], [0, 0, 1]],
+     P0_NOT_BINARY),
+    ("non-binary row after good rows", [[0], [1], [0], [5]],
+     (ValueError, "row for 'p3' contains non-binary cells")),
+    ("two", [[2], [0]], P0_NOT_BINARY),
+    ("minus one", [[-1], [0]], P0_NOT_BINARY),
+    ("256", [[256], [0]], P0_NOT_BINARY),
+    ("string cell", [["1"], [0]], P0_NOT_BINARY),
+    ("None", [[None], [0]], P0_NOT_BINARY),
+    ("NaN", [[float("nan")], [0]], P0_NOT_BINARY),
+    ("string row", ["1", [0]], (TypeError, "must be str, not int")),
+    ("int row", [3, [0]], (TypeError, "object of type 'int' has no len()")),
+    ("set row", [{1}, [0]], (AttributeError, "'set' object has no attribute 'count'")),
+    # written as "p0,True" and "p0,1.0" before, which from_csv rejected
+    ("True", [[True], [0]], ([[1], [0]], "p0,1\np1,0\n", [0.5])),
+    ("float", [[1.0], [0]], ([[1], [0]], "p0,1\np1,0\n", [0.5])),
+    # .rows held the tuple or the bytes object itself before
+    ("tuple row", [(1, 0), [0, 1]], ([[1, 0], [0, 1]], "p0,1,0\np1,0,1\n", [0.5, 0.5])),
+    ("bytes row", [b"\x01\x00", [0, 1]],
+     ([[1, 0], [0, 1]], "p0,1,0\np1,0,1\n", [0.5, 0.5])),
+]
+
+
+@pytest.mark.parametrize("rows, expected", [case[1:] for case in ODD_ROWS],
+                         ids=[case[0] for case in ODD_ROWS])
+def test_odd_constructor_rows(rows, expected):
+    participants = [f"p{i}" for i in range(len(rows))]
+    items = [f"q{j}" for j in range(len(rows[-1]))]
+    if isinstance(expected[0], type):
+        with pytest.raises(expected[0]) as caught:
+            ResponseMatrix(participants, items, rows)
+        assert type(caught.value) is expected[0]
+        assert str(caught.value) == expected[1]
+        return
+    matrix = ResponseMatrix(participants, items, rows)
+    assert matrix.rows == expected[0]
+    assert all(type(row) is list and all(type(cell) is int for cell in row)
+               for row in matrix.rows)
+    assert matrix.to_csv() == ",".join(["participant", *items]) + "\n" + expected[1]
+    assert item_p_values(matrix) == expected[2]
+    assert ResponseMatrix.from_csv(matrix.to_csv()) == matrix
 
 
 def test_group_means_reproduce_reported_ordering():
@@ -565,3 +617,113 @@ def test_from_csv_matches_csv_int_reference():
             _outcome(csv_int_reference, text), repr(text)
     # both outcomes are common, so neither path is checked only vacuously
     assert 200 < matrices < 1000
+
+
+def _add(values):
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
+def list_reference_analysis(participants, items, rows, groups, fraction):
+    """``analyze`` over lists of rows: columns by zip, totals by sum."""
+    n = len(rows)
+    totals = [sum(row) for row in rows]
+    p_values = [sum(column) / n for column in zip(*rows)]
+    discriminations = [None] * len(items)
+    if n >= 4:
+        ranked = [row for _, _, row in sorted(zip(totals, participants, rows),
+                                              key=lambda e: (-e[0], e[1]))]
+        k = math.ceil(fraction * n)
+        top = [sum(column) for column in zip(*ranked[:k])]
+        bottom = [sum(column) for column in zip(*ranked[-k:])]
+        discriminations = [t / k - b / k for t, b in zip(top, bottom)]
+    report = {
+        "participants": n,
+        "items": len(items),
+        "item_stats": [{"item": item, "p_value": p, "discrimination": d}
+                       for item, p, d in zip(items, p_values, discriminations)],
+        "mean_p_value": _add(p_values) / len(p_values),
+    }
+    by_group = {}
+    for pid, total in zip(participants, totals):
+        if pid in groups:
+            by_group.setdefault(groups[pid], []).append(total / len(items))
+    summary = {}
+    for label in sorted(by_group):
+        values = by_group[label]
+        mean = _add(values) / len(values)
+        sd = (math.sqrt(_add((v - mean) ** 2 for v in values) / (len(values) - 1))
+              if len(values) > 1 else 0.0)
+        summary[label] = {"n": len(values), "mean": mean, "sd": sd}
+    if groups:
+        report["groups"] = summary
+    labels = [label for label in sorted(by_group) if len(by_group[label]) >= 2]
+    samples = [by_group[label] for label in labels]
+    if len(samples) >= 2:
+        report["anova"] = one_way_anova(samples).to_dict()
+        report["levene"] = levene_test(samples).to_dict()
+        report["pairwise"] = pairwise_welch_bonferroni(samples, labels)
+    return totals, p_values, discriminations, report
+
+
+EQUIVALENCE_SHAPES = [
+    # (participants, items, kind)
+    (2, 1, "random"), (3, 1, "random"), (2, 5, "random"), (3, 4, "random"),
+    (4, 1, "random"), (5, 3, "random"), (12, 3, "random"), (40, 7, "random"),
+    (9, 6, "zeros"), (9, 6, "ones"), (10, 4, "extremes"), (30, 2, "random"),
+]
+
+
+def _seeded_rows(rng, n, width, kind):
+    if kind == "zeros":
+        return [[0] * width for _ in range(n)]
+    if kind == "ones":
+        return [[1] * width for _ in range(n)]
+    rows = [[rng.randint(0, 1) for _ in range(width)] for _ in range(n)]
+    if kind == "extremes":
+        rows[0], rows[-1] = [1] * width, [0] * width
+        rows[n // 2] = [0] * width
+    return rows
+
+
+@pytest.mark.parametrize("n, width, kind", EQUIVALENCE_SHAPES)
+def test_packed_statistics_equal_list_reference(n, width, kind):
+    """P values, discriminations, totals and the whole report from the
+    packed cells equal a zip/sum reference over the rows, for matrices built
+    by the constructor, by from_csv's 0/1 fast path and by its csv.reader
+    path. Few items make tied totals common."""
+    rng = random.Random(f"{n}|{width}|{kind}")
+    for _ in range(6):
+        rows = _seeded_rows(rng, n, width, kind)
+        participants = [f"p{i:02d}" for i in range(n)]
+        rng.shuffle(participants)
+        items = [f"q{j}" for j in range(width)]
+        groups = {pid: rng.choice("abc") for pid in participants
+                  if rng.random() < 0.9}
+        fraction = rng.choice([0.1, 0.25, 0.5])
+        totals, p_values, discriminations, report = list_reference_analysis(
+            participants, items, rows, groups, fraction)
+
+        built = ResponseMatrix(participants, items, rows)
+        fast_text = built.to_csv()
+        slow_text = fast_text.replace(f"\n{participants[0]},",
+                                      f'\n"{participants[0]}",', 1)
+        assert _binary_rows(fast_text, width) is not None
+        assert _binary_rows(slow_text, width) is None
+        for matrix in (built, ResponseMatrix.from_csv(fast_text),
+                       ResponseMatrix.from_csv(slow_text)):
+            assert matrix.rows == rows
+            assert _totals(matrix) == totals
+            assert item_p_values(matrix) == p_values
+            if n >= 4:
+                assert item_discriminations(matrix, fraction) == discriminations
+            else:
+                with pytest.raises(TooFewParticipants):
+                    item_discriminations(matrix, fraction)
+            for g in (groups, None):
+                expected = report if g else {key: report[key] for key in (
+                    "participants", "items", "item_stats", "mean_p_value")}
+                assert json.dumps(analyze(matrix, g, fraction), sort_keys=True) == \
+                    json.dumps(expected, sort_keys=True)
