@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
 from .errors import (
+    EmptyLabel,
     ExtractorFailure,
     InvalidExtraction,
     SubjectCollision,
@@ -144,20 +145,26 @@ def segment_text(text: str, max_chars: int = 2000, doc_id: str = "") -> list[Tex
 # --- extraction ---
 
 def validate_extraction(result: ExtractionResult) -> ExtractionResult:
-    """Reject results whose concept map mentions entities absent from the
-    triples; extractor output is never silently repaired."""
+    """Reject results with a head, relation, tail or concept that is empty
+    after normalization, or whose concept map mentions entities absent from
+    the triples; extractor output is never silently repaired. A valid result
+    folds into a graph without error, so a rejected segment writes nothing."""
     seen: set[str] = set()
     for triple in result.triples:
-        if len(triple) != 3 or not all(isinstance(x, str) and x.strip() for x in triple):
+        if len(triple) != 3 or not all(isinstance(x, str) for x in triple):
             raise InvalidExtraction(f"bad triple {triple!r}")
-        seen.add(normalize_label(triple[0]))
-        seen.add(normalize_label(triple[2]))
+        head, relation, tail = map(normalize_label, triple)
+        if not (head and relation and tail):
+            raise InvalidExtraction(
+                f"triple {triple!r} has a label that is empty after normalization")
+        seen.add(head)
+        seen.add(tail)
     for entity, concepts in result.concept_map.items():
         if normalize_label(entity) not in seen:
             raise InvalidExtraction(
                 f"concept mapping for {entity!r} has no matching triple entity")
         if (not isinstance(concepts, list) or not concepts
-                or not all(isinstance(c, str) and c.strip() for c in concepts)):
+                or not all(isinstance(c, str) and normalize_label(c) for c in concepts)):
             raise InvalidExtraction(f"bad concept list for {entity!r}")
     return result
 
@@ -184,7 +191,9 @@ class RuleExtractor:
     """Deterministic sentence-level extractor.
 
     One triple per sentence via the naive subject-verb-object heuristic;
-    concept mappings come from the configured hypernym lexicon.
+    concept mappings come from the configured hypernym lexicon. The result
+    is not validated here: ``extract_segment`` validates every extractor's
+    result once.
     """
 
     def __init__(self, hypernyms: dict[str, list[str]] | None = None):
@@ -202,7 +211,7 @@ class RuleExtractor:
                 norm = normalize_label(entity)
                 if norm in self.hypernyms and norm not in concept_map:
                     concept_map[norm] = list(self.hypernyms[norm])
-        return validate_extraction(ExtractionResult(triples, concept_map))
+        return ExtractionResult(triples, concept_map)
 
 
 EXTRACTION_SYSTEM_PROMPT = (
@@ -361,9 +370,14 @@ def _assemble(registry: GraphRegistry, subject: str, doc_id: str,
               extractions: list[tuple[int, ExtractionResult]], *,
               append: bool, segments: int, failures: list[dict]) -> IngestReport:
     """Fold a document's segment results into its subject graph, created on
-    first ingest. A segment that fails to assemble is listed in the
-    report's failures after the extraction failures."""
+    first ingest. A chapter label that is empty after normalization raises
+    EmptyLabel before the registry is touched. A segment that fails to
+    assemble is listed in the report's failures after the extraction
+    failures."""
     _check_collision(registry, subject, append)
+    for label in chapter_path:
+        if not normalize_label(label):
+            raise EmptyLabel(f"chapter label {label!r} is empty after normalization")
     graph = registry.get_or_create(subject)
     report = IngestReport(doc_id=doc_id, subject=subject, segments=segments,
                           failures=failures)

@@ -2,9 +2,11 @@
 
 Line 1 is a header record, then one record per node and per edge:
 
-    {"type":"header","format":"kaqg-kg","version":1,"subject":"..."}
-    {"type":"node","id":"n12","kind":"text","label":"...","raw_labels":[...],"source_refs":[["doc1",3]]}
-    {"type":"edge","kind":"fact","from":"n12","to":"n7","label":"harms"}
+    {"type": "header", "format": "kaqg-kg", "version": 1, "subject": "..."}
+    {"type": "node", "id": "n12", "kind": "text", "label": "...", "raw_labels": [...], "source_refs": [["doc1", 3]]}
+    {"type": "edge", "kind": "fact", "from": "n12", "to": "n7", "label": "harms"}
+
+Each line is ``json.dumps(record, ensure_ascii=False)``.
 
 ``import_graph(export_graph(g))`` reproduces the graph with identical node
 ids, labels and edges.
@@ -13,6 +15,7 @@ ids, labels and edges.
 from __future__ import annotations
 
 import json
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring
 
 from ..errors import EmptyLabel, KindMismatch, MalformedSnapshot, UnknownNode
 from .graph import ID_PATTERN, Edge, EdgeKind, KnowledgeGraph, Node, NodeKind
@@ -21,9 +24,18 @@ SNAPSHOT_FORMAT = "kaqg-kg"
 SNAPSHOT_VERSION = 1
 
 _DECODER = json.JSONDecoder()
+# json.dumps(record, ensure_ascii=False)'s C encoder, built once (arguments
+# by position, as pretty_json passes them); records hold no cycles, so it
+# keeps no markers
+_ENCODER = c_make_encoder(None, JSONEncoder().default, encode_basestring, None,
+                          ": ", ", ", False, False, True)
 # kinds by value: the Enum constructor's lookup runs in Python
 _NODE_KINDS = {kind.value: kind for kind in NodeKind}
 _EDGE_KINDS = {kind.value: kind for kind in EdgeKind}
+
+
+def _dumps(record: dict) -> str:
+    return "".join(_ENCODER(record, 0))
 
 
 def _node_sort_key(node_id: str) -> tuple:
@@ -33,21 +45,21 @@ def _node_sort_key(node_id: str) -> tuple:
 
 def export_graph(graph: KnowledgeGraph) -> bytes:
     """Serialize one subject graph; output bytes are deterministic."""
-    lines = [json.dumps({
+    lines = [_dumps({
         "type": "header",
         "format": SNAPSHOT_FORMAT,
         "version": SNAPSHOT_VERSION,
         "subject": graph.subject,
-    }, ensure_ascii=False)]
+    })]
     for node in sorted(graph.nodes(), key=lambda n: _node_sort_key(n.id)):
-        lines.append(json.dumps({
+        lines.append(_dumps({
             "type": "node",
             "id": node.id,
             "kind": node.kind.value,
             "label": node.label,
             "raw_labels": sorted(node.raw_labels),
             "source_refs": [[doc, seg] for doc, seg in node.source_refs],
-        }, ensure_ascii=False))
+        }))
     for edge in graph.edges():
         record = {
             "type": "edge",
@@ -57,7 +69,7 @@ def export_graph(graph: KnowledgeGraph) -> bytes:
         }
         if edge.kind == EdgeKind.FACT:
             record["label"] = edge.label
-        lines.append(json.dumps(record, ensure_ascii=False))
+        lines.append(_dumps(record))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -103,7 +115,9 @@ def import_graph(stream: bytes | str) -> KnowledgeGraph:
     else:
         text = stream
     records = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # records end at "\n" only: JSON leaves U+0085 and U+2028 in a label
+    # unescaped, and str.splitlines would break the record there
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         if not raw.strip():
             continue
         try:

@@ -46,6 +46,11 @@ def _trimmable(ch: str) -> bool:
     return ch == " " or unicodedata.category(ch).startswith("P")
 
 
+# the characters below 128 that _trimmable accepts: the blank and ASCII
+# punctuation
+_ASCII_TRIM = "".join(filter(_trimmable, map(chr, range(128))))
+
+
 def normalize_label(label: str) -> str:
     """Canonical form used for entity dedup: NFC, lowercase, internal
     whitespace collapsed, leading/trailing punctuation trimmed.
@@ -53,7 +58,11 @@ def normalize_label(label: str) -> str:
     Idempotent: normalize_label(normalize_label(x)) == normalize_label(x).
     The edge trim consumes punctuation and blanks together so a space
     between edge punctuation and the word cannot shield the punctuation.
+    On ASCII text NFC is the identity and the trim set is ``_ASCII_TRIM``,
+    so ``str.strip`` does the trim.
     """
+    if label.isascii():
+        return " ".join(label.lower().split()).strip(_ASCII_TRIM)
     s = unicodedata.normalize("NFC", unicodedata.normalize("NFC", label).lower())
     s = " ".join(s.split())
     start, end = 0, len(s)

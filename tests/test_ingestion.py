@@ -3,6 +3,7 @@ import json
 import pytest
 
 from examgraph.errors import (
+    EmptyLabel,
     ExtractorFailure,
     InvalidExtraction,
     SubjectCollision,
@@ -14,6 +15,7 @@ from examgraph.ingestion import (
     RuleExtractor,
     SourceDocument,
     TextSegment,
+    apply_extractions,
     extract_segment,
     ingest_document,
     load_hypernym_lexicon,
@@ -309,3 +311,99 @@ def test_conservation_triples_added_equals_new_fact_edges():
     report = ingest_document(registry, doc(body, subject="env"), RuleExtractor())
     graph = registry.get("env")
     assert report.triples_added == len(graph.edges(EdgeKind.FACT))
+
+
+# --- a failed segment or chapter path writes nothing ---
+
+def _populated(subject="s"):
+    registry = GraphRegistry()
+    ingest_document(registry, doc("The oak supports the fern.", subject=subject),
+                    RuleExtractor({"oak": ["tree"]}))
+    return registry
+
+
+# one good triple beside one field that normalizes to nothing
+EMPTY_AFTER_NORMALIZATION = [
+    {"triples": [["oak", "supports", "fern"], ["moss", "!!!", "rock"]], "concepts": {}},
+    {"triples": [["oak", "supports", "fern"], ["...", "covers", "rock"]], "concepts": {}},
+    {"triples": [["oak", "supports", "fern"], ["moss", "covers", " - "]], "concepts": {}},
+    {"triples": [["oak", "supports", "fern"]], "concepts": {"oak": ["plant", "?!"]}},
+]
+
+
+@pytest.mark.parametrize("entry", EMPTY_AFTER_NORMALIZATION)
+def test_validate_extraction_rejects_labels_empty_after_normalization(entry):
+    result = ExtractionResult([tuple(t) for t in entry["triples"]], entry["concepts"])
+    with pytest.raises(InvalidExtraction):
+        validate_extraction(result)
+
+
+def test_failed_segment_on_new_subject_adds_no_triple():
+    registry = GraphRegistry()
+    report = apply_extractions(registry, "s", "d1", ["Ch 1"], [
+        {"segment": 0, "triples": [["oak", "supports", "fern"], ["moss", "!!!", "rock"]],
+         "concepts": {}}])
+    assert [f["error_code"] for f in report.failures] == ["invalid_extraction"]
+    assert report.triples_added == 0
+    graph = registry.get("s")
+    assert graph.edge_count == 0
+    assert [n.label for n in graph.nodes()] == ["ch 1"]
+
+
+@pytest.mark.parametrize("entry", EMPTY_AFTER_NORMALIZATION)
+def test_failed_segment_writes_nothing_through_apply_extractions(entry):
+    registry = _populated()
+    graph = registry.get("s")
+    revision, snapshot = graph.revision, export_graph(graph)
+    report = apply_extractions(registry, "s", "d2", ["Ch 1"],
+                               [dict(entry, segment=0)], append=True)
+    assert report.failures[0]["segment"] == 0
+    assert report.failures[0]["error_code"] == "invalid_extraction"
+    assert (report.triples_added, report.concepts_added) == (0, 0)
+    assert graph.revision == revision
+    assert export_graph(graph) == snapshot
+
+
+@pytest.mark.parametrize("entry", EMPTY_AFTER_NORMALIZATION)
+def test_failed_segment_writes_nothing_through_ingest_document(entry):
+    class Stub:
+        def extract(self, text):
+            return ExtractionResult([tuple(t) for t in entry["triples"]],
+                                    entry["concepts"])
+
+    registry = _populated()
+    graph = registry.get("s")
+    revision = graph.revision
+    report = ingest_document(registry, doc("Anything at all.", doc_id="d2"), Stub(),
+                             append=True)
+    assert [f["error_code"] for f in report.failures] == ["invalid_extraction"]
+    assert report.triples_added == 0
+    assert graph.revision == revision
+
+
+def test_bad_chapter_path_leaves_registry_untouched():
+    registry = GraphRegistry()
+    document = SourceDocument("d1", "s", ["Ch 1", "!!!"], "Oak supports fern.")
+    with pytest.raises(EmptyLabel) as exc_info:
+        ingest_document(registry, document, RuleExtractor())
+    assert exc_info.value.code == "empty_label"
+    assert registry.subjects() == []
+    # a retry with a good path needs no append flag
+    report = ingest_document(registry, doc("Oak supports fern.", chapters=["Ch 1", "1.1"]),
+                             RuleExtractor())
+    assert report.triples_added == 1
+
+
+def test_bad_chapter_path_leaves_registry_untouched_through_apply_extractions():
+    entries = [{"segment": 0, "triples": [["oak", "supports", "fern"]], "concepts": {}}]
+    registry = GraphRegistry()
+    with pytest.raises(EmptyLabel):
+        apply_extractions(registry, "s", "d1", ["Ch 1", "!!!"], entries)
+    assert registry.subjects() == []
+
+    registry = _populated()
+    graph = registry.get("s")
+    revision = graph.revision
+    with pytest.raises(EmptyLabel):
+        apply_extractions(registry, "s", "d2", ["Ch 2", " ? "], entries, append=True)
+    assert graph.revision == revision

@@ -546,3 +546,48 @@ def test_registry_concurrent_create_and_lookup():
         t.join()
     assert not errors
     assert len(registry) == 100
+
+
+def test_export_bytes_equal_json_dumps_lines_and_round_trip():
+    # non-ASCII, quotes, backslashes, C0 and C1 controls, the line and
+    # paragraph separators that JSON leaves unescaped, an astral character
+    # and a byte order mark, in labels, raw labels, a source ref and the subject
+    graph = KnowledgeGraph("Umweltschutz \u00fc \u201cQ\u201d")
+    awkward = [
+        ("\u00c9cole \u00ab\u00e9t\u00e9\u00bb", "\u00e9claire", "\u74b0\u5883"),
+        ('say "hi"', "quotes", "back\\slash \\u0041"),
+        ("tab\there\nnewline", "bell\x07", "nul\x00 esc\x1b del\x7f"),
+        ("nel\x85 ls\u2028 ps\u2029", "astral \U0001f333", "\ufeffbom"),
+        ("oak", "supports", "fern"),
+    ]
+    for i, (head, relation, tail) in enumerate(awkward):
+        graph.assert_fact_triple(head, relation, tail, ("d\u00f6c", i))
+    graph.assert_fact_triple("OAK!", "supports", "Fern", ("d\u00f6c", 9))
+    tree = graph.upsert_entity('tr\u00e9e \\ "x"', NodeKind.CONCEPT)
+    chapter = graph.upsert_entity("Ch \u2160", NodeKind.HIERARCHY)
+    graph.assert_link(EdgeKind.IS_A, graph.find_node("oak", NodeKind.TEXT), tree)
+    graph.assert_link(EdgeKind.INCLUDE_IN, tree, chapter)
+
+    records = [{"type": "header", "format": "kaqg-kg", "version": 1,
+                "subject": graph.subject}]
+    for node in sorted(graph.nodes(), key=lambda n: int(n.id[1:])):
+        records.append({"type": "node", "id": node.id, "kind": node.kind.value,
+                        "label": node.label, "raw_labels": sorted(node.raw_labels),
+                        "source_refs": [list(ref) for ref in node.source_refs]})
+    for edge in graph.edges():
+        record = {"type": "edge", "kind": edge.kind.value, "from": edge.src,
+                  "to": edge.dst}
+        if edge.kind is EdgeKind.FACT:
+            record["label"] = edge.label
+        records.append(record)
+    expected = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+
+    snapshot = export_graph(graph)
+    assert snapshot == expected.encode("utf-8")
+    assert snapshot.count(b"\n") == len(records)
+    clone = import_graph(snapshot)
+    assert clone.subject == graph.subject
+    assert [(n.id, n.kind, n.label, n.raw_labels, n.source_refs) for n in clone.nodes()] \
+        == [(n.id, n.kind, n.label, n.raw_labels, n.source_refs) for n in graph.nodes()]
+    assert clone.edges() == graph.edges()
+    assert export_graph(clone) == snapshot
