@@ -10,11 +10,11 @@ hierarchy (chapter) nodes, connected by four edge kinds:
 
 Writers serialize on the graph's lock; each effective mutation (a new node,
 raw label, source ref or edge, not an exact duplicate) bumps ``revision``.
-Readers never touch the live dicts but read ``view()``: an immutable snapshot
-built at most once per revision, on which derived data such as PageRank
-scores, the lexicon and chapter rankings is memoised. A view shares the
-immutable ``Edge`` tuples and copies the mutable nodes; ``restore`` keeps the
-node it is given, so its one caller, ``import_graph``, passes a fresh one.
+Nodes and edges are immutable tuples; a write that gives a node a raw label
+or source ref swaps in a new ``Node``. Readers never touch the live dicts
+but read ``view()``: an immutable snapshot built at most once per revision,
+on which derived data such as PageRank scores, the lexicon and chapter
+rankings is memoised, and which shares the graph's node and edge objects.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import re
 import threading
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import groupby
 from operator import attrgetter
@@ -64,15 +63,26 @@ _EDGE_TYPING = {
     EdgeKind.PART_OF: (NodeKind.HIERARCHY, NodeKind.HIERARCHY),
     EdgeKind.INCLUDE_IN: (NodeKind.CONCEPT, NodeKind.HIERARCHY),
 }
+# Edge order of views and snapshots, (src, dst, kind, label): the endpoints'
+# kinds fix the edge kind (_EDGE_TYPING), so equal endpoints never differ in it
+_EDGE_ORDER = attrgetter("src", "dst", "label")
 
 
-@dataclass
-class Node:
+def check_edge_kinds(kind: EdgeKind, src: NodeKind, dst: NodeKind) -> None:
+    """Raise KindMismatch unless an edge of ``kind`` may join these kinds."""
+    want_src, want_dst = _EDGE_TYPING[kind]
+    if src is not want_src or dst is not want_dst:
+        raise KindMismatch(
+            f"{kind.value} requires {want_src.value}->{want_dst.value}, "
+            f"got {src.value}->{dst.value}")
+
+
+class Node(NamedTuple):
     id: str
     kind: NodeKind
     label: str  # normalized form
-    raw_labels: set[str] = field(default_factory=set)
-    source_refs: list[tuple[str, int]] = field(default_factory=list)
+    raw_labels: frozenset[str] = frozenset()
+    source_refs: tuple[tuple[str, int], ...] = ()
 
 
 class Edge(NamedTuple):
@@ -83,20 +93,17 @@ class Edge(NamedTuple):
 
 
 class GraphView:
-    """One revision of a graph, frozen: node copies sorted by id, sorted edges,
-    in/out adjacency tuples, and a memo for data derived from this revision."""
+    """One revision of a graph, frozen: the graph's own immutable nodes sorted
+    by id (shared, not copied), sorted edges, in/out adjacency tuples, and a
+    memo for data derived from this revision."""
 
     def __init__(self, graph: KnowledgeGraph):  # under the graph's write lock
         self.subject = graph.subject
         self.revision = graph.revision
-        self.nodes = tuple(
-            Node(n.id, n.kind, n.label, set(n.raw_labels), list(n.source_refs))
-            for n in sorted(graph._nodes.values(), key=lambda n: n.id))
-        # sorted by (src, dst, kind, label): the endpoints' kinds fix the edge
-        # kind (_EDGE_TYPING), so equal endpoints never differ in kind
-        self.edges = tuple(sorted(graph._edges, key=attrgetter("src", "dst", "label")))
-        self._by_id = {n.id: n for n in self.nodes}
-        self._by_key = {(n.kind, n.label): n.id for n in self.nodes}
+        self._by_id = dict(graph._nodes)
+        self._by_key = dict(graph._by_key)
+        self.nodes = tuple(map(self._by_id.__getitem__, sorted(self._by_id)))
+        self.edges = tuple(sorted(graph._edges, key=_EDGE_ORDER))
         # a stable sort by target keeps each node's in-edges in source order
         by_dst = sorted(self.edges, key=attrgetter("dst"))
         self.out_edges = {k: tuple(es) for k, es in groupby(self.edges, attrgetter("src"))}
@@ -130,7 +137,9 @@ class KnowledgeGraph:
         self.revision = 0
         self._nodes: dict[str, Node] = {}
         self._by_key: dict[tuple[NodeKind, str], str] = {}
-        self._edges: set[Edge] = set()
+        # a dict for its order: a view sorts the edges, and timsort is
+        # linear on the sorted order in which a snapshot import adds them
+        self._edges: dict[Edge, None] = {}
         self._next_id = 0
         # reentrant so compound mutations (triple = 2 upserts + 1 edge)
         # serialize as one writer operation
@@ -159,6 +168,12 @@ class KnowledgeGraph:
         except KeyError:
             raise UnknownNode(f"no node {node_id!r} in graph {self.subject!r}") from None
 
+    def contents(self) -> tuple[list[Node], list[Edge]]:
+        """The nodes, unordered, and the edges, in view order, of the
+        current revision, read under the lock without building a view."""
+        with self._write_lock:
+            return list(self._nodes.values()), sorted(self._edges, key=_EDGE_ORDER)
+
     def nodes(self, kind: NodeKind | None = None) -> list[Node]:
         return [n for n in self.view().nodes if kind is None or n.kind == kind]
 
@@ -182,20 +197,25 @@ class KnowledgeGraph:
         if not norm:
             raise EmptyLabel(f"label {surface_label!r} is empty after normalization")
         with self._write_lock:
+            revision = self.revision
             node_id = self._by_key.get((kind, norm))
             if node_id is None:
                 node_id = f"n{self._next_id}"
                 self._next_id += 1
-                self._nodes[node_id] = Node(id=node_id, kind=kind, label=norm)
                 self._by_key[(kind, norm)] = node_id
+                raw_labels, source_refs = frozenset(), ()
                 self.revision += 1
-            node = self._nodes[node_id]
-            if surface_label not in node.raw_labels:
-                node.raw_labels.add(surface_label)
+            else:
+                node = self._nodes[node_id]
+                raw_labels, source_refs = node.raw_labels, node.source_refs
+            if surface_label not in raw_labels:
+                raw_labels |= {surface_label}
                 self.revision += 1
-            if source_ref is not None and source_ref not in node.source_refs:
-                node.source_refs.append(source_ref)
+            if source_ref is not None and source_ref not in source_refs:
+                source_refs += (source_ref,)
                 self.revision += 1
+            if self.revision != revision:
+                self._nodes[node_id] = Node(node_id, kind, norm, raw_labels, source_refs)
             return node_id
 
     def assert_fact_triple(self, head: str, relation: str, tail: str,
@@ -220,43 +240,26 @@ class KnowledgeGraph:
         self._add_edge(edge)
         return edge
 
-    def restore(self, item: Node | Edge) -> None:
-        """Add a stored edge, or node under its own id (snapshot import);
-        duplicates are errors, labels are normalized as ``find_node`` wants.
-        A node whose label is already normalized is stored as given."""
-        if isinstance(item, Edge):
-            if not self._add_edge(item):
-                raise ValueError("duplicate edge")
-            return
-        label = normalize_label(item.label)
-        if not label:
-            raise EmptyLabel(f"label {item.label!r} is empty after normalization")
-        node = item if label == item.label else replace(item, label=label)
+    def load(self, nodes: dict[str, Node], keys: dict[tuple[NodeKind, str], str],
+             edges: dict[Edge, None]) -> None:
+        """Fill this empty graph, in one revision, with tables a snapshot
+        import has checked: nodes by id, node ids by (kind, normalized
+        label) and the edges in snapshot order. The graph keeps all three."""
+        next_id = max((int(m.group(1)) + 1 for m in map(ID_PATTERN.match, nodes) if m),
+                      default=0)
         with self._write_lock:
-            if node.id in self._nodes or (node.kind, node.label) in self._by_key:
-                raise ValueError(
-                    f"duplicate node {node.id!r} ({node.kind.value}, {node.label!r})")
-            self._nodes[node.id] = node
-            self._by_key[(node.kind, node.label)] = node.id
-            m = ID_PATTERN.match(node.id)
-            if m:
-                self._next_id = max(self._next_id, int(m.group(1)) + 1)
-            self.revision += 1
+            self._nodes, self._by_key, self._edges = nodes, keys, edges
+            self._next_id = next_id
+            if nodes:
+                self.revision += 1
 
-    def _add_edge(self, edge: Edge) -> bool:
-        """Add a typed edge between existing nodes; False if already there."""
+    def _add_edge(self, edge: Edge) -> None:
+        """Add a typed edge between existing nodes, unless already there."""
         with self._write_lock:
-            src_kind, dst_kind = self.node(edge.src).kind, self.node(edge.dst).kind
-            want_src, want_dst = _EDGE_TYPING[edge.kind]
-            if src_kind != want_src or dst_kind != want_dst:
-                raise KindMismatch(
-                    f"{edge.kind.value} requires {want_src.value}->{want_dst.value}, "
-                    f"got {src_kind.value}->{dst_kind.value}")
-            if edge in self._edges:
-                return False
-            self._edges.add(edge)
-            self.revision += 1
-            return True
+            check_edge_kinds(edge.kind, self.node(edge.src).kind, self.node(edge.dst).kind)
+            if edge not in self._edges:
+                self._edges[edge] = None
+                self.revision += 1
 
     # -- queries --
 

@@ -17,13 +17,15 @@ from __future__ import annotations
 import json
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring
 
-from ..errors import EmptyLabel, KindMismatch, MalformedSnapshot, UnknownNode
-from .graph import ID_PATTERN, Edge, EdgeKind, KnowledgeGraph, Node, NodeKind
+from ..errors import KindMismatch, MalformedSnapshot
+from ..textutils import normalize_label
+from .graph import ID_PATTERN, Edge, EdgeKind, KnowledgeGraph, Node, NodeKind, check_edge_kinds
 
 SNAPSHOT_FORMAT = "kaqg-kg"
 SNAPSHOT_VERSION = 1
 
-_DECODER = json.JSONDecoder()
+# json.loads's scanner: the C one where the interpreter has it
+_SCAN = json.JSONDecoder().scan_once
 # json.dumps(record, ensure_ascii=False)'s C encoder, built once (arguments
 # by position, as pretty_json passes them); records hold no cycles, so it
 # keeps no markers
@@ -45,13 +47,14 @@ def _node_sort_key(node_id: str) -> tuple:
 
 def export_graph(graph: KnowledgeGraph) -> bytes:
     """Serialize one subject graph; output bytes are deterministic."""
+    nodes, edges = graph.contents()
     lines = [_dumps({
         "type": "header",
         "format": SNAPSHOT_FORMAT,
         "version": SNAPSHOT_VERSION,
         "subject": graph.subject,
     })]
-    for node in sorted(graph.nodes(), key=lambda n: _node_sort_key(n.id)):
+    for node in sorted(nodes, key=lambda n: _node_sort_key(n.id)):
         lines.append(_dumps({
             "type": "node",
             "id": node.id,
@@ -60,7 +63,7 @@ def export_graph(graph: KnowledgeGraph) -> bytes:
             "raw_labels": sorted(node.raw_labels),
             "source_refs": [[doc, seg] for doc, seg in node.source_refs],
         }))
-    for edge in graph.edges():
+    for edge in edges:
         record = {
             "type": "edge",
             "kind": edge.kind.value,
@@ -92,16 +95,28 @@ def _kind(kinds: dict, raw, what: str, line_no: int):
     return kind
 
 
-def _parse_line(line: str):
-    """``json.loads(line)``, minus its per-call overhead on the common line:
-    one that ``raw_decode`` reads whole. Any other line (surrounding
-    whitespace, extra data, a syntax error) goes to ``json.loads``, which
-    gives the same value or raises the same error."""
-    try:
-        value, end = _DECODER.raw_decode(line)
-    except json.JSONDecodeError:
-        return json.loads(line)
-    return value if end == len(line) else json.loads(line)
+def _records(text: str):
+    """(line number, JSON object) for each non-blank line."""
+    # records end at "\n" only: JSON leaves U+0085 and U+2028 in a label
+    # unescaped, and str.splitlines would break the record there
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        if not raw or raw.isspace():
+            continue
+        # the scanner reads the common line, one value from its first
+        # character to its last, without json.loads's per-call overhead; any
+        # other line goes to json.loads, which gives its value or error
+        try:
+            record, end = _SCAN(raw, 0)
+        except (StopIteration, json.JSONDecodeError):
+            end = -1
+        if end != len(raw):
+            try:
+                record = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                _fail(line_no, f"invalid JSON: {exc.msg}")
+        if not isinstance(record, dict):
+            _fail(line_no, "record is not an object")
+        yield line_no, record
 
 
 def import_graph(stream: bytes | str) -> KnowledgeGraph:
@@ -114,23 +129,23 @@ def import_graph(stream: bytes | str) -> KnowledgeGraph:
             _fail(0, f"not valid UTF-8: {exc}")
     else:
         text = stream
-    records = []
-    # records end at "\n" only: JSON leaves U+0085 and U+2028 in a label
-    # unescaped, and str.splitlines would break the record there
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        if not raw.strip():
-            continue
-        try:
-            record = _parse_line(raw)
-        except json.JSONDecodeError as exc:
-            _fail(line_no, f"invalid JSON: {exc.msg}")
-        if not isinstance(record, dict):
-            _fail(line_no, "record is not an object")
-        records.append((line_no, record))
-    if not records:
-        _fail(0, "empty snapshot")
+    records = _records(text)
+    try:
+        return _build(records)
+    except MalformedSnapshot:
+        # every line is read as JSON before any record is checked, so a
+        # later line that is no JSON object is the error to report
+        for _ in records:
+            pass
+        raise
 
-    line_no, header = records[0]
+
+def _build(records) -> KnowledgeGraph:
+    """Check each record against the tables built from the lines above it,
+    then hand the tables to a new graph in one call."""
+    line_no, header = next(records, (0, None))
+    if header is None:
+        _fail(0, "empty snapshot")
     if header.get("type") != "header":
         _fail(line_no, "first record must be the header")
     if header.get("format") != SNAPSHOT_FORMAT:
@@ -142,21 +157,37 @@ def import_graph(stream: bytes | str) -> KnowledgeGraph:
     if not isinstance(subject, str) or not subject.strip():
         _fail(line_no, "header subject must be a non-empty string")
 
-    graph = KnowledgeGraph(subject)
-    for line_no, record in records[1:]:
+    nodes: dict[str, Node] = {}
+    keys: dict[tuple[NodeKind, str], str] = {}
+    edges: dict[Edge, None] = {}
+    for line_no, record in records:
         kind = record.get("type")
         if kind == "node":
-            item = _parse_node(record, line_no)
+            node = _parse_node(record, line_no)
+            key = (node.kind, node.label)
+            if node.id in nodes or key in keys:
+                _fail(line_no, f"duplicate node {node.id!r} ({node.kind.value}, {node.label!r})")
+            nodes[node.id] = node
+            keys[key] = node.id
         elif kind == "edge":
-            item = _parse_edge(record, line_no)
+            edge = _parse_edge(record, line_no)
+            src, dst = nodes.get(edge.src), nodes.get(edge.dst)
+            if src is None or dst is None:
+                missing = edge.src if src is None else edge.dst
+                _fail(line_no, f"no node {missing!r} in graph {subject!r}")
+            try:
+                check_edge_kinds(edge.kind, src.kind, dst.kind)
+            except KindMismatch as exc:
+                _fail(line_no, str(exc))
+            if edge in edges:
+                _fail(line_no, "duplicate edge")
+            edges[edge] = None
         elif kind == "header":
             _fail(line_no, "unexpected second header")
         else:
             _fail(line_no, f"unknown record type {kind!r}")
-        try:
-            graph.restore(item)
-        except (ValueError, EmptyLabel, KindMismatch, UnknownNode) as exc:
-            _fail(line_no, str(exc))
+    graph = KnowledgeGraph(subject)
+    graph.load(nodes, keys, edges)
     return graph
 
 
@@ -171,16 +202,16 @@ def _parse_node(record: dict, line_no: int) -> Node:
     refs = record.get("source_refs", [])
     if not isinstance(raw_labels, list) or not all(isinstance(r, str) for r in raw_labels):
         _fail(line_no, "raw_labels must be a list of strings")
-    source_refs: list[tuple[str, int]] = []
     if not isinstance(refs, list):
         _fail(line_no, "source_refs must be a list")
     for ref in refs:
         if (not isinstance(ref, list) or len(ref) != 2
                 or not isinstance(ref[0], str) or type(ref[1]) is not int):
             _fail(line_no, f"bad source_ref {ref!r}")
-        source_refs.append((ref[0], ref[1]))
-    return Node(id=node_id, kind=kind, label=label,
-                raw_labels=set(raw_labels), source_refs=source_refs)
+    norm = normalize_label(label)
+    if not norm:
+        _fail(line_no, f"label {label!r} is empty after normalization")
+    return Node(node_id, kind, norm, frozenset(raw_labels), tuple(map(tuple, refs)))
 
 
 def _parse_edge(record: dict, line_no: int) -> Edge:

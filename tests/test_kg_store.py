@@ -348,7 +348,11 @@ def test_import_parses_lines_like_json_loads(case, monkeypatch):
     message, as when every line goes through ``json.loads``."""
     text = "\n".join(SNAPSHOT_LINE_CASES[case](_snapshot_lines())) + "\n"
     outcome = _import_outcome(text)
-    monkeypatch.setattr(snapshot_module, "_parse_line", json.loads)
+
+    def read_nothing(line, idx):  # sends every line to json.loads
+        raise StopIteration(idx)
+
+    monkeypatch.setattr(snapshot_module, "_SCAN", read_nothing)
     assert outcome == _import_outcome(text)
     assert (outcome[0] == "graph") == (case in {
         "valid", "spaces-and-tabs", "nbsp-only-line", "lone-surrogate",
@@ -427,9 +431,16 @@ MALFORMED_SNAPSHOTS = {
     "edge-list-from": (_edge(**{"from": ["n0"]}), 4, "edge from and to must be node id strings"),
     "edge-int-to": (_edge(to=0), 4, "edge from and to must be node id strings"),
     "edge-unknown-node": (_edge(to="n9"), 4, "no node 'n9' in graph 's'"),
+    "edge-before-its-node": ([*_edge(to="nX"), _record(NODE, id="nX", kind="text", label="x")],
+                             4, "no node 'nX' in graph 's'"),
     "edge-kind-mismatch": (_edge(kind="is_a", label=DROP), 4,
                            "is_a requires text->concept, got text->text"),
     "edge-duplicate": (_edge() + _edge()[-1:], 5, "duplicate edge"),
+    # every line is read as JSON before any record is checked
+    "bad-record-then-invalid-json": ([_record(HEADER), '{"type":"x"}', "{"], 3,
+                                     "invalid JSON: Expecting property name enclosed in "
+                                     "double quotes"),
+    "no-header-then-not-an-object": ([*NODES, "[1]"], 3, "record is not an object"),
 }
 
 
@@ -486,14 +497,56 @@ def test_edges_sort_by_endpoints_kind_and_label():
         assert list(into) == [e for e in edges if e.dst == node_id]
 
 
-def test_restore_normalizes_a_copy_of_the_node():
-    graph = KnowledgeGraph("s")
-    raw = Node("n4", NodeKind.TEXT, "  Soil  Erosion ", {"Soil Erosion"}, [("d", 1)])
-    graph.restore(raw)
-    assert raw.label == "  Soil  Erosion "
+def test_import_normalizes_node_labels():
+    snapshot = [_record(HEADER), _record(NODE, id="n4", kind="text", label="  Soil  Erosion ",
+                                         raw_labels=["Soil Erosion"], source_refs=[["d", 1]])]
+    graph = import_graph("\n".join(snapshot) + "\n")
     assert graph.find_node("soil erosion", NodeKind.TEXT) == "n4"
-    assert graph.node("n4").label == "soil erosion"
+    assert graph.node("n4") == Node("n4", NodeKind.TEXT, "soil erosion",
+                                    frozenset({"Soil Erosion"}), (("d", 1),))
     assert graph.upsert_entity("next", NodeKind.TEXT) == "n5"
+
+
+def test_node_record_may_follow_the_edges():
+    graph = KnowledgeGraph("s")
+    graph.assert_fact_triple("a", "r", "b", ("d", 1))
+    graph.upsert_entity("c", NodeKind.CONCEPT)
+    snapshot = export_graph(graph)
+    header, *nodes, edge = snapshot.decode().splitlines()
+    moved = "\n".join([header, *nodes[:-1], edge, nodes[-1]]) + "\n"
+    assert _import_outcome(moved) == _import_outcome(snapshot)
+    assert export_graph(import_graph(moved)) == snapshot
+
+
+def test_nodes_are_immutable_and_shared_by_views():
+    graph = KnowledgeGraph("s")
+    graph.assert_fact_triple("a", "r", "b", ("d", 1))
+    a, b = graph.find_node("a", NodeKind.TEXT), graph.find_node("b", NodeKind.TEXT)
+    first = graph.view()
+    for node in (graph.node(a), first.node(a)):
+        with pytest.raises(AttributeError):
+            node.label = "z"
+        with pytest.raises(AttributeError):
+            node.raw_labels.add("z")
+        with pytest.raises(AttributeError):
+            node.source_refs.append(("d", 2))
+    assert first.node(a) is graph.node(a)
+
+    graph.upsert_entity("a", NodeKind.TEXT, ("d", 2))
+    second = graph.view()
+    assert first.node(a).source_refs == (("d", 1),)
+    assert second.node(a).source_refs == (("d", 1), ("d", 2))
+    assert second.node(a) is graph.node(a)
+    assert second.node(b) is first.node(b) is graph.node(b)
+
+
+def test_import_is_one_revision_and_its_view_shares_the_nodes():
+    registry, _, _ = build_registry("rt_subject", ROOTS_A, chapters=1)
+    clone = import_graph(export_graph(registry.get("rt_subject")))
+    view = clone.view()
+    assert view.revision == clone.revision == 1
+    assert all(view.node(node.id) is clone.node(node.id) for node in view.nodes)
+    assert len(view.nodes) == len(clone) > 0
 
 
 def test_import_into_occupied_subject_collides():

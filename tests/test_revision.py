@@ -91,7 +91,7 @@ def test_view_is_built_once_per_revision_and_stays_frozen():
     assert second is not first and second.revision == graph.revision
     assert len(first.nodes) == 3 and len(second.nodes) == 4
     a = graph.find_node("a", NodeKind.TEXT)
-    assert first.node(a).source_refs == [] and second.node(a).source_refs == [("doc", 2)]
+    assert first.node(a).source_refs == () and second.node(a).source_refs == (("doc", 2),)
     assert [e.dst for e in second.out_edges[a]] == sorted(e.dst for e in second.out_edges[a])
 
 
