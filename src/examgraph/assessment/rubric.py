@@ -21,6 +21,7 @@ from .features import (
     BloomLevel,
     FeatureId,
     measure_row,
+    verb_levels,
 )
 
 Thresholds = dict[FeatureId, tuple[float, float]]
@@ -121,6 +122,12 @@ def _json_cut_points(name: str, pair) -> tuple[float, float]:
     return _json_number(pair[0], f"{name} cut1"), _json_number(pair[1], f"{name} cut2")
 
 
+def _json_words(value, what: str) -> frozenset[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise InvalidParams(f"{what} must be a list of strings, got {value!r}")
+    return frozenset(value)
+
+
 def validate_overrides(epsilon: float | None, weights: list[float] | None) -> None:
     """Reject a gate that cannot work: epsilon must be a number > 0, and
     the weights exactly seven numbers in feature order, each >= 0 and not
@@ -155,15 +162,6 @@ def _rate_row(raws, cuts) -> list[int]:
             for raw, (cut1, cut2) in zip(raws, cuts)]
 
 
-def _weighted_sum(weights, ratings) -> float:
-    """sum(w_i * d_i), added left to right in feature order (not by sum(),
-    which rounds floats differently from Python 3.12 on)."""
-    total = 0
-    for w, d in zip(weights, ratings):
-        total += w * d
-    return total
-
-
 def rate_features(measurements: dict[FeatureId, float],
                   thresholds: Thresholds | None = None) -> Ratings:
     """Map raw values onto ratings: 1 below cut1, 2 in [cut1, cut2),
@@ -184,8 +182,10 @@ def weighted_difficulty(ratings: Ratings, weights: Weights | None = None) -> flo
     weights."""
     weights = weights or UNIT_WEIGHTS
     validate_gate(None, weights)
-    return _weighted_sum([weights[f] for f in FEATURE_ORDER],
-                         [ratings[f] for f in FEATURE_ORDER])
+    total = 0  # added left to right: sum() rounds floats differently from Python 3.12 on
+    for f in FEATURE_ORDER:
+        total += weights[f] * ratings[f]
+    return total
 
 
 @dataclass
@@ -231,6 +231,10 @@ class RubricConfig:
     def __post_init__(self):
         validate_thresholds(self.thresholds)
         validate_gate(self.epsilon, self.weights)
+        # what every evaluation reads, in feature order; the rubric is frozen
+        object.__setattr__(self, "_cuts", tuple(self.thresholds[f] for f in FEATURE_ORDER))
+        object.__setattr__(self, "_weight_row", tuple(self.weights[f] for f in FEATURE_ORDER))
+        object.__setattr__(self, "_verb_levels", verb_levels(self.bloom_verbs))
 
     def evaluate(self, item, target: float,
                  lexicon: frozenset[str] | set[str] = frozenset(), *,
@@ -247,20 +251,16 @@ class RubricConfig:
         validate_overrides(epsilon, weights)
         epsilon = self.epsilon if epsilon is None else epsilon
         if weights is None:
-            weights = [self.weights[f] for f in FEATURE_ORDER]
-        raws = measure_row(item, lexicon, self.tau, self.bloom_verbs)
-        ratings = _rate_row(raws, [self.thresholds[f] for f in FEATURE_ORDER])
-        difficulty = _weighted_sum(weights, ratings)
-        breakdown = [
-            {
-                "feature": name,
-                "raw": raw,
-                "rating": rating,
-                "weight": weight,
-                "contribution": weight * rating,
-            }
-            for name, raw, rating, weight in zip(_FEATURE_NAMES, raws, ratings, weights)
-        ]
+            weights = self._weight_row
+        raws = measure_row(item, lexicon, self.tau, self._verb_levels)
+        ratings = _rate_row(raws, self._cuts)
+        difficulty = 0  # added left to right, as weighted_difficulty adds
+        breakdown = []
+        for name, raw, rating, weight in zip(_FEATURE_NAMES, raws, ratings, weights):
+            contribution = weight * rating
+            difficulty += contribution
+            breakdown.append({"feature": name, "raw": raw, "rating": rating,
+                              "weight": weight, "contribution": contribution})
         return EvaluationResult(
             difficulty=difficulty,
             target=target,
@@ -312,7 +312,7 @@ class RubricConfig:
         if "bloom_verbs" in data:
             kwargs["bloom_verbs"] = {
                 _json_member(lambda n: BloomLevel[n.upper()], name, "Bloom level"):
-                    frozenset(verbs)
+                    _json_words(verbs, f"{name} verbs")
                 for name, verbs in _json_object(data["bloom_verbs"], "bloom_verbs").items()
             }
         return cls(**kwargs)

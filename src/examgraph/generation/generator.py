@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from ..assessment import BloomLevel, DifficultyTier, bloom_profile
-from ..errors import ExamGraphError, GeneratorFailure, MalformedCandidate
+from ..errors import ExamGraphError, GeneratorFailure, MalformedCandidate, MalformedItem
 from ..kg import GraphView, KnowledgeGraph, NodeKind
 from ..ranking import cached_pagerank, rank_chapter_concepts, rank_concept_facts
 from ..textutils import normalize_label
@@ -71,11 +71,17 @@ class QuestionItem:
 
     @classmethod
     def from_payload(cls, data: dict) -> "QuestionItem":
+        options, answer_index = data["options"], data["answer_index"]
+        # list() would split a string into one-letter options, int() takes true as 1
+        if not isinstance(options, list) or not all(isinstance(o, str) for o in options):
+            raise MalformedItem(f"options must be a list of strings, got {options!r}")
+        if isinstance(answer_index, bool):
+            raise MalformedItem(f"answer_index must be an integer, got {answer_index!r}")
         return cls(
             id=data.get("id", ""),
             stem=data["stem"],
-            options=list(data["options"]),
-            answer_index=int(data["answer_index"]),
+            options=list(options),
+            answer_index=int(answer_index),
             bloom=BloomLevel[data.get("bloom", "remember").upper()],
             tier=DifficultyTier(data.get("tier", "basic")),
             provenance=(Provenance.from_dict(data["provenance"])

@@ -1,13 +1,11 @@
 """Small deterministic text helpers shared by ingestion, assessment and the
-mock gateway: label normalization, tokenizing, term vectors and their
-cosine, and the naive subject-verb-object sentence heuristic."""
+mock gateway: label normalization, tokenizing, stopwords, and the naive
+subject-verb-object sentence heuristic."""
 
 from __future__ import annotations
 
-import math
 import re
 import unicodedata
-from typing import NamedTuple
 
 _WORD_RE = re.compile(r"[a-z0-9]+(?:['\-][a-z0-9]+)*")
 _SENTENCE_RE = re.compile(r"[.!?]+")
@@ -76,43 +74,6 @@ def normalize_label(label: str) -> str:
 def tokenize(text: str) -> list[str]:
     """Lowercased word tokens; punctuation is dropped."""
     return _WORD_RE.findall(text.lower())
-
-
-class TermVector(NamedTuple):
-    """Term frequencies of a text's stopword-filtered tokens and their
-    Euclidean norm; the text itself breaks the tie between empty vectors."""
-
-    text: str
-    counts: dict[str, int]
-    norm: float
-
-
-def term_vector(text: str, tokens: list[str] | None = None) -> TermVector:
-    """The term vector of ``text``; ``tokens``, when given, must be
-    ``tokenize(text)``, so a caller that has them skips a second scan."""
-    if tokens is None:
-        tokens = tokenize(text)
-    # a plain dict: Counter's constructor costs several times more on the
-    # few tokens of a stem or an option
-    counts: dict[str, int] = {}
-    for token in tokens:
-        if token not in STOPWORDS:
-            counts[token] = counts.get(token, 0) + 1
-    return TermVector(text, counts, math.sqrt(sum(c * c for c in counts.values())))
-
-
-def cosine_similarity(a: TermVector, b: TermVector) -> float:
-    """Cosine between two term vectors.
-
-    Two texts with no content tokens compare equal (1.0) only when their
-    normalized surface forms match; a single empty side scores 0.0.
-    """
-    if not a.counts and not b.counts:
-        return 1.0 if normalize_label(a.text) == normalize_label(b.text) else 0.0
-    if not a.counts or not b.counts:
-        return 0.0
-    dot = sum(a.counts[t] * b.counts[t] for t in a.counts.keys() & b.counts.keys())
-    return dot / (a.norm * b.norm)
 
 
 def split_sentences(text: str) -> list[str]:

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from examgraph.assessment import (
+    DEFAULT_BLOOM_VERBS,
     BloomLevel,
     DifficultyTier,
     FEATURE_ORDER,
@@ -142,7 +143,20 @@ def string_cosine(a: str, b: str) -> float:
     return dot / (na * nb)
 
 
-def reference_features(stem, options, answer_index, lexicon, tau=0.4):
+def reference_bloom(stem, bloom_verbs=None):
+    """The Bloom rule written out: the highest level whose verb set meets
+    the stem's token set, Remember when none does; no verbs means the
+    default ones."""
+    verbs = bloom_verbs or DEFAULT_BLOOM_VERBS
+    tokens = set(tokenize(stem))
+    best = BloomLevel.REMEMBER
+    for level in BloomLevel:
+        if tokens & set(verbs.get(level, ())):
+            best = level
+    return best
+
+
+def reference_features(stem, options, answer_index, lexicon, tau=0.4, bloom_verbs=None):
     stem_tokens = tokenize(stem)
     pair_sims = [string_cosine(options[i], options[j])
                  for i in range(4) for j in range(i + 1, 4)]
@@ -153,7 +167,7 @@ def reference_features(stem, options, answer_index, lexicon, tau=0.4):
         FeatureId.STEM_LENGTH: float(len(stem.split())),
         FeatureId.VOCAB_DENSITY: (sum(1 for t in stem_tokens if t in lexicon)
                                   / len(stem_tokens) if stem_tokens else 0.0),
-        FeatureId.COGNITIVE_LEVEL: float(classify_bloom(stem)),
+        FeatureId.COGNITIVE_LEVEL: float(reference_bloom(stem, bloom_verbs)),
         FeatureId.OPTION_LENGTH: mean([len(o.split()) for o in options]),
         FeatureId.OPTION_SIMILARITY: mean(pair_sims),
         FeatureId.STEM_OPTION_OVERLAP: mean([string_cosine(stem, o) for o in options]),
@@ -180,6 +194,41 @@ def test_measure_features_match_string_cosine_reference():
         answer_index = rng.randrange(4)
         got = measure_features(item(stem, options, answer_index), lexicon)
         assert got == reference_features(stem, options, answer_index, lexicon)
+
+
+# custom verb lexicons: "apply" listed under two levels counts at the
+# higher one, Understand and Evaluate are left out, {} means the defaults
+BLOOM_VERB_CASES = [
+    None,
+    {},
+    {BloomLevel.REMEMBER: frozenset({"define", "name"}),
+     BloomLevel.APPLY: frozenset({"apply", "solve"}),
+     BloomLevel.ANALYZE: frozenset({"compare"}),
+     BloomLevel.CREATE: frozenset({"apply", "design"})},
+    {BloomLevel.UNDERSTAND: frozenset({"erosion", "justify"}),
+     BloomLevel.EVALUATE: frozenset({"soil", "justify"})},
+]
+
+
+def _fuzz_text(rng, words, low, high):
+    return " ".join(rng.choice(words) for _ in range(rng.randint(low, high)))
+
+
+def test_measure_features_custom_bloom_verbs_match_reference():
+    words = ["erosion", "soil", "water", "the", "of", "apply", "solve", "justify",
+             "design", "define", "name", "compare", "explain", "judge"]
+    lexicon = frozenset({"erosion", "water"})
+    rng = random.Random(3141)
+    for n in range(400):
+        bloom_verbs = BLOOM_VERB_CASES[n % len(BLOOM_VERB_CASES)]
+        stem = _fuzz_text(rng, words, 1, 10) + "?"
+        options = [_fuzz_text(rng, words, 1, 3) for _ in range(4)]
+        answer_index = rng.randrange(4)
+        tau = rng.choice([0.0, 0.25, 0.4, 1.0])
+        assert classify_bloom(stem, bloom_verbs) == reference_bloom(stem, bloom_verbs)
+        got = measure_features(item(stem, options, answer_index), lexicon, tau, bloom_verbs)
+        assert got == reference_features(stem, options, answer_index, lexicon, tau,
+                                          bloom_verbs)
 
 
 def test_classify_bloom_highest_verb_wins():
@@ -394,6 +443,11 @@ def test_integer_overrides_from_json_become_floats():
     pytest.param({"tiers": [9, 14, 19]}, id="tiers-list"),
     pytest.param({"thresholds": "x"}, id="thresholds-string"),
     pytest.param({"bloom_verbs": {"ponder": ["muse"]}}, id="unknown-bloom-level"),
+    pytest.param({"bloom_verbs": {"apply": "solve"}}, id="verbs-string"),
+    pytest.param({"bloom_verbs": {"apply": [1, None]}}, id="verbs-not-strings"),
+    pytest.param({"bloom_verbs": {"apply": ["solve", 3]}}, id="verb-number"),
+    pytest.param({"bloom_verbs": {"apply": {"solve": 1}}}, id="verbs-object"),
+    pytest.param({"bloom_verbs": ["solve"]}, id="bloom-verbs-list"),
     pytest.param([], id="config-list"),
 ])
 def test_rubric_numbers_from_json_are_checked(config):
@@ -464,6 +518,62 @@ def test_evaluate_matches_measure_rate_weigh_reference():
         assert repr(result.breakdown) == repr(breakdown)
         passed += result.passed
     assert 0 < passed < len(items)
+
+
+def reference_evaluation(stem, options, answer_index, lexicon, target, *,
+                         thresholds, weights, tau, epsilon, bloom_verbs):
+    """``evaluate`` written out from the rubric's definition: rate each raw
+    value against its cut points, weigh, add left to right, gate."""
+    raws = reference_features(stem, options, answer_index, lexicon, tau, bloom_verbs)
+    breakdown = []
+    for feature, weight in zip(FEATURE_ORDER, weights):
+        cut1, cut2 = thresholds[feature]
+        raw = raws[feature]
+        rating = 1 if raw < cut1 else 2 if raw < cut2 else 3
+        breakdown.append({"feature": feature.value, "raw": raw, "rating": rating,
+                          "weight": weight, "contribution": weight * rating})
+    difficulty = reduce(operator.add, [e["contribution"] for e in breakdown], 0)
+    return {"difficulty": difficulty, "target": target, "epsilon": epsilon,
+            "passed": abs(difficulty - target) <= epsilon, "breakdown": breakdown}
+
+
+def test_evaluate_matches_written_out_reference():
+    """Custom cut points, weights, tau, epsilon and Bloom verbs, on the
+    rubric and as overrides; floats compared with ==."""
+    words = ["erosion", "soil", "water", "rock", "wind", "the", "of", "an",
+             "apply", "justify", "design", "define", "compare", "it's"]
+    empty = ["the", "The.", "of the", "..."]
+    lexicon = frozenset({"erosion", "soil", "the"})
+    rng = random.Random(1618)
+    for n in range(300):
+        thresholds = {}
+        for feature in FEATURE_ORDER:
+            cut1 = rng.choice([0.0, 0.25, 0.5, 1.0, 2.0, 3.0, rng.uniform(0, 6)])
+            thresholds[feature] = (cut1, cut1 + rng.choice([0.25, 0.5, 1.0, rng.random() + 0.01]))
+        rubric_weights = [rng.choice([0.0, 0.5, 1.0, 1 / 3, rng.random()]) for _ in FEATURE_ORDER]
+        rubric_weights[n % 7] = rng.uniform(0.1, 3.0)  # never all zero
+        rubric = RubricConfig(
+            thresholds=thresholds, weights=dict(zip(FEATURE_ORDER, rubric_weights)),
+            tau=rng.choice([0.0, 0.3, 0.4, 0.5, 1.0]), epsilon=rng.uniform(0.1, 4.0),
+            bloom_verbs=BLOOM_VERB_CASES[n % len(BLOOM_VERB_CASES)] or {})
+        weights = None if n % 2 else [rng.choice([0, 1, 2, 0.1, 0.7, 1 / 7])
+                                      for _ in FEATURE_ORDER]
+        if weights is not None and not any(weights):
+            weights[0] = 1
+        epsilon = None if n % 3 else rng.choice([1, 0.5, 2.25])
+        stem = _fuzz_text(rng, words, 1, 12) + rng.choice(["?", ".", ""])
+        options = [rng.choice(empty) if rng.random() < 0.2 else _fuzz_text(rng, words, 1, 4)
+                   for _ in range(4)]
+        answer_index = rng.randrange(4)
+        target = rng.choice([9.0, 14.0, rng.uniform(0.0, 20.0)])
+        got = rubric.evaluate(item(stem, options, answer_index), target, lexicon,
+                              epsilon=epsilon, weights=weights)
+        expected = reference_evaluation(
+            stem, options, answer_index, lexicon, target, thresholds=thresholds,
+            weights=rubric_weights if weights is None else weights, tau=rubric.tau,
+            epsilon=rubric.epsilon if epsilon is None else epsilon,
+            bloom_verbs=rubric.bloom_verbs)
+        assert got.to_dict() == expected
 
 
 def test_breakdown_lists_every_feature():

@@ -17,6 +17,7 @@ from examgraph.errors import (
     GeneratorFailure,
     InvalidParams,
     MalformedCandidate,
+    MalformedItem,
     NoConceptsInChapter,
     UnknownSubject,
 )
@@ -296,6 +297,23 @@ def test_generate_candidate_rejects_malformed(corpus):
     with pytest.raises(MalformedCandidate):
         generate_candidate(bundle, DifficultyTier.BASIC_RECALL,
                            BloomLevel.REMEMBER, ThreeOptionGenerator(), 0)
+
+
+@pytest.mark.parametrize("change", [
+    pytest.param({"options": "wxyz"}, id="options-string"),
+    pytest.param({"options": ["w", "x", "y", 4]}, id="option-number"),
+    pytest.param({"options": {"w": 0, "x": 1, "y": 2, "z": 3}}, id="options-object"),
+    pytest.param({"answer_index": True}, id="answer-true"),
+    pytest.param({"answer_index": False}, id="answer-false"),
+])
+def test_question_item_from_payload_rejects_malformed_fields(change):
+    """list() would split "wxyz" into four one-letter options, which the
+    rubric grades and may pass, and int() would take true as 1."""
+    payload = {"stem": "Define erosion in context.",
+               "options": ["one", "two", "three", "four"], "answer_index": 0}
+    assert QuestionItem.from_payload(payload).options == payload["options"]
+    with pytest.raises(MalformedItem):
+        QuestionItem.from_payload(payload | change)
 
 
 def test_llm_generator_contract(corpus):

@@ -245,6 +245,27 @@ def test_exam_request_with_wrongly_shaped_blueprint_reports_invalid_params(stack
     assert drain(candidates) == []
 
 
+@pytest.mark.parametrize("change", [
+    pytest.param({"options": "wxyz"}, id="options-string"),
+    pytest.param({"answer_index": True}, id="answer-true"),
+])
+def test_candidate_with_malformed_item_reports_malformed_item(stack, change):
+    bus, registry, pipeline, documents, lexicon = stack
+    ingest_document(registry, documents[0], RuleExtractor(lexicon))
+    errors = bus.subscribe("watch-errors", "system/errors")
+    verdicts = bus.subscribe("watch-verdicts", "exam/*")
+    item = {"stem": "Define erosion in context.",
+            "options": ["one", "two", "three", "four"], "answer_index": 0} | change
+    message = publish_and_wait(bus, errors, "exam/candidate", {
+        "subject": "envsci", "candidate": {
+            "slot": {"section": 0, "chapter": "Ch 1", "tier": "basic", "slot": 0},
+            "attempt": 0, "bundle_index": 0, "item": item,
+            "target": 9.0, "epsilon": 2.0}}, "cand-bad")
+    assert message.payload["agent"] == "question_evaluation"
+    assert message.payload["error_code"] == "malformed_item"
+    assert [m.topic for m in drain(verdicts)] == ["exam/candidate"]
+
+
 def test_direct_and_pipeline_ingest_reports_match_with_failing_segment():
     class FlakyExtractor:
         def extract(self, text):
