@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
+from ..checks import array, integer, member, number, obj, string, strings
 from ..errors import AllZeroWeights, InvalidParams
 from .features import (
     DEFAULT_BLOOM_VERBS,
@@ -42,6 +43,7 @@ UNIT_WEIGHTS: Weights = {f: 1.0 for f in FEATURE_ORDER}
 
 # read once: Enum.value is a Python-level property
 _FEATURE_NAMES = tuple(f.value for f in FEATURE_ORDER)
+_WEIGHT_FIELDS = tuple(f"weight for {name}" for name in _FEATURE_NAMES)
 
 DEFAULT_EPSILON = 2.0
 
@@ -81,51 +83,12 @@ def bloom_profile(level: BloomLevel) -> Ratings:
 def validate_thresholds(thresholds: Thresholds) -> Thresholds:
     for feature in FEATURE_ORDER:
         if feature not in thresholds:
-            raise ValueError(f"missing thresholds for {feature.value}")
+            raise InvalidParams(f"missing thresholds for {feature.value}")
         cut1, cut2 = thresholds[feature]
         if not cut1 < cut2:
-            raise ValueError(
+            raise InvalidParams(
                 f"{feature.value}: cut points must satisfy cut1 < cut2, got {cut1}, {cut2}")
     return thresholds
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _json_number(value, what: str) -> float:
-    """A number from a config file as a float: float() would raise a bare
-    ValueError on "x" and take true as 1.0."""
-    if not _is_number(value):
-        raise InvalidParams(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
-def _json_object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise InvalidParams(f"{what} must be a JSON object, got {value!r}")
-    return value
-
-
-def _json_member(lookup, name: str, what: str):
-    """The enum member ``lookup`` finds for a config key, which may name
-    no member."""
-    try:
-        return lookup(name)
-    except (KeyError, ValueError):
-        raise InvalidParams(f"unknown {what} {name!r}") from None
-
-
-def _json_cut_points(name: str, pair) -> tuple[float, float]:
-    if not isinstance(pair, list) or len(pair) != 2:
-        raise InvalidParams(f"thresholds for {name} must be a [cut1, cut2] list, got {pair!r}")
-    return _json_number(pair[0], f"{name} cut1"), _json_number(pair[1], f"{name} cut2")
-
-
-def _json_words(value, what: str) -> frozenset[str]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise InvalidParams(f"{what} must be a list of strings, got {value!r}")
-    return frozenset(value)
 
 
 def validate_overrides(epsilon: float | None, weights: list[float] | None) -> None:
@@ -134,16 +97,13 @@ def validate_overrides(epsilon: float | None, weights: list[float] | None) -> No
     all of them zero. None skips that check. Blueprints and bus peers send
     these values, so a bad one raises InvalidParams (AllZeroWeights when
     every weight is zero), never a TypeError."""
-    if epsilon is not None and not (_is_number(epsilon) and epsilon > 0):
-        raise InvalidParams(f"epsilon must be a number > 0, got {epsilon!r}")
+    if epsilon is not None:
+        number(epsilon, "epsilon", above=0)
     if weights is None:
         return
-    if not isinstance(weights, (list, tuple)) or len(weights) != len(FEATURE_ORDER):
-        raise InvalidParams(f"weights must list {len(FEATURE_ORDER)} values in feature order")
-    for feature, weight in zip(FEATURE_ORDER, weights):
-        if not (_is_number(weight) and weight >= 0):
-            raise InvalidParams(
-                f"weight for {feature.value} must be a number >= 0, got {weight!r}")
+    for name, weight in zip(_WEIGHT_FIELDS, array(weights, "weights", size=len(FEATURE_ORDER))):
+        if number(weight, name) < 0:
+            raise InvalidParams(f"{name} must be a number >= 0, got {weight!r}")
     if not any(weights):
         raise AllZeroWeights("feature weights must not all be zero")
 
@@ -207,6 +167,15 @@ class EvaluationResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvaluationResult":
+        # a verdict from a bus peer: its numbers pass through as JSON gave them
+        data = obj(data, "evaluation")
+        for key in ("difficulty", "target", "epsilon"):
+            number(data.get(key), key)
+        if not isinstance(data.get("passed"), bool):
+            raise InvalidParams(f"passed must be true or false, got {data.get('passed')!r}")
+        for entry in array(data.get("breakdown"), "breakdown"):
+            string(obj(entry, "breakdown entry").get("feature"), "breakdown feature")
+            integer(entry.get("rating"), "breakdown rating")
         return cls(
             difficulty=data["difficulty"],
             target=data["target"],
@@ -289,31 +258,32 @@ class RubricConfig:
         # check the raw values: float() raises a bare ValueError on "x" and
         # takes true as 1.0, and a wrongly shaped value would fail with
         # whatever error its first use raises
-        data = _json_object(data, "rubric config")
+        data = obj(data, "rubric config")
         validate_overrides(data.get("epsilon"), data.get("weights"))
         kwargs = {}
         if "thresholds" in data:
             kwargs["thresholds"] = {
-                _json_member(FeatureId, name, "feature"): _json_cut_points(name, pair)
-                for name, pair in _json_object(data["thresholds"], "thresholds").items()
+                member(name, "feature", FeatureId):
+                    tuple(number(c, f"{name} cut") for c in array(pair, f"{name} cuts", size=2))
+                for name, pair in obj(data["thresholds"], "thresholds").items()
             }
         if data.get("weights") is not None:
             kwargs["weights"] = dict(zip(FEATURE_ORDER, map(float, data["weights"])))
         if "tiers" in data:
             kwargs["tiers"] = {
-                _json_member(DifficultyTier, name, "tier"): _json_number(
-                    _json_object(spec, f"tier {name}").get("target"), f"{name} target")
-                for name, spec in _json_object(data["tiers"], "tiers").items()
+                member(name, "tier", DifficultyTier): number(
+                    obj(spec, f"tier {name}").get("target"), f"{name} target")
+                for name, spec in obj(data["tiers"], "tiers").items()
             }
         if data.get("epsilon") is not None:
             kwargs["epsilon"] = float(data["epsilon"])
         if "tau" in data:
-            kwargs["tau"] = _json_number(data["tau"], "tau")
+            kwargs["tau"] = number(data["tau"], "tau")
         if "bloom_verbs" in data:
             kwargs["bloom_verbs"] = {
-                _json_member(lambda n: BloomLevel[n.upper()], name, "Bloom level"):
-                    _json_words(verbs, f"{name} verbs")
-                for name, verbs in _json_object(data["bloom_verbs"], "bloom_verbs").items()
+                member(name, "Bloom level", lambda n: BloomLevel[n.upper()]):
+                    frozenset(strings(verbs, f"{name} verbs"))
+                for name, verbs in obj(data["bloom_verbs"], "bloom_verbs").items()
             }
         return cls(**kwargs)
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import struct
 
+from ..checks import integer, obj, string
 from ..errors import FrameTooLarge, MalformedFrame
 from .core import Message
 
@@ -30,23 +31,17 @@ def encode_frame(message: Message) -> bytes:
 
 def _decode_body(body: bytes) -> Message:
     try:
-        data = json.loads(body.decode("utf-8"))
+        data = obj(json.loads(body.decode("utf-8")), "frame body", MalformedFrame)
     except UnicodeDecodeError as exc:
         raise MalformedFrame(f"body is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedFrame(f"body is not JSON: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise MalformedFrame("frame body must be a JSON object")
-    missing = {"topic", "correlation_id", "sender", "seq", "payload"} - set(data)
-    if missing:
-        raise MalformedFrame(f"frame missing keys {sorted(missing)}")
-    if not isinstance(data["topic"], str) or not isinstance(data["sender"], str):
-        raise MalformedFrame("topic and sender must be strings")
-    if not isinstance(data["correlation_id"], str):
-        raise MalformedFrame("correlation_id must be a string")
-    if not isinstance(data["seq"], int) or isinstance(data["seq"], bool):
-        raise MalformedFrame("seq must be an integer")
-    return Message.from_dict(data)
+    if "payload" not in data:
+        raise MalformedFrame("frame has no payload")
+    topic, correlation_id, sender = (string(data.get(key), key, MalformedFrame)
+                                     for key in ("topic", "correlation_id", "sender"))
+    return Message(topic, correlation_id, sender,
+                   integer(data.get("seq"), "seq", MalformedFrame), data["payload"])
 
 
 class FrameReader:

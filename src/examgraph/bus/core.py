@@ -45,11 +45,6 @@ class Message:
             "payload": self.payload,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Message":
-        return cls(topic=data["topic"], correlation_id=data["correlation_id"],
-                   sender=data["sender"], seq=data["seq"], payload=data["payload"])
-
 
 def validate_topic(topic: str, allow_wildcard: bool = False) -> list[str]:
     """Split and check a topic; returns its segments."""

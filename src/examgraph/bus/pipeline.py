@@ -24,6 +24,7 @@ import time
 from typing import Callable
 
 from ..assessment import EvaluationResult, RubricConfig, build_lexicon
+from ..checks import array, integer, member, number, obj, string, strings
 from ..errors import GatewayTimeout, MalformedResponse
 from ..gateway import completion_fn
 from ..generation import (
@@ -32,8 +33,8 @@ from ..generation import (
     QuestionItem,
     TemplateGenerator,
 )
-from ..ingestion import SourceDocument, apply_extractions, extract_document
-from ..kg import GraphRegistry
+from ..ingestion import PLAIN, SourceDocument, apply_extractions, extract_document
+from ..kg import EdgeKind, GraphRegistry
 from .agents import AgentDescriptor, AgentHandle, Outgoing, spawn_agent
 from .core import MessageBus
 
@@ -76,22 +77,26 @@ class BusCompletion:
                     raise GatewayTimeout("bus closed while waiting for llm/reply")
                 if message.correlation_id != correlation:
                     continue
-                payload = message.payload or {}
+                payload = obj(message.payload, "llm/reply", MalformedResponse)
                 if "error_code" in payload:
                     raise MalformedResponse(
                         f"llm agent error {payload['error_code']}: "
                         f"{payload.get('message', '')}")
-                return payload["text"]
+                return string(payload.get("text"), "llm/reply text", MalformedResponse)
         finally:
             sub.close()
 
 
 def _file_extraction_agent(max_chars: int, extractor) -> AgentDescriptor:
     def handler(ctx, message):
-        payload = message.payload or {}
-        doc = SourceDocument(**payload["doc"])
+        payload = obj(message.payload, "ingest/request")
+        doc = obj(payload.get("doc"), "doc")
+        doc = SourceDocument(
+            **{key: string(doc.get(key), f"doc {key}") for key in ("doc_id", "subject", "body")},
+            chapter_path=strings(doc.get("chapter_path"), "doc chapter_path"),
+            format=string(doc.get("format", PLAIN), "doc format"))
         segments, extractions, failures = extract_document(
-            doc, extractor, payload.get("max_chars", max_chars))
+            doc, extractor, integer(payload.get("max_chars", max_chars), "max_chars"))
         return [Outgoing("kg/assert", {
             "subject": doc.subject,
             "doc_id": doc.doc_id,
@@ -111,17 +116,19 @@ def _file_extraction_agent(max_chars: int, extractor) -> AgentDescriptor:
 
 def _kg_management_agent(registry: GraphRegistry) -> AgentDescriptor:
     def handler(ctx, message):
+        payload = obj(message.payload, message.topic)
         if message.topic == "kg/assert":
-            payload = message.payload or {}
             report = apply_extractions(
-                registry, payload["subject"], payload["doc_id"],
-                payload["chapter_path"], payload.get("extractions", []),
+                registry, string(payload.get("subject"), "subject"),
+                string(payload.get("doc_id"), "doc_id"),
+                strings(payload.get("chapter_path"), "chapter_path"),
+                array(payload.get("extractions", []), "extractions"),
                 append=payload.get("append", False),
-                segments=payload.get("segments", 0),
-                failures=payload.get("failures"),
+                segments=integer(payload.get("segments", 0), "segments"),
+                failures=array(payload.get("failures", []), "failures"),
             )
             return [Outgoing("ingest/report", report.to_dict())]
-        return [Outgoing("kg/reply", _answer_query(registry, message.payload or {}))]
+        return [Outgoing("kg/reply", _answer_query(registry, payload))]
 
     return AgentDescriptor("kg_management", ["kg/assert", "kg/query"], handler)
 
@@ -129,14 +136,12 @@ def _kg_management_agent(registry: GraphRegistry) -> AgentDescriptor:
 def _answer_query(registry: GraphRegistry, payload: dict) -> dict:
     op = payload.get("op")
     try:
-        graph = registry.get(payload.get("subject", ""))
+        graph = registry.get(string(payload.get("subject", ""), "subject"))
         if op == "stats":
             return {"op": op, "stats": graph.stats()}
         if op == "neighbors":
-            from ..kg import EdgeKind
-
-            kind = EdgeKind(payload["kind"]) if payload.get("kind") else None
-            pairs = graph.query_neighbors(payload["node"],
+            kind = member(payload["kind"], "edge kind", EdgeKind) if payload.get("kind") else None
+            pairs = graph.query_neighbors(string(payload.get("node"), "node"),
                                           payload.get("direction", "both"), kind)
             return {"op": op, "neighbors": [
                 {
@@ -157,15 +162,15 @@ def _question_generation_agent(registry: GraphRegistry,
                                generator_factory: GeneratorFactory,
                                rubric: RubricConfig) -> AgentDescriptor:
     def handler(ctx, message):
-        payload = message.payload or {}
+        payload = obj(message.payload, message.topic)
         if message.topic == "exam/request":
             request_id = message.correlation_id or f"{message.sender}-{message.seq}"
-            blueprint = ExamBlueprint.from_dict(payload["blueprint"])
-            seed = int(payload.get("seed", 0))
+            blueprint = ExamBlueprint.from_dict(payload.get("blueprint"))
+            seed = integer(payload.get("seed", 0), "seed")
             graph = registry.get(blueprint.subject)  # raises -> system/errors
             generator = generator_factory(graph, seed)
-            # absent settings take ExamSession's defaults
-            knobs = {key: int(payload[key]) for key in
+            # absent settings take ExamSession's defaults; it checks the others
+            knobs = {key: payload[key] for key in
                      ("top_concepts", "top_m_facts", "max_retries") if key in payload}
             session = ctx.state[request_id] = ExamSession(
                 graph, blueprint, generator, rubric, seed=seed, **knobs)
@@ -180,7 +185,7 @@ def _question_generation_agent(registry: GraphRegistry,
             if {key: payload.get(key) for key in ref} != ref:
                 return []
             session.record_result(pending,
-                                  EvaluationResult.from_dict(payload["evaluation"]))
+                                  EvaluationResult.from_dict(payload.get("evaluation")))
         candidate = session.next_candidate()
         if candidate is None:
             del ctx.state[request_id]
@@ -201,18 +206,20 @@ def _question_generation_agent(registry: GraphRegistry,
 def _question_evaluation_agent(registry: GraphRegistry,
                                rubric: RubricConfig) -> AgentDescriptor:
     def handler(ctx, message):
-        payload = message.payload or {}
-        candidate = payload["candidate"]
+        payload = obj(message.payload, "exam/candidate")
+        candidate = obj(payload.get("candidate"), "candidate")
+        target = candidate.get("target")
+        number(target, "target")  # the verdict carries it as JSON gave it
         result = rubric.evaluate(
-            QuestionItem.from_payload(candidate["item"]), candidate["target"],
-            build_lexicon(registry.get(payload["subject"])),
-            epsilon=candidate["epsilon"], weights=candidate.get("weights"),
+            QuestionItem.from_payload(candidate.get("item")), target,
+            build_lexicon(registry.get(string(payload.get("subject"), "subject"))),
+            epsilon=candidate.get("epsilon"), weights=candidate.get("weights"),
         )
         # the verdict names its candidate but does not carry it: the
         # generation agent holds the pending item
         return [Outgoing("exam/qualified" if result.passed else "exam/reject", {
-            "slot": candidate["slot"], "attempt": candidate["attempt"],
-            "bundle_index": candidate["bundle_index"],
+            "slot": candidate.get("slot"), "attempt": candidate.get("attempt"),
+            "bundle_index": candidate.get("bundle_index"),
             "evaluation": result.to_dict(),
         })]
 
@@ -221,9 +228,10 @@ def _question_evaluation_agent(registry: GraphRegistry,
 
 def _llm_agent(complete_fn: CompleteFn) -> AgentDescriptor:
     def handler(ctx, message):
-        payload = message.payload or {}
         try:
-            text = complete_fn(payload["system_prompt"], payload["user_prompt"])
+            payload = obj(message.payload, "llm/request")
+            text = complete_fn(string(payload.get("system_prompt"), "system_prompt"),
+                               string(payload.get("user_prompt"), "user_prompt"))
             return [Outgoing("llm/reply", {"text": text})]
         except Exception as exc:
             return [Outgoing("llm/reply", {

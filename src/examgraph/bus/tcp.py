@@ -14,6 +14,7 @@ import socket
 import threading
 import weakref
 
+from ..checks import strings
 from ..errors import (
     BadPattern,
     DuplicateName,
@@ -213,7 +214,7 @@ class TcpBusServer:
                              "first frame must announce the agent")
             conn.close(flush=True)
             return
-        payload = message.payload or {}
+        payload = message.payload if isinstance(message.payload, dict) else {}
         name = payload.get("name")
         patterns = payload.get("subscriptions", [])
         if not isinstance(name, str) or not name:
@@ -221,7 +222,7 @@ class TcpBusServer:
             conn.close(flush=True)
             return
         try:
-            for pattern in patterns:
+            for pattern in strings(patterns, "subscriptions", BadPattern):
                 validate_topic(pattern, allow_wildcard=True)
             self.bus.claim_name(name)
         except (BadPattern, DuplicateName) as exc:

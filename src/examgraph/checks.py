@@ -1,0 +1,62 @@
+"""Checks on values from outside the program: config files, blueprints, item
+files and bus or TCP payloads. Each function takes the value, its field name
+and the error class to raise, and returns the value as the type the caller
+reads or raises an error that names the field and the value. Values pass
+through as JSON gave them; only ``number`` converts. Messages are built on
+failure only: some checks run for every graded candidate."""
+
+from __future__ import annotations
+
+from .errors import InvalidParams
+
+
+def obj(value, field: str, error=InvalidParams) -> dict:
+    if not isinstance(value, dict):
+        raise error(f"{field} must be a JSON object, got {value!r}")
+    return value
+
+
+def string(value, field: str, error=InvalidParams) -> str:
+    if not isinstance(value, str):
+        raise error(f"{field} must be a string, got {value!r}")
+    return value
+
+
+def array(value, field: str, error=InvalidParams, *, size: int | None = None) -> list:
+    """A list; with ``size``, one of exactly that many values."""
+    if not isinstance(value, list) or (size is not None and len(value) != size):
+        raise error(f"{field} must be a list{f' of {size} values' if size else ''}, got {value!r}")
+    return value
+
+
+def strings(value, field: str, error=InvalidParams) -> list[str]:
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise error(f"{field} must be a list of strings, got {value!r}")
+    return value
+
+
+def integer(value, field: str, error=InvalidParams, *,
+            low: int | None = None, high: int | None = None) -> int:
+    """An int, not a bool, within the inclusive bounds (``high`` needs ``low``)."""
+    if (type(value) is not int
+            or (low is not None and value < low) or (high is not None and value > high)):
+        bounds = "" if low is None else f" >= {low}" if high is None else f" in {low}..{high}"
+        raise error(f"{field} must be an integer{bounds}, got {value!r}")
+    return value
+
+
+def number(value, field: str, error=InvalidParams, *, above: float | None = None) -> float:
+    """An int or float, not a bool or NaN, as a float, greater than ``above``."""
+    if (type(value) not in (int, float) or value != value
+            or (above is not None and not value > above)):
+        bound = "" if above is None else f" > {above}"
+        raise error(f"{field} must be a number{bound}, got {value!r}")
+    return float(value)
+
+
+def member(value, field: str, lookup, error=InvalidParams):
+    """What ``lookup``, an Enum class or a function indexing one, finds."""
+    try:
+        return lookup(value)
+    except (KeyError, ValueError, AttributeError):
+        raise error(f"unknown {field} {value!r}") from None

@@ -15,6 +15,7 @@ import time
 from pathlib import Path
 
 from .assessment import DifficultyTier, RubricConfig
+from .checks import integer, obj, string
 from .errors import ExamGraphError, InsufficientMaterial, UnknownNode
 from .gateway import ProviderConfig, completion_fn
 from .generation import (
@@ -82,14 +83,14 @@ class SnapshotStore:
 def _load_config(args) -> dict:
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
-            return json.load(fh)
+            return obj(json.load(fh), "config")
     return {}
 
 
 def _data_dir(args, config: dict) -> str:
     if getattr(args, "data_dir", None):
         return args.data_dir
-    return config.get("data_dir", DEFAULT_DATA_DIR)
+    return string(config.get("data_dir", DEFAULT_DATA_DIR), "data_dir")
 
 
 def _rubric(args, config: dict) -> RubricConfig:
@@ -98,9 +99,7 @@ def _rubric(args, config: dict) -> RubricConfig:
     rubric_cfg = config.get("rubric")
     if isinstance(rubric_cfg, str):
         return RubricConfig.load(rubric_cfg)
-    if isinstance(rubric_cfg, dict):
-        return RubricConfig.from_dict(rubric_cfg)
-    return RubricConfig()
+    return RubricConfig() if rubric_cfg is None else RubricConfig.from_dict(rubric_cfg)
 
 
 def _provider(config: dict) -> ProviderConfig:
@@ -108,11 +107,12 @@ def _provider(config: dict) -> ProviderConfig:
     if not provider:
         raise ExamGraphError("no provider configured; add one to --config "
                              "or use the mock backend")
+    provider = obj(provider, "provider")
     return ProviderConfig(
-        endpoint=provider["endpoint"],
-        model=provider.get("model", ""),
-        auth_env=provider.get("auth_env", "EXAMGRAPH_API_TOKEN"),
-        retries=int(provider.get("retries", 3)),
+        endpoint=string(provider.get("endpoint"), "provider endpoint"),
+        model=string(provider.get("model", ""), "provider model"),
+        auth_env=string(provider.get("auth_env", "EXAMGRAPH_API_TOKEN"), "provider auth_env"),
+        retries=integer(provider.get("retries", 3), "provider retries", low=0),
     )
 
 
@@ -277,7 +277,7 @@ def cmd_analyze(args) -> int:
     groups = None
     if args.groups:
         with open(args.groups, encoding="utf-8") as fh:
-            groups = json.load(fh)
+            groups = obj(json.load(fh), "groups")
     report = analyze(matrix, groups, discrimination_fraction=args.fraction)
     _emit(report, args.out)
     return 0

@@ -80,7 +80,7 @@ class NotAConcept(ExamGraphError):
 
 # --- assessment ---
 
-class InvalidParams(ExamGraphError):
+class InvalidParams(ExamGraphError, ValueError):
     code = "invalid_params"
 
 

@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+from .checks import string
 from .errors import AuthError, GatewayTimeout, MalformedResponse, RateLimited
 from .textutils import naive_svo, split_sentences
 
@@ -113,9 +114,7 @@ def _extract_choice(raw: bytes) -> str:
         content = data["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
         raise MalformedResponse("no choices[0].message.content in response") from exc
-    if not isinstance(content, str):
-        raise MalformedResponse("choice content is not text")
-    return content
+    return string(content, "choice content", MalformedResponse)
 
 
 # --- deterministic offline mock ---

@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 
 from ..assessment import DifficultyTier, validate_overrides
+from ..checks import array, integer, member, obj, string
 from ..errors import AllZeroCounts, BadRatios, InvalidParams
 
 TIER_ORDER = (
@@ -16,7 +17,6 @@ TIER_ORDER = (
     DifficultyTier.APPLIED_UNDERSTANDING,
     DifficultyTier.COMPREHENSIVE_ANALYSIS,
 )
-_TIER_NAMES = frozenset(t.value for t in TIER_ORDER)
 
 
 def allocation_ratios(counts: list[int]) -> list[float]:
@@ -48,14 +48,6 @@ def allocate_counts(ratios: list[float], total: int) -> list[int]:
     return counts
 
 
-def _json_count(value, what: str) -> int:
-    """A count from a blueprint: int() would read 2.7 as 2, true as 1 and
-    "3" as 3."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidParams(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 @dataclass
 class BlueprintSection:
     chapter: str
@@ -64,12 +56,12 @@ class BlueprintSection:
 
     def __post_init__(self):
         if self.count < 0:
-            raise ValueError("section count must be >= 0")
+            raise InvalidParams("section count must be >= 0")
         if any(v < 0 for v in self.tier_counts.values()):
-            raise ValueError("tier counts must be >= 0")
+            raise InvalidParams("tier counts must be >= 0")
         spread = sum(self.tier_counts.values())
         if spread != self.count:
-            raise ValueError(
+            raise InvalidParams(
                 f"section {self.chapter!r}: tier counts sum to {spread}, "
                 f"expected {self.count}")
 
@@ -83,9 +75,9 @@ class ExamBlueprint:
 
     def __post_init__(self):
         if not self.subject:
-            raise ValueError("blueprint subject must be non-empty")
+            raise InvalidParams("blueprint subject must be non-empty")
         if self.total < 1:
-            raise ValueError("blueprint must request at least one item")
+            raise InvalidParams("blueprint must request at least one item")
         validate_overrides(self.epsilon, self.weights)
 
     @property
@@ -115,33 +107,22 @@ class ExamBlueprint:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExamBlueprint":
-        if not isinstance(data, dict):
-            raise ValueError("blueprint must be a JSON object")
-        raw_sections = data.get("sections", [])
-        if not isinstance(raw_sections, list):
-            raise InvalidParams(f"sections must be a list, got {raw_sections!r}")
+        # check the raw values: int() would read 2.7 as 2 and "3" as 3,
+        # float() raises a bare ValueError on "x", and both take true as 1
+        data = obj(data, "blueprint")
         sections = []
-        for raw in raw_sections:
-            if not (isinstance(raw, dict) and isinstance(raw.get("chapter"), str)
-                    and isinstance(raw.get("tiers", {}), dict)):
-                raise InvalidParams("a section must be an object with a chapter string "
-                                    f"and a tiers object, got {raw!r}")
-            tier_counts = {}
-            for name, value in raw.get("tiers", {}).items():
-                if name not in _TIER_NAMES:
-                    raise InvalidParams(f"unknown tier {name!r}")
-                tier_counts[DifficultyTier(name)] = _json_count(value, f"{name} count")
+        for raw in array(data.get("sections", []), "sections"):
+            raw = obj(raw, "section")
             sections.append(BlueprintSection(
-                chapter=raw["chapter"],
-                count=_json_count(raw.get("count"), "section count"),
-                tier_counts=tier_counts,
+                chapter=string(raw.get("chapter"), "section chapter"),
+                count=integer(raw.get("count"), "section count"),
+                tier_counts={member(name, "tier", DifficultyTier): integer(value, f"{name} count")
+                             for name, value in obj(raw.get("tiers", {}), "tiers").items()},
             ))
-        # check the raw values: float() raises a bare ValueError on "x" and
-        # takes true as 1.0
         epsilon, weights = data.get("epsilon"), data.get("weights")
         validate_overrides(epsilon, weights)
         return cls(
-            subject=data.get("subject", ""),
+            subject=string(data.get("subject", ""), "subject"),
             sections=sections,
             epsilon=None if epsilon is None else float(epsilon),
             weights=None if weights is None else [float(w) for w in weights],

@@ -16,6 +16,7 @@ from json.encoder import JSONEncoder, c_make_encoder, encode_basestring
 from typing import Iterator
 
 from ..assessment import DifficultyTier, EvaluationResult, RubricConfig, build_lexicon
+from ..checks import integer
 from ..errors import ExamGraphError, NoConceptsInChapter
 from ..kg import GraphRegistry, KnowledgeGraph, NodeKind
 from .blueprint import TIER_ORDER, ExamBlueprint
@@ -175,6 +176,11 @@ class Exam:
         return pretty_json(self.to_dict()) + "\n"
 
 
+# bus peers set max_retries, and each slot builds and may grade that many
+# (bundle, variant) pairs: one request gets at most 20 times the default
+MAX_RETRIES = 100
+
+
 def _attempt_pairs(start: int, n_bundles: int, max_retries: int) -> list[tuple[int, int]]:
     pairs = [(start % n_bundles, 0)]
     bundle, variant = start, 0
@@ -207,8 +213,9 @@ class ExamSession:
                  generator: Generator, rubric: RubricConfig | None = None, *,
                  seed: int = 0, top_concepts: int = 10, top_m_facts: int = 5,
                  max_retries: int = 5):
-        if max_retries < 1:
-            raise ValueError(f"max_retries must be >= 1, got {max_retries}")
+        integer(top_concepts, "top_concepts", low=1)
+        integer(top_m_facts, "top_m_facts", low=1)
+        integer(max_retries, "max_retries", low=1, high=MAX_RETRIES)
         self.graph = graph
         self.blueprint = blueprint
         self.generator = generator

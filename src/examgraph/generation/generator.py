@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from ..assessment import BloomLevel, DifficultyTier, bloom_profile
+from ..checks import array, integer, member, obj, string, strings
 from ..errors import ExamGraphError, GeneratorFailure, MalformedCandidate, MalformedItem
 from ..kg import GraphView, KnowledgeGraph, NodeKind
 from ..ranking import cached_pagerank, rank_chapter_concepts, rank_concept_facts
@@ -42,8 +43,10 @@ class Provenance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Provenance":
-        return cls(subject=data["subject"], concept=data["concept"],
-                   facts=list(data["facts"]), chapter=data["chapter"])
+        data = obj(data, "provenance", MalformedItem)
+        facts = list(strings(data.get("facts"), "provenance facts", MalformedItem))
+        return cls(facts=facts, **{key: string(data.get(key), f"provenance {key}", MalformedItem)
+                                   for key in ("subject", "concept", "chapter")})
 
 
 @dataclass
@@ -71,19 +74,18 @@ class QuestionItem:
 
     @classmethod
     def from_payload(cls, data: dict) -> "QuestionItem":
-        options, answer_index = data["options"], data["answer_index"]
-        # list() would split a string into one-letter options, int() takes true as 1
-        if not isinstance(options, list) or not all(isinstance(o, str) for o in options):
-            raise MalformedItem(f"options must be a list of strings, got {options!r}")
-        if isinstance(answer_index, bool):
-            raise MalformedItem(f"answer_index must be an integer, got {answer_index!r}")
+        # list() would split a string into one-letter options, int() takes
+        # true as 1 and 1.7 as 1
+        data = obj(data, "item", MalformedItem)
         return cls(
-            id=data.get("id", ""),
-            stem=data["stem"],
-            options=list(options),
-            answer_index=int(answer_index),
-            bloom=BloomLevel[data.get("bloom", "remember").upper()],
-            tier=DifficultyTier(data.get("tier", "basic")),
+            id=string(data.get("id", ""), "id", MalformedItem),
+            stem=string(data.get("stem"), "stem", MalformedItem),
+            options=list(strings(data.get("options"), "options", MalformedItem)),
+            answer_index=integer(data.get("answer_index"), "answer_index", MalformedItem,
+                                 low=0, high=3),
+            bloom=member(data.get("bloom", "remember"), "bloom",
+                         lambda name: BloomLevel[name.upper()], MalformedItem),
+            tier=member(data.get("tier", "basic"), "tier", DifficultyTier, MalformedItem),
             provenance=(Provenance.from_dict(data["provenance"])
                         if "provenance" in data else None),
         )
@@ -342,20 +344,14 @@ class LLMGenerator:
 
 def _parse_item_reply(reply: str, tier: DifficultyTier, bloom: BloomLevel) -> QuestionItem:
     try:
-        data = json.loads(reply)
+        data = obj(json.loads(reply), "reply", MalformedCandidate)
     except json.JSONDecodeError as exc:
         raise MalformedCandidate(f"reply is not JSON: {exc.msg}") from exc
-    if (not isinstance(data, dict)
-            or not isinstance(data.get("stem"), str)
-            or not isinstance(data.get("options"), list)
-            or not isinstance(data.get("answer_index"), int)):
-        raise MalformedCandidate(
-            'reply must be {"stem": str, "options": [4 strings], "answer_index": int}')
     return QuestionItem(
         id="",
-        stem=data["stem"],
-        options=[str(o) for o in data["options"]],
-        answer_index=data["answer_index"],
+        stem=string(data.get("stem"), "stem", MalformedCandidate),
+        options=[str(o) for o in array(data.get("options"), "options", MalformedCandidate)],
+        answer_index=integer(data.get("answer_index"), "answer_index", MalformedCandidate),
         bloom=bloom,
         tier=tier,
     )

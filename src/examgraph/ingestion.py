@@ -14,10 +14,12 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
+from .checks import array, obj, strings
 from .errors import (
     EmptyLabel,
     ExtractorFailure,
     InvalidExtraction,
+    InvalidParams,
     SubjectCollision,
     UnsupportedFormat,
 )
@@ -38,9 +40,9 @@ class SourceDocument:
 
     def __post_init__(self):
         if not self.body:
-            raise ValueError("document body must be non-empty")
+            raise InvalidParams("document body must be non-empty")
         if not self.chapter_path:
-            raise ValueError("chapter_path must be non-empty")
+            raise InvalidParams("chapter_path must be non-empty")
 
 
 @dataclass
@@ -105,7 +107,7 @@ def segment_text(text: str, max_chars: int = 2000, doc_id: str = "") -> list[Tex
     paragraphs up to ``max_chars``; oversized paragraphs split at sentence
     boundaries."""
     if max_chars < 200:
-        raise ValueError(f"max_chars must be >= 200, got {max_chars}")
+        raise InvalidParams(f"max_chars must be >= 200, got {max_chars}")
     paragraphs = [p.strip() for p in re.split(r"\n\s*\n", text) if p.strip()]
     pieces: list[str] = []
     for para in paragraphs:
@@ -177,14 +179,9 @@ def load_hypernym_lexicon(path_or_data) -> dict[str, list[str]]:
     else:
         with open(path_or_data, encoding="utf-8") as fh:
             data = json.load(fh)
-    if not isinstance(data, dict):
-        raise InvalidExtraction("hypernym lexicon must be a JSON object")
-    lexicon: dict[str, list[str]] = {}
-    for entity, concepts in data.items():
-        if not isinstance(concepts, list) or not all(isinstance(c, str) for c in concepts):
-            raise InvalidExtraction(f"lexicon entry {entity!r} must map to a list of strings")
-        lexicon[normalize_label(entity)] = list(concepts)
-    return lexicon
+    return {normalize_label(entity): list(strings(concepts, f"lexicon entry {entity!r}",
+                                                  InvalidExtraction))
+            for entity, concepts in obj(data, "hypernym lexicon", InvalidExtraction).items()}
 
 
 class RuleExtractor:
@@ -242,22 +239,20 @@ class LLMExtractor:
 
 def parse_extraction_reply(reply: str) -> ExtractionResult:
     try:
-        data = json.loads(reply)
+        data = obj(json.loads(reply), "reply", InvalidExtraction)
     except json.JSONDecodeError as exc:
         raise InvalidExtraction(f"reply is not JSON: {exc.msg}") from exc
-    if not isinstance(data, dict) or set(data) != {"triples", "concepts"}:
+    if set(data) != {"triples", "concepts"}:
         raise InvalidExtraction('reply must be {"triples": ..., "concepts": ...}')
-    triples_raw = data["triples"]
-    concepts_raw = data["concepts"]
-    if not isinstance(triples_raw, list) or not isinstance(concepts_raw, dict):
-        raise InvalidExtraction("triples must be a list and concepts an object")
-    triples = []
-    for entry in triples_raw:
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise InvalidExtraction(f"bad triple entry {entry!r}")
-        triples.append((entry[0], entry[1], entry[2]))
-    return ExtractionResult(triples, {k: list(v) if isinstance(v, list) else v
-                                      for k, v in concepts_raw.items()})
+    return _extraction_from_json(data["triples"], data["concepts"])
+
+
+def _extraction_from_json(triples, concepts) -> ExtractionResult:
+    """An extraction from its JSON shape; ``validate_extraction`` checks the values."""
+    return ExtractionResult(
+        [tuple(array(t, "triple", InvalidExtraction, size=3))
+         for t in array(triples, "triples", InvalidExtraction)],
+        dict(obj(concepts, "concepts", InvalidExtraction)))
 
 
 def extract_segment(segment: TextSegment, extractor: Extractor) -> ExtractionResult:
@@ -401,12 +396,10 @@ def apply_extractions(registry: GraphRegistry, subject: str, doc_id: str,
     failures = list(failures or [])
     extractions = []
     for entry in entries:
-        index = entry.get("segment", 0)
+        index = obj(entry, "extraction entry").get("segment", 0)
         try:
-            extractions.append((index, validate_extraction(ExtractionResult(
-                triples=[(t[0], t[1], t[2]) for t in entry.get("triples", [])],
-                concept_map={k: list(v) for k, v in entry.get("concepts", {}).items()},
-            ))))
+            extractions.append((index, validate_extraction(_extraction_from_json(
+                entry.get("triples", []), entry.get("concepts", {})))))
         except Exception as exc:
             failures.append(_failure(index, exc))
     return _assemble(registry, subject, doc_id, chapter_path, extractions,

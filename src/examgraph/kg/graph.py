@@ -31,6 +31,7 @@ from ..errors import (
     DuplicateSubject,
     EmptyLabel,
     EmptySubject,
+    InvalidParams,
     KindMismatch,
     SubjectCollision,
     UnknownNode,
@@ -270,7 +271,7 @@ class KnowledgeGraph:
         view = self.view()
         view.node(node_id)  # raises UnknownNode
         if direction not in ("in", "out", "both"):
-            raise ValueError(f"direction must be in/out/both, got {direction!r}")
+            raise InvalidParams(f"direction must be in/out/both, got {direction!r}")
         found: list[tuple[Edge, Node]] = []
         seen: set[tuple[Edge, str]] = set()  # self-loops are incident once
         if direction in ("out", "both"):

@@ -428,6 +428,9 @@ def test_integer_overrides_from_json_become_floats():
     pytest.param({"tau": "x"}, id="tau-string"),
     pytest.param({"tau": True}, id="tau-bool"),
     pytest.param({"tau": None}, id="tau-null"),
+    pytest.param({"tau": math.nan}, id="tau-nan"),
+    pytest.param({"thresholds": {f.value: [2, 1] for f in FEATURE_ORDER}}, id="cuts-reversed"),
+    pytest.param({"tiers": {"basic": {"target": math.nan}}}, id="target-nan"),
     pytest.param({"thresholds": {"stem_length": "ab"}}, id="pair-string"),
     pytest.param({"thresholds": {"stem_length": {"lo": 1}}}, id="pair-object"),
     pytest.param({"thresholds": {"stem_length": [15]}}, id="pair-short"),

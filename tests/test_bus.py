@@ -684,3 +684,45 @@ def test_tcp_bad_frame_gets_one_error_frame(data, code):
     assert error.topic == "system/errors"
     assert error.payload["error_code"] == code
     assert raised == []
+
+
+@pytest.mark.parametrize("payload, reply", [
+    ({"name": "peer", "subscriptions": None}, "bad_pattern"),
+    ({"name": "peer", "subscriptions": "exam"}, "bad_pattern"),
+    ({"name": "peer", "subscriptions": [1]}, "bad_pattern"),
+    ({"name": "peer", "subscriptions": {"exam/*": 1}}, "bad_pattern"),
+    (["peer"], "protocol_error"),
+], ids=["null", "string", "number", "object", "payload-list"])
+def test_tcp_announce_with_malformed_payload_is_refused(payload, reply):
+    """A null list killed the hub's reader thread, and a string subscribed
+    the peer to its one-letter topics."""
+    bus = MessageBus()
+    server = TcpBusServer(bus)
+    server.start()
+    before = set(threading.enumerate())
+    raised = []
+    previous_hook = threading.excepthook
+    threading.excepthook = raised.append
+    try:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(encode_frame(Message(topic=tcp_module.ANNOUNCE_TOPIC,
+                                              correlation_id="a-1", sender="peer",
+                                              seq=0, payload=payload)))
+            received = b""
+            while chunk := sock.recv(65536):  # the hub closes after refusing
+                received += chunk
+        for thread in [t for t in threading.enumerate()
+                       if t not in before and t.name.startswith("tcp-bus-")]:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        bus.claim_name("peer")  # the refused peer holds no name
+    finally:
+        threading.excepthook = previous_hook
+        server.stop()
+        bus.close()
+    (answer,) = FrameReader().feed(received)
+    if reply == "bad_pattern":
+        assert (answer.topic, answer.correlation_id) == (tcp_module.ANNOUNCE_TOPIC, "a-1")
+        assert answer.payload["ok"] is False
+    assert answer.payload["error_code"] == reply
+    assert raised == []

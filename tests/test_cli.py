@@ -146,11 +146,11 @@ def test_blueprint_validate(workspace, capsys):
     no_chapter = blueprint_dict()
     del no_chapter["sections"][0]["chapter"]
     sections_string = dict(blueprint_dict(), sections="x")
-    for data, code in ((counts, "error"), (epsilon, "invalid_params"),
+    for data, code in ((counts, "invalid_params"), (epsilon, "invalid_params"),
                        (weights, "all_zero_weights"),
                        (six_weights, "invalid_params"),
                        (fractional, "invalid_params"), (bool_tier, "invalid_params"),
-                       (negative, "error"), (unknown_tier, "invalid_params"),
+                       (negative, "invalid_params"), (unknown_tier, "invalid_params"),
                        (no_chapter, "invalid_params"),
                        (sections_string, "invalid_params")):
         bad.write_text(json.dumps(data))
@@ -267,6 +267,42 @@ def test_config_file_supplies_defaults_flags_win(workspace, capsys, tmp_path):
                  "--config", str(config),
                  "--data-dir", str(tmp_path / "elsewhere")]) == 1
     assert json.loads(capsys.readouterr().err)["error_code"] == "unknown_subject"
+
+
+@pytest.mark.parametrize("command, config", [
+    (["graph", "stats", "--subject", "envsci"], [1]),
+    (["graph", "stats", "--subject", "envsci"], {"data_dir": 5}),
+    (["agents", "run", "--duration", "0.1", "--extractor", "llm"],
+     {"provider": {"model": "m"}}),
+    (["agents", "run", "--duration", "0.1", "--extractor", "llm"],
+     {"provider": {"endpoint": "https://x", "retries": "3"}}),
+    (["evaluate-item", "--item", "item.json"], {"rubric": 5}),
+], ids=["config-list", "data-dir-number", "provider-without-endpoint",
+        "provider-retries-string", "rubric-number"])
+def test_malformed_config_file_is_invalid_params(capsys, tmp_path, monkeypatch,
+                                                 command, config):
+    """Not the AttributeError, TypeError or KeyError traceback of the
+    value's first use."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "item.json").write_text(json.dumps(
+        {"stem": "Define erosion.", "options": ["a", "b", "c", "d"], "answer_index": 0}))
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert main(command + ["--config", "config.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["error_code"] == "invalid_params"
+
+
+def test_groups_file_must_be_an_object(capsys, tmp_path):
+    csv_path = tmp_path / "responses.csv"
+    csv_path.write_text("participant,q1\n" + "".join(
+        f"p{i},{i % 2}\n" for i in range(8)))
+    groups_path = tmp_path / "groups.json"
+    groups_path.write_text("[1]")
+    assert main(["analyze", "--responses", str(csv_path),
+                 "--groups", str(groups_path)]) == 1
+    assert json.loads(capsys.readouterr().err)["error_code"] == "invalid_params"
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -24,6 +24,7 @@ from examgraph.errors import (
 from examgraph.generation import (
     DEFAULT_TIER_BLOOM,
     ExamBlueprint,
+    ExamSession,
     LLMGenerator,
     QuestionItem,
     TemplateGenerator,
@@ -33,6 +34,7 @@ from examgraph.generation import (
     generate_candidate,
     generate_exam,
 )
+from examgraph.generation.exam import MAX_RETRIES
 from examgraph.kg import GraphRegistry, KnowledgeGraph, NodeKind
 from examgraph.ranking import rank_chapter_concepts
 
@@ -305,10 +307,23 @@ def test_generate_candidate_rejects_malformed(corpus):
     pytest.param({"options": {"w": 0, "x": 1, "y": 2, "z": 3}}, id="options-object"),
     pytest.param({"answer_index": True}, id="answer-true"),
     pytest.param({"answer_index": False}, id="answer-false"),
+    pytest.param({"answer_index": 1.7}, id="answer-fraction"),
+    pytest.param({"answer_index": "x"}, id="answer-string"),
+    pytest.param({"answer_index": 4}, id="answer-out-of-range"),
+    pytest.param({"stem": 5}, id="stem-number"),
+    pytest.param({"stem": None}, id="stem-null"),
+    pytest.param({"bloom": 7}, id="bloom-number"),
+    pytest.param({"bloom": "ponder"}, id="bloom-unknown"),
+    pytest.param({"tier": "hard"}, id="tier-unknown"),
+    pytest.param({"id": 5}, id="id-number"),
+    pytest.param({"provenance": "x"}, id="provenance-string"),
+    pytest.param({"provenance": {"subject": "s", "concept": "c", "chapter": "h",
+                                 "facts": "f"}}, id="provenance-facts-string"),
 ])
 def test_question_item_from_payload_rejects_malformed_fields(change):
     """list() would split "wxyz" into four one-letter options, which the
-    rubric grades and may pass, and int() would take true as 1."""
+    rubric grades and may pass, and int() would take true as 1 and 1.7 as
+    1, which then passes."""
     payload = {"stem": "Define erosion in context.",
                "options": ["one", "two", "three", "four"], "answer_index": 0}
     assert QuestionItem.from_payload(payload).options == payload["options"]
@@ -338,9 +353,13 @@ def test_llm_generator_contract(corpus):
     assert any(len(line.split(" ")) >= 3 for line in seen["user"].splitlines()
                if line and ":" not in line)
 
-    with pytest.raises(MalformedCandidate):
-        LLMGenerator(lambda s, u: "not json").generate(
-            bundle, DifficultyTier.BASIC_RECALL, BloomLevel.REMEMBER, 0)
+    for reply in ("not json", "[]", json.dumps({"stem": "Pick one.", "options": "abcd",
+                                                 "answer_index": 2}),
+                  json.dumps({"stem": "Pick one.", "options": ["a", "b", "c", "d"],
+                              "answer_index": True})):
+        with pytest.raises(MalformedCandidate):
+            LLMGenerator(lambda s, u: reply).generate(
+                bundle, DifficultyTier.BASIC_RECALL, BloomLevel.REMEMBER, 0)
     with pytest.raises(GeneratorFailure):
         LLMGenerator(lambda s, u: (_ for _ in ()).throw(ConnectionError())).generate(
             bundle, DifficultyTier.BASIC_RECALL, BloomLevel.REMEMBER, 0)
@@ -557,6 +576,25 @@ def test_rejects_log_records_failed_candidates(corpus):
 
 
 # --- the generate/evaluate/retry loop ---
+
+@pytest.mark.parametrize("knobs", [
+    pytest.param({"max_retries": 0}, id="retries-zero"),
+    pytest.param({"max_retries": MAX_RETRIES + 1}, id="retries-over-bound"),
+    pytest.param({"max_retries": 2.5}, id="retries-fraction"),
+    pytest.param({"max_retries": True}, id="retries-bool"),
+    pytest.param({"top_concepts": 0}, id="top-concepts-zero"),
+    pytest.param({"top_m_facts": "3"}, id="top-facts-string"),
+])
+def test_exam_session_checks_its_knobs(corpus, knobs):
+    """The CLI, the library call and the bus share this check; the bound
+    itself is legal. The session is only built, never run."""
+    registry, _, _ = corpus
+    graph = registry.get("envsci")
+    blueprint = ExamBlueprint.from_dict(blueprint_dict())
+    ExamSession(graph, blueprint, TemplateGenerator(graph), max_retries=MAX_RETRIES)
+    with pytest.raises(InvalidParams):
+        ExamSession(graph, blueprint, TemplateGenerator(graph), **knobs)
+
 
 def test_always_failing_generator_logs_rejects_and_exhausts_slot(corpus):
     registry, _, _ = corpus

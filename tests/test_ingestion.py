@@ -175,8 +175,10 @@ def test_load_hypernym_lexicon_normalizes_keys(tmp_path):
     path = tmp_path / "lex.json"
     path.write_text(json.dumps({" Oak ": ["tree"]}))
     assert load_hypernym_lexicon(path) == {"oak": ["tree"]}
-    with pytest.raises(InvalidExtraction):
-        load_hypernym_lexicon({"oak": "tree"})
+    path.write_text(json.dumps([["oak", "tree"]]))
+    for data in ({"oak": "tree"}, {"oak": [1]}, path):
+        with pytest.raises(InvalidExtraction):
+            load_hypernym_lexicon(data)
 
 
 # --- ingest assembly ---
@@ -350,7 +352,16 @@ def test_failed_segment_on_new_subject_adds_no_triple():
     assert [n.label for n in graph.nodes()] == ["ch 1"]
 
 
-@pytest.mark.parametrize("entry", EMPTY_AFTER_NORMALIZATION)
+# shapes a peer can get wrong: read at face value, each was a valid
+# extraction of one-letter labels
+WRONGLY_SHAPED = [
+    {"triples": ["oak"], "concepts": {}},
+    {"triples": {"oak": 1}, "concepts": {}},
+    {"triples": [["oak", "supports", "fern"]], "concepts": {"oak": "tree"}},
+]
+
+
+@pytest.mark.parametrize("entry", EMPTY_AFTER_NORMALIZATION + WRONGLY_SHAPED)
 def test_failed_segment_writes_nothing_through_apply_extractions(entry):
     registry = _populated()
     graph = registry.get("s")

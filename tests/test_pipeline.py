@@ -11,6 +11,7 @@ from examgraph.generation import (
     TemplateGenerator,
     generate_exam,
 )
+from examgraph.generation.exam import MAX_RETRIES
 from examgraph.ingestion import RuleExtractor, SourceDocument, ingest_document
 from examgraph.kg import GraphRegistry
 
@@ -248,6 +249,13 @@ def test_exam_request_with_wrongly_shaped_blueprint_reports_invalid_params(stack
 @pytest.mark.parametrize("change", [
     pytest.param({"options": "wxyz"}, id="options-string"),
     pytest.param({"answer_index": True}, id="answer-true"),
+    pytest.param({"answer_index": 1.7}, id="answer-fraction"),
+    pytest.param({"answer_index": "x"}, id="answer-string"),
+    pytest.param({"answer_index": 4}, id="answer-out-of-range"),
+    pytest.param({"stem": 5}, id="stem-number"),
+    pytest.param({"bloom": 7}, id="bloom-number"),
+    pytest.param({"tier": "hard"}, id="unknown-tier"),
+    pytest.param({"provenance": {"subject": "envsci"}}, id="provenance-partial"),
 ])
 def test_candidate_with_malformed_item_reports_malformed_item(stack, change):
     bus, registry, pipeline, documents, lexicon = stack
@@ -521,3 +529,125 @@ def test_one_bundle_slot_never_repeats_a_candidate():
              for c in frames]
     assert len(names) == len(direct.items) + len(direct.rejects)
     assert len(set(names)) == len(names)
+
+
+_BLUEPRINT = {"subject": "envsci", "sections": [
+    {"chapter": "Ch 1", "count": 1, "tiers": {"basic": 1}}]}
+_CANDIDATE = {"slot": {"section": 0, "chapter": "Ch 1", "tier": "basic", "slot": 0},
+              "attempt": 0, "bundle_index": 0, "target": 9.0, "epsilon": 2.0,
+              "item": {"stem": "Define erosion in context.",
+                       "options": ["one", "two", "three", "four"], "answer_index": 0}}
+_DOC = {"doc_id": "d1", "subject": "envsci", "chapter_path": ["Ch 1"],
+        "body": "The oak supports the fern.", "format": "plain"}
+
+
+@pytest.mark.parametrize("topic, payload, reply_topic, code", [
+    pytest.param("exam/request", {"seed": 0}, "system/errors", "invalid_params",
+                 id="request-no-blueprint"),
+    pytest.param("exam/request", {"blueprint": _BLUEPRINT, "seed": "x"},
+                 "system/errors", "invalid_params", id="request-seed-string"),
+    pytest.param("exam/request", {"blueprint": _BLUEPRINT, "seed": 1.5},
+                 "system/errors", "invalid_params", id="request-seed-fraction"),
+    pytest.param("exam/request", {"blueprint": _BLUEPRINT, "max_retries": "x"},
+                 "system/errors", "invalid_params", id="request-retries-string"),
+    pytest.param("exam/request", {"blueprint": _BLUEPRINT, "max_retries": 0},
+                 "system/errors", "invalid_params", id="request-retries-zero"),
+    pytest.param("exam/request", {"blueprint": _BLUEPRINT, "max_retries": MAX_RETRIES + 1},
+                 "system/errors", "invalid_params", id="request-retries-over-bound"),
+    pytest.param("exam/request", {"blueprint": _BLUEPRINT, "top_concepts": 0},
+                 "system/errors", "invalid_params", id="request-top-concepts-zero"),
+    pytest.param("exam/request", {"blueprint": "x"}, "system/errors", "invalid_params",
+                 id="request-blueprint-string"),
+    pytest.param("exam/request", {"blueprint": dict(_BLUEPRINT, subject="")},
+                 "system/errors", "invalid_params", id="request-empty-subject"),
+    pytest.param("exam/request", {"blueprint": dict(_BLUEPRINT, sections=[
+        {"chapter": "Ch 1", "count": 2, "tiers": {"basic": 1}}])},
+                 "system/errors", "invalid_params", id="request-tiers-do-not-sum"),
+    pytest.param("exam/request", "x", "system/errors", "invalid_params",
+                 id="request-payload-string"),
+    pytest.param("exam/candidate", {"subject": "envsci"}, "system/errors",
+                 "invalid_params", id="candidate-missing"),
+    pytest.param("exam/candidate", {"subject": "envsci", "candidate": dict(
+        _CANDIDATE, target="x")}, "system/errors", "invalid_params",
+                 id="candidate-target-string"),
+    pytest.param("exam/candidate", {"candidate": _CANDIDATE}, "system/errors",
+                 "invalid_params", id="candidate-no-subject"),
+    pytest.param("ingest/request", {"doc": "x"}, "system/errors", "invalid_params",
+                 id="ingest-doc-string"),
+    pytest.param("ingest/request", {"doc": {"doc_id": "d1", "subject": "envsci"}},
+                 "system/errors", "invalid_params", id="ingest-doc-missing-fields"),
+    pytest.param("ingest/request", {"doc": dict(_DOC, body="")}, "system/errors",
+                 "invalid_params", id="ingest-doc-empty-body"),
+    pytest.param("ingest/request", {"doc": _DOC, "max_chars": "x"}, "system/errors",
+                 "invalid_params", id="ingest-max-chars-string"),
+    pytest.param("kg/assert", {"subject": "envsci", "chapter_path": ["Ch 1"]},
+                 "system/errors", "invalid_params", id="assert-no-doc-id"),
+    pytest.param("kg/assert", {"subject": "envsci", "doc_id": "d1", "chapter_path": "Ch 1"},
+                 "system/errors", "invalid_params", id="assert-chapter-path-string"),
+    pytest.param("kg/query", {"op": "neighbors", "subject": "envsci"}, "kg/reply",
+                 "invalid_params", id="query-no-node"),
+    pytest.param("kg/query", {"op": "neighbors", "subject": "envsci", "node": "x",
+                              "kind": "cousin_of"}, "kg/reply", "invalid_params",
+                 id="query-unknown-kind"),
+    pytest.param("kg/query", {"op": "stats", "subject": ["envsci"]}, "kg/reply",
+                 "invalid_params", id="query-subject-list"),
+    pytest.param("llm/request", {}, "llm/reply", "invalid_params", id="llm-empty"),
+    pytest.param("llm/request", "x", "llm/reply", "invalid_params", id="llm-payload-string"),
+])
+def test_malformed_payload_reports_its_error_code(stack, topic, payload, reply_topic, code):
+    """Each reply comes under the request's correlation id with a stable
+    code: never agent_error or error, nor a bare KeyError or TypeError
+    message."""
+    bus, registry, pipeline, documents, lexicon = stack
+    ingest_document(registry, documents[0], RuleExtractor(lexicon))
+    replies = bus.subscribe("watch-replies", reply_topic)
+    candidates = bus.subscribe("watch-candidates", "exam/candidate")
+    message = publish_and_wait(bus, replies, topic, payload, "bad-1")
+    assert message.payload["error_code"] == code
+    if topic == "exam/request":
+        assert drain(candidates) == []
+
+
+@pytest.mark.parametrize("evaluation", [
+    pytest.param("x", id="string"),
+    pytest.param({"difficulty": "9", "target": 9.0, "epsilon": 2.0, "passed": True,
+                  "breakdown": []}, id="difficulty-string"),
+    pytest.param({"difficulty": 9.0, "target": 9.0, "epsilon": 2.0, "passed": "yes",
+                  "breakdown": []}, id="passed-string"),
+    pytest.param({"difficulty": 9.0, "target": 9.0, "epsilon": 2.0, "passed": True,
+                  "breakdown": [{"rating": 1}]}, id="entry-without-feature"),
+])
+def test_malformed_verdict_reports_invalid_params_and_keeps_the_session(stack, evaluation):
+    """The pending candidate stays pending: a well-formed verdict that
+    follows still completes the exam, equal to the direct call's."""
+    bus, registry, pipeline, documents, lexicon = stack
+    next(agent for agent in pipeline.agents
+         if agent.name == "question_evaluation").stop()
+    ingest_document(registry, documents[0], RuleExtractor(lexicon))
+    errors = bus.subscribe("watch-errors", "system/errors")
+    inbox = queue.Queue()
+    for topic in ("exam/candidate", "exam/complete"):
+        bus.subscribe("watch", topic, shared_queue=inbox)
+    bus.publish("exam/request", {"blueprint": _BLUEPRINT, "seed": 42},
+                sender="client", correlation_id="exam-v")
+    candidate = inbox.get(timeout=15).payload["candidate"]
+    ref = {key: candidate[key] for key in ("slot", "attempt", "bundle_index")}
+    error = publish_and_wait(bus, errors, "exam/qualified",
+                             dict(ref, evaluation=evaluation), "exam-v")
+    assert error.payload["error_code"] == "invalid_params"
+    while True:
+        result = RubricConfig().evaluate(
+            QuestionItem.from_payload(candidate["item"]), candidate["target"],
+            build_lexicon(registry.get("envsci")), epsilon=candidate["epsilon"])
+        bus.publish("exam/qualified" if result.passed else "exam/reject",
+                    dict(ref, evaluation=result.to_dict()),
+                    sender="client", correlation_id="exam-v")
+        message = inbox.get(timeout=15)
+        if message.topic == "exam/complete":
+            break
+        candidate = message.payload["candidate"]
+        ref = {key: candidate[key] for key in ("slot", "attempt", "bundle_index")}
+    reference = generate_exam(
+        registry, ExamBlueprint.from_dict(_BLUEPRINT),
+        TemplateGenerator(registry.get("envsci"), seed=42), RubricConfig(), seed=42)
+    assert message.payload == reference.to_dict()
