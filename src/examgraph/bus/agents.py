@@ -6,12 +6,11 @@ agent; distinct agents run concurrently. Handler exceptions are reported on
 from __future__ import annotations
 
 import logging
-import queue
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from .core import DEFAULT_QUEUE_CAPACITY, Message, MessageBus
+from .core import Message, MessageBus
 
 logger = logging.getLogger(__name__)
 
@@ -55,7 +54,7 @@ class AgentHandle:
         self.descriptor = descriptor
         self.name = descriptor.name
         self.context = AgentContext(bus=bus, name=descriptor.name)
-        self._inbox: queue.Queue = queue.Queue(maxsize=DEFAULT_QUEUE_CAPACITY)
+        self._inbox = bus.new_queue()
         self._subscriptions = []
         self._thread = threading.Thread(target=self._run,
                                         name=f"agent-{self.name}", daemon=True)

@@ -6,6 +6,14 @@ subscription with a bounded per-subscriber queue (overflow drops the newest
 message and reports it on ``system/errors``). Sequence numbers increase
 strictly per (sender, topic), and each subscriber sees that order.
 
+Every subscriber-side queue the program builds (a subscription's, an agent's
+inbox, a TCP hub outbox) is a ``BoundedQueue`` from ``MessageBus.new_queue``:
+a C ``queue.SimpleQueue`` capped at the bus's ``queue_capacity`` on
+``put_nowait`` only. Close and stop sentinels go in with the uncapped
+``put``, so they never wait and are never lost to the cap. A caller's
+``shared_queue`` must provide ``put_nowait`` that raises ``queue.Full`` and
+``get(timeout=)`` that raises ``queue.Empty``; a ``queue.Queue`` does.
+
 Publishing scans the live subscriptions in subscription order: a pattern
 without ``*`` matches when it equals the topic, and only wildcard patterns,
 split once at subscribe time, are compared segment by segment. Matches are
@@ -76,11 +84,40 @@ def _segments_match(p_segments: list[str], t_segments: list[str]) -> bool:
 _CLOSED = object()  # queue sentinel
 
 
+class BoundedQueue(queue.SimpleQueue):
+    """A C ``SimpleQueue`` whose ``put_nowait`` raises ``queue.Full`` once it
+    holds ``maxsize`` items; ``put`` never waits and takes any number.
+
+    The cap holds exactly for bus deliveries, which run under the bus lock.
+    The check and the put are two steps, so other producers putting at the
+    same time (such as a TCP hub's own replies to its peer) can each pass the
+    cap by one."""
+
+    __slots__ = ("maxsize",)
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+
+    def put_nowait(self, item) -> None:
+        if self.qsize() >= self.maxsize:
+            raise queue.Full
+        self.put(item)
+
+
+def _put_sentinel(q) -> None:
+    # A BoundedQueue ignores block=False and always takes it; a caller's full
+    # queue.Queue raises Full instead of waiting, and loses the sentinel.
+    try:
+        q.put(_CLOSED, block=False)
+    except queue.Full:
+        pass
+
+
 class Subscription:
     """Live stream of matching messages; close() stops delivery."""
 
     def __init__(self, bus: "MessageBus", agent: str, pattern: str,
-                 q: queue.Queue, segments: list[str]):
+                 q: BoundedQueue | queue.Queue, segments: list[str]):
         self.bus = bus
         self.agent = agent
         self.pattern = pattern
@@ -162,12 +199,11 @@ class MessageBus:
         return delivered, overflowed
 
     def subscribe(self, agent: str, pattern: str, *,
-                  shared_queue: queue.Queue | None = None) -> Subscription:
+                  shared_queue: BoundedQueue | queue.Queue | None = None) -> Subscription:
         """Register interest in a pattern. Overlapping subscriptions by one
         agent each receive their own copy of a matching message."""
         segments = validate_topic(pattern, allow_wildcard=True)
-        q = shared_queue if shared_queue is not None else queue.Queue(
-            maxsize=self._queue_capacity)
+        q = shared_queue if shared_queue is not None else self.new_queue()
         with self._lock:
             if self._closed:
                 raise BusClosed("bus is closed")
@@ -175,15 +211,16 @@ class MessageBus:
             self._subs.append(sub)
         return sub
 
+    def new_queue(self) -> BoundedQueue:
+        """An empty subscriber queue capped at this bus's queue capacity."""
+        return BoundedQueue(self._queue_capacity)
+
     def _unsubscribe(self, sub: Subscription) -> None:
         with self._lock:
             if sub.active:  # under the lock, active means listed
                 sub.active = False
                 self._subs.remove(sub)
-        try:
-            sub.queue.put_nowait(_CLOSED)
-        except queue.Full:
-            pass
+        _put_sentinel(sub.queue)
 
     # -- agent-name registry (bus-wide uniqueness) --
 
@@ -206,10 +243,7 @@ class MessageBus:
             for sub in subs:
                 sub.active = False
         for sub in subs:
-            try:
-                sub.queue.put_nowait(_CLOSED)
-            except queue.Full:
-                pass
+            _put_sentinel(sub.queue)
 
     @property
     def closed(self) -> bool:

@@ -40,7 +40,7 @@ class _Connection:
         self.sock = sock
         self.peer = peer
         self.name: str | None = None
-        self.outbox: queue.Queue = queue.Queue(maxsize=server.bus._queue_capacity)
+        self.outbox = server.bus.new_queue()
         self.subscriptions = []
         self.alive = True
 
@@ -61,7 +61,7 @@ class _Connection:
         if self.name is not None:
             self.server.bus.release_name(self.name)
             self.name = None
-        self.outbox.put(None)  # writer closes the socket once drained
+        self.outbox.put(None)  # never waits; writer closes the socket once drained
         if not flush:
             try:
                 self.sock.shutdown(socket.SHUT_RDWR)
@@ -90,9 +90,13 @@ class TcpBusServer:
 
     def start(self) -> None:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self._requested_port))
-        listener.listen(16)
+        try:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((self.host, self._requested_port))
+            listener.listen(16)
+        except OSError:  # e.g. the port is in use
+            listener.close()
+            raise
         self._listener = listener
         self.port = listener.getsockname()[1]
         self._running = True
@@ -264,7 +268,7 @@ class TcpBusClient:
     def __init__(self, host: str, port: int, name: str,
                  subscriptions: list[str] | None = None, timeout: float = 10.0):
         self.name = name
-        self._inbox: queue.Queue = queue.Queue()
+        self._inbox = queue.SimpleQueue()
         self._reader = FrameReader()
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

@@ -286,6 +286,10 @@ def cmd_analyze(args) -> int:
 def cmd_agents_run(args) -> int:
     from .bus import MessageBus, TcpBusServer, run_pipeline
 
+    if args.tcp:
+        host, _, port = args.tcp.partition(":")
+        port = integer(int(port) if port.isdecimal() else port or 0,
+                       "--tcp port", low=0, high=65535)
     config = _load_config(args)
     store = SnapshotStore(_data_dir(args, config))
     store.load_all()
@@ -295,16 +299,15 @@ def cmd_agents_run(args) -> int:
     pipeline = run_pipeline(bus, store.registry, extractor, rubric=rubric,
                             llm_complete=_backend_complete(args, config))
     server = None
-    status = {"status": "running", "agents": pipeline.agent_names,
-              "subjects": store.registry.subjects()}
-    if args.tcp:
-        host, _, port = args.tcp.partition(":")
-        server = TcpBusServer(bus, host or "127.0.0.1", int(port or 0))
-        server.start()
-        status["tcp"] = {"host": server.host, "port": server.port}
-    sys.stdout.write(json.dumps(status, sort_keys=True) + "\n")
-    sys.stdout.flush()
     try:
+        status = {"status": "running", "agents": pipeline.agent_names,
+                  "subjects": store.registry.subjects()}
+        if args.tcp:
+            server = TcpBusServer(bus, host or "127.0.0.1", port)
+            server.start()
+            status["tcp"] = {"host": server.host, "port": server.port}
+        sys.stdout.write(json.dumps(status, sort_keys=True) + "\n")
+        sys.stdout.flush()
         if args.duration is not None:
             time.sleep(args.duration)
         else:

@@ -318,6 +318,31 @@ def test_agent_handler_error_reported_not_fatal():
     agent.stop()
 
 
+def test_agent_inbox_takes_the_bus_queue_capacity():
+    """An agent's inbox is capped by its bus, not by the default capacity."""
+    bus = MessageBus(queue_capacity=2)
+    started, release = threading.Event(), threading.Event()
+    seen = []
+
+    def handler(ctx, message):
+        seen.append(message.payload)
+        started.set()
+        release.wait(timeout=5)
+
+    agent = spawn_agent(bus, AgentDescriptor("slowpoke", ["work/items"], handler))
+    errors = bus.subscribe("monitor", "system/errors")
+    bus.publish("work/items", 0, sender="x")
+    assert started.wait(timeout=5)  # the handler holds 0 and the inbox is empty
+    assert [bus.publish("work/items", n, sender="x") for n in (1, 2, 3)] == [1, 1, 0]
+    report = errors.get(timeout=1).payload
+    assert report["error_code"] == "queue_overflow"
+    assert (report["subscriber"], report["dropped_seq"]) == ("slowpoke", 4)
+    release.set()
+    agent.stop()
+    assert seen == [0, 1, 2]
+    bus.close()
+
+
 def test_agent_name_freed_after_stop():
     bus = MessageBus()
     agent = spawn_agent(bus, AgentDescriptor("temp", ["a/b"], lambda c, m: None))
@@ -651,6 +676,51 @@ def test_tcp_server_stop_ends_its_accept_thread():
     server.stop()
     assert not accept[0].is_alive()
     bus.close()
+
+
+def test_tcp_server_stops_beside_a_silent_peer():
+    """A peer that announces and never reads: its writer blocks in sendall
+    and its outbox fills to the cap. stop() must not wait to queue the
+    writer's stop sentinel on that full outbox."""
+    bus = MessageBus(queue_capacity=4)
+    server = TcpBusServer(bus)
+    server.start()
+    errors = bus.subscribe("monitor", "system/errors")
+    before = set(threading.enumerate())
+    raised = []
+    previous_hook = threading.excepthook
+    threading.excepthook = raised.append
+    stopper = threading.Thread(target=server.stop, daemon=True)
+    sock = socket.create_connection(("127.0.0.1", server.port), timeout=5)
+    try:
+        sock.sendall(encode_frame(Message(
+            topic=tcp_module.ANNOUNCE_TOPIC, correlation_id="", sender="silent",
+            seq=0, payload={"name": "silent", "subscriptions": ["flood/data"]})))
+        payload = "x" * 1_000_000
+        deadline = time.monotonic() + 30
+        report = None
+        while report is None:  # until the outbox holds 4 and drops the next
+            assert time.monotonic() < deadline
+            bus.publish("flood/data", payload, sender="pub")
+            try:
+                report = errors.get(timeout=0.02).payload
+            except queue.Empty:
+                pass
+        assert (report["error_code"], report["subscriber"]) == ("queue_overflow", "silent")
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
+        for thread in [t for t in threading.enumerate()
+                       if t not in before and t.name.startswith("tcp-bus-")]:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+    finally:
+        threading.excepthook = previous_hook
+        sock.close()
+        if stopper.ident is None:
+            server.stop()
+        bus.close()
+    assert raised == []
 
 
 @pytest.mark.parametrize("data, code", [

@@ -1,4 +1,6 @@
 import json
+import socket
+import threading
 
 import pytest
 
@@ -338,6 +340,35 @@ def test_agents_run_smoke(workspace, capsys):
                                      "question_evaluation"}
     assert status["subjects"] == ["envsci"]
     assert status["tcp"]["port"] > 0
+
+
+@pytest.mark.parametrize("address", ["127.0.0.1:x", "127.0.0.1:70000"],
+                         ids=["not-a-number", "out-of-range"])
+def test_agents_run_bad_tcp_port_is_invalid_params(workspace, capsys, address):
+    """Checked before the agents start, so no agent thread is left running
+    and no OverflowError comes out of bind()."""
+    before = threading.active_count()
+    assert main(["agents", "run", "--duration", "0.1", "--tcp", address,
+                 "--data-dir", workspace["data_dir"]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["error_code"] == "invalid_params"
+    assert threading.active_count() == before
+
+
+def test_agents_run_port_in_use_stops_the_agents(workspace, capsys):
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen(1)
+        before = threading.active_count()
+        assert main(["agents", "run", "--duration", "0.1",
+                     "--tcp", f"127.0.0.1:{taken.getsockname()[1]}",
+                     "--data-dir", workspace["data_dir"]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error_code"] == "error"
+    assert threading.active_count() == before
 
 
 def test_agents_run_llm_extractor_needs_provider(workspace, capsys):
