@@ -278,6 +278,8 @@ def cmd_analyze(args) -> int:
     if args.groups:
         with open(args.groups, encoding="utf-8") as fh:
             groups = obj(json.load(fh), "groups")
+        for pid, label in groups.items():
+            string(label, f"group label of {pid!r}")
     report = analyze(matrix, groups, discrimination_fraction=args.fraction)
     _emit(report, args.out)
     return 0

@@ -6,6 +6,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Iterator, Sequence
+from operator import add
 
 from ..errors import InvalidParams, TooFewParticipants, UnknownItem
 
@@ -14,8 +16,10 @@ class ResponseMatrix:
     """Complete participants x items matrix of 0/1 scores.
 
     The cells are stored once, packed row-major in one ``bytes`` object with
-    one byte (0 or 1) per cell, and the statistics below count them in C.
-    ``rows`` reads them back as lists of ints, so it cannot disagree with
+    one byte (0 or 1) per cell. The statistics below read each row as one
+    int with cell j in byte j and get totals and column counts from int
+    arithmetic in C: bit counts, and sums of up to 255 rows (``_tally``).
+    ``rows`` reads the cells back as lists of ints, so it cannot disagree with
     the statistics. A row given to the constructor may be any sequence of
     cells that each equal 0 or 1.
     """
@@ -23,15 +27,15 @@ class ResponseMatrix:
     def __init__(self, participants: list[str], items: list[str],
                  rows: list[list[int]]):
         if len(participants) < 2:
-            raise ValueError("need at least 2 participants")
+            raise InvalidParams("need at least 2 participants")
         if not items:
-            raise ValueError("need at least 1 item")
+            raise InvalidParams("need at least 1 item")
         if len(set(participants)) != len(participants):
-            raise ValueError("participant ids must be unique")
+            raise InvalidParams("participant ids must be unique")
         if len(set(items)) != len(items):
-            raise ValueError("item ids must be unique")
+            raise InvalidParams("item ids must be unique")
         if len(rows) != len(participants):
-            raise ValueError("one row per participant required")
+            raise InvalidParams("one row per participant required")
         self.participants = participants
         self.items = items
         self._cells = _pack(participants, rows, len(items))
@@ -62,30 +66,30 @@ class ResponseMatrix:
     def from_csv(cls, text: str) -> "ResponseMatrix":
         """Parse the response CSV: header ``participant,<item ids...>``,
         then one 0/1 row per participant."""
-        reader = csv.reader(io.StringIO(text))
+        records = _records(csv.reader(io.StringIO(text)))
         try:
-            header = next(reader)
+            header = next(records)
         except StopIteration:
-            raise ValueError("empty response CSV") from None
+            raise InvalidParams("empty response CSV") from None
         if not header or header[0].strip() != "participant":
-            raise ValueError("first CSV column must be 'participant'")
+            raise InvalidParams("first CSV column must be 'participant'")
         items = [h.strip() for h in header[1:]]
         binary = _binary_rows(text, len(items))
         if binary is not None:
             try:
                 return cls(binary[0], items, binary[1])
-            except ValueError:
+            except InvalidParams:
                 pass  # csv.reader + int below name this text's error
         participants: list[str] = []
         rows: list[list[int]] = []
-        for line_no, record in enumerate(reader, start=2):
+        for line_no, record in enumerate(records, start=2):
             if not record or not any(cell.strip() for cell in record):
                 continue
             participants.append(record[0].strip())
             try:
                 rows.append(list(map(int, record[1:])))
             except ValueError:
-                raise ValueError(f"non-integer cell on line {line_no}") from None
+                raise InvalidParams(f"non-integer cell on line {line_no}") from None
         return cls(participants, items, rows)
 
     def to_csv(self) -> str:
@@ -96,6 +100,15 @@ class ResponseMatrix:
         for pid, start in zip(self.participants, range(0, len(cells), width)):
             writer.writerow([pid, *cells[start:start + width]])
         return out.getvalue()
+
+
+def _records(reader) -> Iterator[list[str]]:
+    """The reader's records; a ``csv.Error`` becomes ``InvalidParams`` naming
+    the line it stopped on."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise InvalidParams(f"malformed CSV on line {reader.line_num}: {exc}") from None
 
 
 def _pack(participants: list[str], rows, width: int) -> bytes:
@@ -113,10 +126,10 @@ def _pack(participants: list[str], rows, width: int) -> bytes:
         pass
     for pid, row in zip(participants, rows):
         if len(row) != width:
-            raise ValueError(f"row for {pid!r} has {len(row)} cells, "
-                             f"expected {width}")
+            raise InvalidParams(f"row for {pid!r} has {len(row)} cells, "
+                                f"expected {width}")
         if row.count(0) + row.count(1) != len(row):
-            raise ValueError(f"row for {pid!r} contains non-binary cells")
+            raise InvalidParams(f"row for {pid!r} contains non-binary cells")
     return bytes(cell == 1 for row in rows for cell in row)
 
 
@@ -147,26 +160,41 @@ def _binary_rows(text: str, width: int) -> tuple[list[str], list[bytes]] | None:
     return participants, rows
 
 
+# a byte lane holds a column count up to 255 before it carries into the next
+_LANE_MAX = 255
+
+
+def _tally(matrix: ResponseMatrix,
+           positions: Sequence[int] | None = None) -> tuple[list[int], list[int]]:
+    """The total score of each participant and the number of 1 cells in
+    each item's column, over every participant or over those at the given
+    row positions. A row is read as one int with cell j in byte j: each cell
+    is 0 or 1, so its total is the int's bit count, and up to ``_LANE_MAX``
+    rows add with no carry between bytes, so the bytes of such a chunk's sum
+    are its column counts. At most one chunk of row ints is held at a time."""
+    cells, width = matrix._cells, len(matrix.items)
+    if positions is None:
+        positions = range(len(matrix.participants))
+    totals: list[int] = []
+    counts = [0] * width
+    for start in range(0, len(positions), _LANE_MAX):
+        rows = [int.from_bytes(cells[i * width:(i + 1) * width], "little")
+                for i in positions[start:start + _LANE_MAX]]
+        totals += map(int.bit_count, rows)
+        counts = list(map(add, counts, sum(rows).to_bytes(width, "little")))
+    return totals, counts
+
+
 def _totals(matrix: ResponseMatrix) -> list[int]:
     """Each participant's total score, in ``matrix.participants`` order."""
-    cells, width = matrix._cells, len(matrix.items)
-    return [cells.count(1, i, i + width) for i in range(0, len(cells), width)]
-
-
-def _column_counts(matrix: ResponseMatrix, rows: list[int] | None = None) -> list[int]:
-    """Number of 1 cells in each item's column, over every participant or
-    over the participants at the given row positions."""
-    cells, width = matrix._cells, len(matrix.items)
-    if rows is not None:
-        cells = b"".join([cells[i * width:(i + 1) * width] for i in rows])
-    return [cells[j::width].count(1) for j in range(width)]
+    return _tally(matrix)[0]
 
 
 def item_p_values(matrix: ResponseMatrix) -> list[float]:
     """Proportion of participants answering each item correctly, in
     ``matrix.items`` order."""
     n = len(matrix.participants)
-    return [count / n for count in _column_counts(matrix)]
+    return [count / n for count in _tally(matrix)[1]]
 
 
 def item_discriminations(matrix: ResponseMatrix,
@@ -193,7 +221,7 @@ def _discriminations(matrix: ResponseMatrix, fraction: float,
         raise TooFewParticipants(f"discrimination needs >= 4 participants, got {n}")
     order = sorted(range(n), key=lambda i: (-totals[i], participants[i]))
     k = math.ceil(fraction * n)
-    top, bottom = _column_counts(matrix, order[:k]), _column_counts(matrix, order[-k:])
+    top, bottom = _tally(matrix, order[:k])[1], _tally(matrix, order[-k:])[1]
     return [t / k - b / k for t, b in zip(top, bottom)]
 
 

@@ -7,7 +7,7 @@ import math
 
 from ..errors import TooFewParticipants
 from .anova import _sum, levene_test, one_way_anova, pairwise_welch_bonferroni
-from .itemstats import ResponseMatrix, _discriminations, _totals, item_p_values
+from .itemstats import ResponseMatrix, _discriminations, _tally
 
 
 def _mean_sd(values: list[float]) -> tuple[float, float]:
@@ -28,12 +28,13 @@ def analyze(matrix: ResponseMatrix, groups: dict[str, str] | None = None,
     one-way ANOVA across groups, Levene's test, and Bonferroni-corrected
     pairwise Welch comparisons.
     """
-    totals = _totals(matrix)
+    totals, counts = _tally(matrix)
     try:
         discriminations = _discriminations(matrix, discrimination_fraction, totals)
     except TooFewParticipants:
         discriminations = [None] * len(matrix.items)
-    p_values = item_p_values(matrix)
+    n = len(matrix.participants)
+    p_values = [count / n for count in counts]
     item_stats = [
         {"item": item, "p_value": p_value, "discrimination": disc}
         for item, p_value, disc in zip(matrix.items, p_values, discriminations)

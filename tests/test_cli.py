@@ -307,6 +307,46 @@ def test_groups_file_must_be_an_object(capsys, tmp_path):
     assert json.loads(capsys.readouterr().err)["error_code"] == "invalid_params"
 
 
+@pytest.mark.parametrize("label", [1, ["a"]], ids=["number", "list"])
+def test_group_label_must_be_a_string(capsys, tmp_path, label):
+    """Not the TypeError traceback of sorting or hashing the labels."""
+    csv_path = tmp_path / "responses.csv"
+    csv_path.write_text("participant,q1\n" + "".join(
+        f"p{i},{i % 2}\n" for i in range(1, 5)))
+    groups_path = tmp_path / "groups.json"
+    groups_path.write_text(json.dumps({"p1": label, "p2": "a", "p3": label, "p4": "a"}))
+    assert main(["analyze", "--responses", str(csv_path),
+                 "--groups", str(groups_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["error_code"] == "invalid_params"
+
+
+@pytest.mark.parametrize("text", [
+    "participant,q1,q1\np1,1,0\np2,0,1\n",
+    "participant,q1\np1,1\n",
+    "participant,q1\np1,2\np2,0\n",
+    "participant,q1\np1,1,0\np2,0\n",
+    "participant,q1\np1,x\np2,0\n",
+    "id,q1\np1,1\np2,0\n",
+    "",
+    'participant,q1\n"' + "p" * 140_000 + '",1\np2,0\n',
+], ids=["duplicate-items", "one-participant", "cell-2", "long-row", "non-integer",
+        "no-participant-column", "empty", "field-over-limit"])
+def test_bad_response_csv_is_invalid_params(capsys, tmp_path, text):
+    csv_path = tmp_path / "responses.csv"
+    csv_path.write_text(text)
+    assert main(["analyze", "--responses", str(csv_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    error = json.loads(line)
+    assert error["error_code"] == "invalid_params"
+    if len(text) > 100_000:
+        assert error["message"].startswith("malformed CSV on line 2:")
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["rank", "--subject", "x", "--no-such-flag"])
