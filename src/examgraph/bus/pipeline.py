@@ -24,7 +24,7 @@ import time
 from typing import Callable
 
 from ..assessment import EvaluationResult, RubricConfig, build_lexicon
-from ..checks import array, integer, member, number, obj, string, strings
+from ..checks import array, boolean, integer, member, number, obj, string, strings
 from ..errors import GatewayTimeout, MalformedResponse
 from ..gateway import completion_fn
 from ..generation import (
@@ -90,6 +90,7 @@ class BusCompletion:
 def _file_extraction_agent(max_chars: int, extractor) -> AgentDescriptor:
     def handler(ctx, message):
         payload = obj(message.payload, "ingest/request")
+        append = boolean(payload.get("append", False), "append")
         doc = obj(payload.get("doc"), "doc")
         doc = SourceDocument(
             **{key: string(doc.get(key), f"doc {key}") for key in ("doc_id", "subject", "body")},
@@ -101,7 +102,7 @@ def _file_extraction_agent(max_chars: int, extractor) -> AgentDescriptor:
             "subject": doc.subject,
             "doc_id": doc.doc_id,
             "chapter_path": list(doc.chapter_path),
-            "append": bool(payload.get("append", False)),
+            "append": append,
             "segments": segments,
             "extractions": [{
                 "segment": index,
@@ -123,7 +124,7 @@ def _kg_management_agent(registry: GraphRegistry) -> AgentDescriptor:
                 string(payload.get("doc_id"), "doc_id"),
                 strings(payload.get("chapter_path"), "chapter_path"),
                 array(payload.get("extractions", []), "extractions"),
-                append=payload.get("append", False),
+                append=boolean(payload.get("append", False), "append"),
                 segments=integer(payload.get("segments", 0), "segments"),
                 failures=array(payload.get("failures", []), "failures"),
             )

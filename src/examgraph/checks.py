@@ -35,6 +35,13 @@ def strings(value, field: str, error=InvalidParams) -> list[str]:
     return value
 
 
+def boolean(value, field: str, error=InvalidParams) -> bool:
+    """A JSON true or false; no other value stands for one."""
+    if type(value) is not bool:
+        raise error(f"{field} must be true or false, got {value!r}")
+    return value
+
+
 def integer(value, field: str, error=InvalidParams, *,
             low: int | None = None, high: int | None = None) -> int:
     """An int, not a bool, within the inclusive bounds (``high`` needs ``low``)."""

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
-from .checks import array, obj, strings
+from .checks import array, integer, obj, strings
 from .errors import (
     EmptyLabel,
     ExtractorFailure,
@@ -333,23 +333,13 @@ def build_hierarchy(graph: KnowledgeGraph, chapter_path: list[str]) -> str:
 def apply_extraction(graph: KnowledgeGraph, result: ExtractionResult,
                      leaf_chapter: str, source_ref: tuple[str, int],
                      report: IngestReport) -> None:
-    """Fold one segment's extraction into the graph: fact edges for triples,
-    then concept nodes with is_a and include_in links."""
-    for h, r, t in result.triples:
-        before = graph.edge_count
-        graph.assert_fact_triple(h, r, t, source_ref)
-        report.triples_added += graph.edge_count - before
-    for entity, concepts in result.concept_map.items():
-        entity_id = graph.find_node(entity, NodeKind.TEXT)
-        if entity_id is None:
-            raise InvalidExtraction(f"concept mapping for unseen entity {entity!r}")
-        for concept in concepts:
-            existing = graph.find_node(concept, NodeKind.CONCEPT)
-            concept_id = graph.upsert_entity(concept, NodeKind.CONCEPT)
-            if existing is None:
-                report.concepts_added += 1
-            graph.assert_link(EdgeKind.IS_A, entity_id, concept_id)
-            graph.assert_link(EdgeKind.INCLUDE_IN, concept_id, leaf_chapter)
+    """Fold one segment's extraction into the graph (fact edges for triples,
+    then concept nodes with is_a and include_in links) and count what it
+    added in the report."""
+    triples, concepts = graph.fold_segment(result.triples, result.concept_map,
+                                           leaf_chapter, source_ref)
+    report.triples_added += triples
+    report.concepts_added += concepts
 
 
 def _check_collision(registry: GraphRegistry, subject: str, append: bool) -> None:
@@ -398,6 +388,7 @@ def apply_extractions(registry: GraphRegistry, subject: str, doc_id: str,
     for entry in entries:
         index = obj(entry, "extraction entry").get("segment", 0)
         try:
+            integer(index, "extraction segment", low=0)
             extractions.append((index, validate_extraction(_extraction_from_json(
                 entry.get("triples", []), entry.get("concepts", {})))))
         except Exception as exc:

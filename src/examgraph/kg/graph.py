@@ -8,13 +8,18 @@ hierarchy (chapter) nodes, connected by four edge kinds:
 * ``part_of``     hierarchy -> hierarchy (chapter nesting, child to parent)
 * ``include_in``  concept -> hierarchy (concept filed under a chapter)
 
-Writers serialize on the graph's lock; each effective mutation (a new node,
-raw label, source ref or edge, not an exact duplicate) bumps ``revision``.
-Nodes and edges are immutable tuples; a write that gives a node a raw label
-or source ref swaps in a new ``Node``. Readers never touch the live dicts
-but read ``view()``: an immutable snapshot built at most once per revision,
-on which derived data such as PageRank scores, the lexicon and chapter
-rankings is memoised, and which shares the graph's node and edge objects.
+Writers serialize on the graph's lock, and each public write takes it once:
+a whole extracted segment folds in one ``fold_segment`` call, so a reader's
+``view()`` sees none of the segment or all of it. Every node write goes
+through ``_upsert`` and every edge write through ``_link``; each effective
+mutation (a new node, raw label, source ref or edge, not an exact
+duplicate) bumps ``revision``. A source ref must be a (str, int) pair, the
+shape a snapshot holds. Nodes and edges are immutable tuples; a write that
+gives a node a raw label or source ref swaps in a new ``Node``. Readers
+never touch the live dicts but read ``view()``: an immutable snapshot built
+at most once per revision, on which derived data such as PageRank scores,
+the lexicon and chapter rankings is memoised, and which shares the graph's
+node and edge objects.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import re
 import threading
 from collections import Counter
 from enum import Enum
-from itertools import groupby
+from itertools import chain, groupby
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -76,6 +81,21 @@ def check_edge_kinds(kind: EdgeKind, src: NodeKind, dst: NodeKind) -> None:
         raise KindMismatch(
             f"{kind.value} requires {want_src.value}->{want_dst.value}, "
             f"got {src.value}->{dst.value}")
+
+
+def _normalized(label: str, what: str = "label") -> str:
+    norm = normalize_label(label)
+    if not norm:
+        raise EmptyLabel(f"{what} {label!r} is empty after normalization")
+    return norm
+
+
+def _check_source_ref(source_ref) -> None:
+    """Refuse a source ref a snapshot could not hold: (document id, segment)."""
+    if source_ref is not None and not (
+            type(source_ref) is tuple and len(source_ref) == 2
+            and isinstance(source_ref[0], str) and type(source_ref[1]) is int):
+        raise InvalidParams(f"source_ref must be a (str, int) pair, got {source_ref!r}")
 
 
 class Node(NamedTuple):
@@ -142,9 +162,7 @@ class KnowledgeGraph:
         # linear on the sorted order in which a snapshot import adds them
         self._edges: dict[Edge, None] = {}
         self._next_id = 0
-        # reentrant so compound mutations (triple = 2 upserts + 1 edge)
-        # serialize as one writer operation
-        self._write_lock = threading.RLock()
+        self._write_lock = threading.Lock()
         self._view = GraphView(self)
 
     # -- inspection --
@@ -194,43 +212,22 @@ class KnowledgeGraph:
         Labels that normalize to the same string and share a kind collapse to
         one node; every distinct surface form is retained in ``raw_labels``.
         """
-        norm = normalize_label(surface_label)
-        if not norm:
-            raise EmptyLabel(f"label {surface_label!r} is empty after normalization")
+        norm = _normalized(surface_label)
+        _check_source_ref(source_ref)
         with self._write_lock:
-            revision = self.revision
-            node_id = self._by_key.get((kind, norm))
-            if node_id is None:
-                node_id = f"n{self._next_id}"
-                self._next_id += 1
-                self._by_key[(kind, norm)] = node_id
-                raw_labels, source_refs = frozenset(), ()
-                self.revision += 1
-            else:
-                node = self._nodes[node_id]
-                raw_labels, source_refs = node.raw_labels, node.source_refs
-            if surface_label not in raw_labels:
-                raw_labels |= {surface_label}
-                self.revision += 1
-            if source_ref is not None and source_ref not in source_refs:
-                source_refs += (source_ref,)
-                self.revision += 1
-            if self.revision != revision:
-                self._nodes[node_id] = Node(node_id, kind, norm, raw_labels, source_refs)
-            return node_id
+            return self._upsert(kind, norm, surface_label, source_ref)
 
     def assert_fact_triple(self, head: str, relation: str, tail: str,
                            source_ref: tuple[str, int] | None = None) -> Edge:
         """Store an (h, r, t) triple: head/tail as text entities plus one
         labeled fact edge. Exact duplicates are idempotent."""
-        rel = normalize_label(relation)
-        if not rel:
-            raise EmptyLabel(f"relation {relation!r} is empty after normalization")
+        rel = _normalized(relation, "relation")
+        h, t = _normalized(head), _normalized(tail)
+        _check_source_ref(source_ref)
         with self._write_lock:
-            h = self.upsert_entity(head, NodeKind.TEXT, source_ref)
-            t = self.upsert_entity(tail, NodeKind.TEXT, source_ref)
-            edge = Edge(EdgeKind.FACT, h, t, rel)
-            self._add_edge(edge)
+            edge = Edge(EdgeKind.FACT, self._upsert(NodeKind.TEXT, h, head, source_ref),
+                        self._upsert(NodeKind.TEXT, t, tail, source_ref), rel)
+            self._link(edge)
         return edge
 
     def assert_link(self, kind: EdgeKind, src: str, dst: str) -> Edge:
@@ -238,8 +235,49 @@ class KnowledgeGraph:
         if kind == EdgeKind.FACT:
             raise KindMismatch("fact edges are added via assert_fact_triple")
         edge = Edge(kind, src, dst)
-        self._add_edge(edge)
+        with self._write_lock:
+            check_edge_kinds(kind, self.node(src).kind, self.node(dst).kind)
+            self._link(edge)
         return edge
+
+    def fold_segment(self, triples: list[tuple[str, str, str]],
+                     concept_map: dict[str, list[str]], leaf_chapter: str,
+                     source_ref: tuple[str, int] | None) -> tuple[int, int]:
+        """Write one segment's extraction in one locked pass: each triple as
+        by ``assert_fact_triple``, then for each entity of ``concept_map`` and
+        each of its concepts a concept node with an is_a link from the entity
+        and an include_in link to ``leaf_chapter``. Each distinct label is
+        normalized once. Every label, entity and the leaf are checked before
+        the first write, so a refused segment writes nothing. Returns the
+        number of fact edges and of concept nodes the segment added."""
+        _check_source_ref(source_ref)
+        texts = dict.fromkeys(x for h, _, t in triples for x in (h, t))
+        labels = dict.fromkeys(chain(texts, (r for _, r, _ in triples), concept_map,
+                                     chain.from_iterable(concept_map.values())))
+        norms = {label: _normalized(label) for label in labels}
+        with self._write_lock:
+            check_edge_kinds(EdgeKind.INCLUDE_IN, NodeKind.CONCEPT, self.node(leaf_chapter).kind)
+            entities = {norms[x] for x in texts}
+            for entity in concept_map:
+                if norms[entity] not in entities \
+                        and (NodeKind.TEXT, norms[entity]) not in self._by_key:
+                    raise UnknownNode(f"concept mapping for unseen entity {entity!r}")
+            # each surface form once, in first-use order: a repeat of a form
+            # with the same source ref would write nothing
+            ids = {x: self._upsert(NodeKind.TEXT, norms[x], x, source_ref) for x in texts}
+            edges = len(self._edges)
+            for h, r, t in triples:
+                self._link(Edge(EdgeKind.FACT, ids[h], ids[t], norms[r]))
+            facts, concepts_added = len(self._edges) - edges, 0
+            for entity, concepts in concept_map.items():
+                entity_id = self._by_key[(NodeKind.TEXT, norms[entity])]
+                for concept in concepts:
+                    norm = norms[concept]
+                    concepts_added += (NodeKind.CONCEPT, norm) not in self._by_key
+                    concept_id = self._upsert(NodeKind.CONCEPT, norm, concept, None)
+                    self._link(Edge(EdgeKind.IS_A, entity_id, concept_id))
+                    self._link(Edge(EdgeKind.INCLUDE_IN, concept_id, leaf_chapter))
+        return facts, concepts_added
 
     def load(self, nodes: dict[str, Node], keys: dict[tuple[NodeKind, str], str],
              edges: dict[Edge, None]) -> None:
@@ -254,13 +292,37 @@ class KnowledgeGraph:
             if nodes:
                 self.revision += 1
 
-    def _add_edge(self, edge: Edge) -> None:
-        """Add a typed edge between existing nodes, unless already there."""
-        with self._write_lock:
-            check_edge_kinds(edge.kind, self.node(edge.src).kind, self.node(edge.dst).kind)
-            if edge not in self._edges:
-                self._edges[edge] = None
-                self.revision += 1
+    def _upsert(self, kind: NodeKind, norm: str, surface_label: str,
+                source_ref: tuple[str, int] | None) -> str:
+        """Every node write: the node of (kind, normalized label), created if
+        needed, given the surface form and source ref. Under the lock."""
+        revision = self.revision
+        node_id = self._by_key.get((kind, norm))
+        if node_id is None:
+            node_id = f"n{self._next_id}"
+            self._next_id += 1
+            self._by_key[(kind, norm)] = node_id
+            raw_labels, source_refs = frozenset(), ()
+            self.revision += 1
+        else:
+            node = self._nodes[node_id]
+            raw_labels, source_refs = node.raw_labels, node.source_refs
+        if surface_label not in raw_labels:
+            raw_labels |= {surface_label}
+            self.revision += 1
+        if source_ref is not None and source_ref not in source_refs:
+            source_refs += (source_ref,)
+            self.revision += 1
+        if self.revision != revision:
+            self._nodes[node_id] = Node(node_id, kind, norm, raw_labels, source_refs)
+        return node_id
+
+    def _link(self, edge: Edge) -> None:
+        """Every edge write: add a checked edge unless already there. Under
+        the lock."""
+        if edge not in self._edges:
+            self._edges[edge] = None
+            self.revision += 1
 
     # -- queries --
 

@@ -6,7 +6,12 @@ Line 1 is a header record, then one record per node and per edge:
     {"type": "node", "id": "n12", "kind": "text", "label": "...", "raw_labels": [...], "source_refs": [["doc1", 3]]}
     {"type": "edge", "kind": "fact", "from": "n12", "to": "n7", "label": "harms"}
 
-Each line is ``json.dumps(record, ensure_ascii=False)``.
+Each line is ``json.dumps(record, ensure_ascii=False)``, byte for byte, but
+is written from a fixed template per record type and kind: strings go
+through ``json.encoder.encode_basestring``, the function that call uses for
+them, and the one int of a source ref through ``%d``, which is its repr.
+The graph's write path admits only (str, int) source refs, so every graph
+exports to a snapshot that imports.
 
 ``import_graph(export_graph(g))`` reproduces the graph with identical node
 ids, labels and edges.
@@ -15,7 +20,7 @@ ids, labels and edges.
 from __future__ import annotations
 
 import json
-from json.encoder import JSONEncoder, c_make_encoder, encode_basestring
+from json.encoder import encode_basestring
 
 from ..errors import KindMismatch, MalformedSnapshot
 from ..textutils import normalize_label
@@ -26,18 +31,16 @@ SNAPSHOT_VERSION = 1
 
 # json.loads's scanner: the C one where the interpreter has it
 _SCAN = json.JSONDecoder().scan_once
-# json.dumps(record, ensure_ascii=False)'s C encoder, built once (arguments
-# by position, as pretty_json passes them); records hold no cycles, so it
-# keeps no markers
-_ENCODER = c_make_encoder(None, JSONEncoder().default, encode_basestring, None,
-                          ": ", ", ", False, False, True)
+# line templates; the kind names are JSON strings that need no escaping
+_NODE_LINE = {kind: '{"type": "node", "id": %s, "kind": "' + kind.value
+              + '", "label": %s, "raw_labels": [%s], "source_refs": [%s]}'
+              for kind in NodeKind}
+_EDGE_LINE = {kind: '{"type": "edge", "kind": "' + kind.value + '", "from": %s, "to": %s'
+              + (', "label": %s}' if kind is EdgeKind.FACT else "}")
+              for kind in EdgeKind}
 # kinds by value: the Enum constructor's lookup runs in Python
 _NODE_KINDS = {kind.value: kind for kind in NodeKind}
 _EDGE_KINDS = {kind.value: kind for kind in EdgeKind}
-
-
-def _dumps(record: dict) -> str:
-    return "".join(_ENCODER(record, 0))
 
 
 def _node_sort_key(node_id: str) -> tuple:
@@ -48,31 +51,17 @@ def _node_sort_key(node_id: str) -> tuple:
 def export_graph(graph: KnowledgeGraph) -> bytes:
     """Serialize one subject graph; output bytes are deterministic."""
     nodes, edges = graph.contents()
-    lines = [_dumps({
-        "type": "header",
-        "format": SNAPSHOT_FORMAT,
-        "version": SNAPSHOT_VERSION,
-        "subject": graph.subject,
-    })]
+    enc = encode_basestring
+    lines = ['{"type": "header", "format": %s, "version": %d, "subject": %s}'
+             % (enc(SNAPSHOT_FORMAT), SNAPSHOT_VERSION, enc(graph.subject))]
     for node in sorted(nodes, key=lambda n: _node_sort_key(n.id)):
-        lines.append(_dumps({
-            "type": "node",
-            "id": node.id,
-            "kind": node.kind.value,
-            "label": node.label,
-            "raw_labels": sorted(node.raw_labels),
-            "source_refs": [[doc, seg] for doc, seg in node.source_refs],
-        }))
+        lines.append(_NODE_LINE[node.kind] % (
+            enc(node.id), enc(node.label), ", ".join(map(enc, sorted(node.raw_labels))),
+            ", ".join(["[%s, %d]" % (enc(doc), seg) for doc, seg in node.source_refs])))
     for edge in edges:
-        record = {
-            "type": "edge",
-            "kind": edge.kind.value,
-            "from": edge.src,
-            "to": edge.dst,
-        }
-        if edge.kind == EdgeKind.FACT:
-            record["label"] = edge.label
-        lines.append(_dumps(record))
+        lines.append(_EDGE_LINE[edge.kind] % (
+            (enc(edge.src), enc(edge.dst), enc(edge.label)) if edge.kind is EdgeKind.FACT
+            else (enc(edge.src), enc(edge.dst))))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

@@ -66,7 +66,8 @@ class ResponseMatrix:
     def from_csv(cls, text: str) -> "ResponseMatrix":
         """Parse the response CSV: header ``participant,<item ids...>``,
         then one 0/1 row per participant."""
-        records = _records(csv.reader(io.StringIO(text)))
+        reader = csv.reader(io.StringIO(text))
+        records = _records(reader)
         try:
             header = next(records)
         except StopIteration:
@@ -82,14 +83,14 @@ class ResponseMatrix:
                 pass  # csv.reader + int below name this text's error
         participants: list[str] = []
         rows: list[list[int]] = []
-        for line_no, record in enumerate(records, start=2):
+        for record in records:
             if not record or not any(cell.strip() for cell in record):
                 continue
             participants.append(record[0].strip())
             try:
                 rows.append(list(map(int, record[1:])))
             except ValueError:
-                raise InvalidParams(f"non-integer cell on line {line_no}") from None
+                raise InvalidParams(f"non-integer cell on line {reader.line_num}") from None
         return cls(participants, items, rows)
 
     def to_csv(self) -> str:

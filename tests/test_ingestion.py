@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -11,11 +12,14 @@ from examgraph.errors import (
 )
 from examgraph.ingestion import (
     ExtractionResult,
+    IngestReport,
     LLMExtractor,
     RuleExtractor,
     SourceDocument,
     TextSegment,
+    apply_extraction,
     apply_extractions,
+    build_hierarchy,
     extract_segment,
     ingest_document,
     load_hypernym_lexicon,
@@ -23,7 +27,15 @@ from examgraph.ingestion import (
     transcribe,
     validate_extraction,
 )
-from examgraph.kg import EdgeKind, GraphRegistry, NodeKind, export_graph
+from examgraph.kg import (
+    EdgeKind,
+    GraphRegistry,
+    KnowledgeGraph,
+    NodeKind,
+    export_graph,
+    import_graph,
+)
+from examgraph.textutils import normalize_label
 
 
 def doc(body, fmt="plain", chapters=None, subject="s", doc_id="d1"):
@@ -418,3 +430,85 @@ def test_bad_chapter_path_leaves_registry_untouched_through_apply_extractions():
     with pytest.raises(EmptyLabel):
         apply_extractions(registry, "s", "d2", ["Ch 2", " ? "], entries, append=True)
     assert graph.revision == revision
+
+
+# --- one locked fold per segment builds what one public call per write did ---
+
+def _apply_per_call(graph, result, leaf_chapter, source_ref, report):
+    """The fold as separate public writes: one assert_fact_triple per triple,
+    then one upsert_entity and two assert_link per concept."""
+    for h, r, t in result.triples:
+        before = graph.edge_count
+        graph.assert_fact_triple(h, r, t, source_ref)
+        report.triples_added += graph.edge_count - before
+    for entity, concepts in result.concept_map.items():
+        entity_id = graph.find_node(entity, NodeKind.TEXT)
+        for concept in concepts:
+            report.concepts_added += graph.find_node(concept, NodeKind.CONCEPT) is None
+            concept_id = graph.upsert_entity(concept, NodeKind.CONCEPT)
+            graph.assert_link(EdgeKind.IS_A, entity_id, concept_id)
+            graph.assert_link(EdgeKind.INCLUDE_IN, concept_id, leaf_chapter)
+
+
+def _surface(rng, word):
+    return rng.choice([word, word.capitalize(), f" {word}.", word.upper(), f"{word}!"])
+
+
+def _seeded_documents(seed):
+    """Documents of segments whose labels repeat in several surface forms,
+    whose triples repeat, and whose concepts recur across segments."""
+    rng = random.Random(seed)
+    words = ["hugite", "moss", "fern", "oak", "lichen", "spore", "résine"]
+    relations = ["feeds", "shades", "needs"]
+    concepts = ["mineral", "plant", "tree", "fungus"]
+    documents = []
+    for d in range(3):
+        segments = []
+        for _ in range(rng.randint(1, 4)):
+            triples = [(_surface(rng, rng.choice(words)), _surface(rng, rng.choice(relations)),
+                        _surface(rng, rng.choice(words))) for _ in range(rng.randint(1, 6))]
+            triples += rng.sample(triples, rng.randint(0, len(triples)))
+            entities = [x for h, _, t in triples for x in (h, t)]
+            concept_map = {_surface(rng, normalize_label(e)): [
+                _surface(rng, c) for c in rng.choices(concepts, k=rng.randint(1, 3))]
+                for e in rng.sample(entities, rng.randint(0, min(3, len(entities))))}
+            segments.append(ExtractionResult(triples, concept_map))
+        documents.append((f"d{d}", ["Ch 1", f"1.{d % 2}"], segments))
+    return documents
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fold_builds_the_graph_the_per_call_writes_build(seed):
+    graphs, reports = [], []
+    for apply in (apply_extraction, _apply_per_call):
+        graph = KnowledgeGraph("s")
+        report = IngestReport("d", "s")
+        for doc_id, chapter_path, segments in _seeded_documents(seed):
+            leaf = build_hierarchy(graph, chapter_path)
+            for index, result in enumerate(segments):
+                apply(graph, validate_extraction(result), leaf, (doc_id, index), report)
+        graphs.append(graph)
+        reports.append(report.to_dict())
+    fold, per_call = graphs
+    assert [tuple(n) for n in fold.nodes()] == [tuple(n) for n in per_call.nodes()]
+    assert fold.edges() == per_call.edges()
+    assert fold.revision == per_call.revision
+    assert reports[0] == reports[1]
+    assert reports[0]["concepts_added"] > 0
+    assert max(len(n.raw_labels) for n in fold.nodes()) >= 3
+    assert export_graph(fold) == export_graph(per_call)
+
+
+@pytest.mark.parametrize("segment", ["x", 1.5, True, [1], -1, None])
+def test_entry_with_a_non_integer_segment_fails_alone(segment):
+    entries = [{"segment": 0, "triples": [["oak", "supports", "fern"]], "concepts": {}},
+               {"segment": segment, "triples": [["moss", "covers", "rock"]], "concepts": {}},
+               {"segment": 2, "triples": [["fern", "needs", "moss"]], "concepts": {}}]
+    registry = GraphRegistry()
+    report = apply_extractions(registry, "s", "d1", ["Ch 1"], entries)
+    assert [(f["segment"], f["error_code"]) for f in report.failures] \
+        == [(segment, "invalid_params")]
+    assert report.triples_added == 2
+    graph = registry.get("s")
+    assert [n.label for n in graph.nodes(NodeKind.TEXT)] == ["oak", "fern", "moss"]
+    assert export_graph(import_graph(export_graph(graph))) == export_graph(graph)

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -7,6 +8,7 @@ from examgraph.errors import (
     DuplicateSubject,
     EmptyLabel,
     EmptySubject,
+    InvalidParams,
     KindMismatch,
     MalformedSnapshot,
     SubjectCollision,
@@ -23,7 +25,9 @@ from examgraph.kg import (
     import_graph,
 )
 
+from examgraph.kg import graph as graph_module
 from examgraph.kg import snapshot as snapshot_module
+from examgraph.textutils import normalize_label
 
 from helpers import ROOTS_A, ROOTS_B, build_registry
 
@@ -601,6 +605,33 @@ def test_registry_concurrent_create_and_lookup():
     assert len(registry) == 100
 
 
+def _json_dumps_snapshot(graph):
+    """The snapshot as one json.dumps(record, ensure_ascii=False) per line."""
+    def order(node):
+        return (0, int(node.id[1:]), "") if re.fullmatch(r"n\d+", node.id) else (1, 0, node.id)
+
+    records = [{"type": "header", "format": "kaqg-kg", "version": 1,
+                "subject": graph.subject}]
+    for node in sorted(graph.nodes(), key=order):
+        records.append({"type": "node", "id": node.id, "kind": node.kind.value,
+                        "label": node.label, "raw_labels": sorted(node.raw_labels),
+                        "source_refs": [list(ref) for ref in node.source_refs]})
+    for edge in graph.edges():
+        record = {"type": "edge", "kind": edge.kind.value, "from": edge.src,
+                  "to": edge.dst}
+        if edge.kind is EdgeKind.FACT:
+            record["label"] = edge.label
+        records.append(record)
+    return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), len(records)
+
+
+# characters json.dumps(ensure_ascii=False) escapes or leaves as they are:
+# quotes, backslashes, C0 controls, DEL, C1 controls, the line and paragraph
+# separators, non-ASCII letters, a non-BMP character and a byte order mark
+AWKWARD = ('"\\/\x00\x01\x08\t\n\x0c\r\x1b\x1f\x7f\x85\x9f\u2028\u2029'
+           '\u00e9\u00df\u74b0\U0001f333\ufeff')
+
+
 def test_export_bytes_equal_json_dumps_lines_and_round_trip():
     # non-ASCII, quotes, backslashes, C0 and C1 controls, the line and
     # paragraph separators that JSON leaves unescaped, an astral character
@@ -616,31 +647,115 @@ def test_export_bytes_equal_json_dumps_lines_and_round_trip():
     for i, (head, relation, tail) in enumerate(awkward):
         graph.assert_fact_triple(head, relation, tail, ("d\u00f6c", i))
     graph.assert_fact_triple("OAK!", "supports", "Fern", ("d\u00f6c", 9))
+    # several raw labels and source refs on one node, with awkward doc ids
+    graph.assert_fact_triple('Oak "\u2028"', "supports", "fern", ('d"\\\x01', 3))
+    graph.assert_fact_triple("oak\x85", "supports", "FERN", ("\U0001f333", 10 ** 20))
     tree = graph.upsert_entity('tr\u00e9e \\ "x"', NodeKind.CONCEPT)
+    graph.upsert_entity('TR\u00c9E \\ "x"', NodeKind.CONCEPT)
     chapter = graph.upsert_entity("Ch \u2160", NodeKind.HIERARCHY)
+    part = graph.upsert_entity('Part \u00a7 "1"', NodeKind.HIERARCHY)
     graph.assert_link(EdgeKind.IS_A, graph.find_node("oak", NodeKind.TEXT), tree)
     graph.assert_link(EdgeKind.INCLUDE_IN, tree, chapter)
+    graph.assert_link(EdgeKind.PART_OF, chapter, part)
+    # seeded labels and refs drawn from the awkward characters
+    rng = random.Random(29)
 
-    records = [{"type": "header", "format": "kaqg-kg", "version": 1,
-                "subject": graph.subject}]
-    for node in sorted(graph.nodes(), key=lambda n: int(n.id[1:])):
-        records.append({"type": "node", "id": node.id, "kind": node.kind.value,
-                        "label": node.label, "raw_labels": sorted(node.raw_labels),
-                        "source_refs": [list(ref) for ref in node.source_refs]})
-    for edge in graph.edges():
-        record = {"type": "edge", "kind": edge.kind.value, "from": edge.src,
-                  "to": edge.dst}
-        if edge.kind is EdgeKind.FACT:
-            record["label"] = edge.label
-        records.append(record)
-    expected = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+    def draw():
+        return "w" + "".join(rng.choice(AWKWARD + "ab ") for _ in range(rng.randint(0, 6)))
 
+    for _ in range(60):
+        graph.assert_fact_triple(draw(), draw(), draw(), (draw(), rng.randint(0, 10 ** 6)))
+    assert {e.kind for e in graph.edges()} == set(EdgeKind)
+    assert max(len(n.raw_labels) for n in graph.nodes()) >= 3
+    assert max(len(n.source_refs) for n in graph.nodes()) >= 3
+
+    expected, count = _json_dumps_snapshot(graph)
     snapshot = export_graph(graph)
     assert snapshot == expected.encode("utf-8")
-    assert snapshot.count(b"\n") == len(records)
+    assert snapshot.count(b"\n") == count
     clone = import_graph(snapshot)
     assert clone.subject == graph.subject
     assert [(n.id, n.kind, n.label, n.raw_labels, n.source_refs) for n in clone.nodes()] \
         == [(n.id, n.kind, n.label, n.raw_labels, n.source_refs) for n in graph.nodes()]
     assert clone.edges() == graph.edges()
     assert export_graph(clone) == snapshot
+
+
+def test_export_of_an_imported_graph_writes_awkward_node_ids_like_json_dumps():
+    ids = ['x"\u2028\\', "n007", "\x00", "n3", "\U0001f333", "n12"]
+    kinds = ["text", "text", "concept", "hierarchy", "hierarchy", "text"]
+    records = [{"type": "header", "format": "kaqg-kg", "version": 1, "subject": AWKWARD}]
+    records += [{"type": "node", "id": node_id, "kind": kind, "label": f"l{i}",
+                 "raw_labels": [f"L{i}{AWKWARD}"] * (i % 2), "source_refs": [[AWKWARD, i]]}
+                for i, (node_id, kind) in enumerate(zip(ids, kinds))]
+    records += [
+        {"type": "edge", "kind": "fact", "from": ids[0], "to": ids[1], "label": AWKWARD},
+        {"type": "edge", "kind": "is_a", "from": ids[5], "to": ids[2]},
+        {"type": "edge", "kind": "include_in", "from": ids[2], "to": ids[4]},
+        {"type": "edge", "kind": "part_of", "from": ids[4], "to": ids[3]},
+    ]
+    graph = import_graph("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records))
+    expected, _ = _json_dumps_snapshot(graph)
+    assert export_graph(graph) == expected.encode("utf-8")
+    assert export_graph(import_graph(export_graph(graph))) == expected.encode("utf-8")
+
+
+
+def test_fold_segment_normalizes_each_distinct_label_once(monkeypatch):
+    graph = KnowledgeGraph("s")
+    leaf = graph.upsert_entity("Ch 1", NodeKind.HIERARCHY)
+    graph.fold_segment([("Hugite", "feeds", "moss")], {"hugite": ["Mineral"]}, leaf, ("d", 0))
+    seen = []
+
+    def counting(label):
+        seen.append(label)
+        return normalize_label(label)
+
+    monkeypatch.setattr(graph_module, "normalize_label", counting)
+    triples = [("Hugite", "feeds", "moss"), (" hugite.", "Feeds", "Moss"),
+               ("Hugite", "feeds", "moss"), ("moss", "feeds", " hugite."),
+               ("fern", "shades", "Hugite")]
+    concepts = {"HUGITE": ["Mineral", "rock", "mineral"], "moss": ["Plant", "Mineral"]}
+    facts, added = graph.fold_segment(triples, concepts, leaf, ("d", 1))
+    assert (facts, added) == (2, 2)  # moss->hugite, fern->hugite; rock, plant
+    distinct = {x for t in triples for x in t} | set(concepts) \
+        | {c for cs in concepts.values() for c in cs}
+    assert sorted(seen) == sorted(distinct)
+
+
+BAD_SOURCE_REFS = [("d", "x"), ("d", 1.5), ("d", True), ("d", [1]), ["d", 1], (1, 1),
+                   ("d",), ("d", 1, 2), "d1"]
+
+
+@pytest.mark.parametrize("ref", BAD_SOURCE_REFS, ids=repr)
+def test_write_path_refuses_a_source_ref_a_snapshot_cannot_hold(ref):
+    graph = KnowledgeGraph("s")
+    leaf = graph.upsert_entity("Ch 1", NodeKind.HIERARCHY)
+    graph.assert_fact_triple("oak", "supports", "fern", ("d", 0))
+    revision = graph.revision
+    with pytest.raises(InvalidParams, match="source_ref"):
+        graph.upsert_entity("moss", NodeKind.TEXT, ref)
+    with pytest.raises(InvalidParams, match="source_ref"):
+        graph.assert_fact_triple("oak", "supports", "moss", ref)
+    with pytest.raises(InvalidParams, match="source_ref"):
+        graph.fold_segment([("oak", "supports", "moss")], {}, leaf, ref)
+    assert graph.revision == revision
+    assert import_graph(export_graph(graph)).revision == 1
+
+
+@pytest.mark.parametrize("triples, concepts, leaf, error", [
+    ([("oak", "supports", "fern"), ("moss", "!!!", "rock")], {}, "n0", EmptyLabel),
+    ([("oak", "supports", "fern")], {"oak": ["tree", "?"]}, "n0", EmptyLabel),
+    ([("oak", "supports", "fern")], {"moss": ["plant"]}, "n0", UnknownNode),
+    ([("oak", "supports", "fern")], {}, "n99", UnknownNode),
+    ([("oak", "supports", "fern")], {}, "n1", KindMismatch),
+])
+def test_fold_segment_checks_everything_before_its_first_write(triples, concepts, leaf, error):
+    graph = KnowledgeGraph("s")
+    graph.upsert_entity("Ch 1", NodeKind.HIERARCHY)
+    graph.upsert_entity("tree", NodeKind.CONCEPT)
+    revision, snapshot = graph.revision, export_graph(graph)
+    with pytest.raises(error):
+        graph.fold_segment(triples, concepts, leaf, ("d", 0))
+    assert graph.revision == revision
+    assert export_graph(graph) == snapshot

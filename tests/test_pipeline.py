@@ -651,3 +651,31 @@ def test_malformed_verdict_reports_invalid_params_and_keeps_the_session(stack, e
         registry, ExamBlueprint.from_dict(_BLUEPRINT),
         TemplateGenerator(registry.get("envsci"), seed=42), RubricConfig(), seed=42)
     assert message.payload == reference.to_dict()
+
+
+@pytest.mark.parametrize("topic, append", [
+    ("ingest/request", "false"), ("ingest/request", "no"), ("ingest/request", 0),
+    ("kg/assert", "false"), ("kg/assert", "no"), ("kg/assert", 1),
+])
+def test_append_that_is_not_a_json_boolean_reports_invalid_params(stack, topic, append):
+    """A truthy string must not pass for append=true: the populated subject
+    is left as it was, and the request ends on system/errors."""
+    bus, registry, pipeline, documents, lexicon = stack
+    ingest_document(registry, documents[0], RuleExtractor(lexicon))
+    graph = registry.get("envsci")
+    revision = graph.revision
+    replies = queue.Queue()
+    for reply_topic in ("ingest/report", "system/errors"):
+        bus.subscribe("watch", reply_topic, shared_queue=replies)
+    payload = {"doc": dict(_DOC, doc_id="d2", body="The moss covers the rock."),
+               "append": append}
+    if topic == "kg/assert":
+        payload = {"subject": "envsci", "doc_id": "d2", "chapter_path": ["Ch 1"],
+                   "append": append, "segments": 1, "extractions": [
+                       {"segment": 0, "triples": [["moss", "covers", "rock"]], "concepts": {}}]}
+    bus.publish(topic, payload, sender="client", correlation_id="append-1")
+    message = replies.get(timeout=15)
+    assert message.topic == "system/errors"
+    assert message.correlation_id == "append-1"
+    assert message.payload["error_code"] == "invalid_params"
+    assert graph.revision == revision

@@ -537,12 +537,15 @@ def test_csv_round_trip():
         ResponseMatrix.from_csv("wrongheader,q1\np1,1\np2,0\n")
     with pytest.raises(ValueError, match="non-integer cell on line 3"):
         ResponseMatrix.from_csv("participant,q1\np1,1\np2,x\n")
+    # a quoted newline in an id: the bad cell is on physical line 4
+    with pytest.raises(InvalidParams, match="non-integer cell on line 4"):
+        ResponseMatrix.from_csv('participant,q1\n"p\n1",1\np2,x\n')
 
 
 def csv_int_reference(text):
     """``from_csv`` as it read every text before its binary-row fast path:
     csv.reader, then int on every cell. Its errors, a ``csv.Error`` among
-    them, are InvalidParams."""
+    them, are InvalidParams. Both name the physical line a record ends on."""
     reader = csv.reader(io.StringIO(text))
     try:
         try:
@@ -553,14 +556,14 @@ def csv_int_reference(text):
             raise InvalidParams("first CSV column must be 'participant'")
         items = [h.strip() for h in header[1:]]
         participants, rows = [], []
-        for line_no, record in enumerate(reader, start=2):
+        for record in reader:
             if not record or not any(cell.strip() for cell in record):
                 continue
             participants.append(record[0].strip())
             try:
                 rows.append(list(map(int, record[1:])))
             except ValueError:
-                raise InvalidParams(f"non-integer cell on line {line_no}") from None
+                raise InvalidParams(f"non-integer cell on line {reader.line_num}") from None
     except csv.Error as exc:
         raise InvalidParams(f"malformed CSV on line {reader.line_num}: {exc}") from None
     return ResponseMatrix(participants, items, rows)
