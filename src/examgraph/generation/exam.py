@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import repeat
+from itertools import chain, product, repeat
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring
+from operator import itemgetter
 from typing import Iterator
 
 from ..assessment import DifficultyTier, EvaluationResult, RubricConfig, build_lexicon
@@ -82,9 +83,9 @@ _CONTAINERS = (dict, list, tuple)
 def pretty_json(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)``,
     byte for byte, without the pure-Python iterator encoder that ``indent``
-    selects in the standard library. Circular references are not detected."""
-    if not isinstance(obj, _CONTAINERS):
-        return _encoder("\n")(obj, 0)[0]
+    selects in the standard library. Circular references are not detected.
+    ``Exam.to_json`` writes exam items from templates and everything else
+    through this walker."""
     out: list[str] = []
     _write_json(obj, out, "\n")
     return "".join(out)
@@ -106,19 +107,28 @@ def _json_key(key) -> str:
                     f"not {key.__class__.__name__}")
 
 
-def _write_json(value, out: list[str], newline: str) -> None:
-    """Append the dict, list or tuple ``value`` one level below ``newline``,
-    a line break plus the enclosing indentation. The C encoder writes each
-    scalar, and each leaf (a container that holds no dict, list or tuple)
-    whole, as all of a leaf's items sit at one indentation."""
+def _leaf(value, newline: str) -> str:
+    """A dict, list or tuple that holds no dict, list or tuple, one level
+    below ``newline``: the C encoder writes it whole, as all of its items
+    sit at one indentation."""
     inner = newline + "  "
-    encode = _encoder(inner)
+    text = "".join(_encoder(inner)(value, 0))
+    return text if len(text) == 2 else (  # "{}" or "[]"
+        text[0] + inner + text[1:-1] + newline + text[-1])
+
+
+def _write_json(value, out: list[str], newline: str) -> None:
+    """Append ``value`` one level below ``newline``, a line break plus the
+    enclosing indentation. The C encoder writes each scalar and each leaf."""
+    if not isinstance(value, _CONTAINERS):
+        out.append(_encoder(newline)(value, 0)[0])
+        return
     is_dict = isinstance(value, dict)
     if not any(map(isinstance, value.values() if is_dict else value, repeat(_CONTAINERS))):
-        text = "".join(encode(value, 0))
-        out.append(text if len(text) == 2 else  # "{}" or "[]"
-                   text[0] + inner + text[1:-1] + newline + text[-1])
+        out.append(_leaf(value, newline))
         return
+    inner = newline + "  "
+    encode = _encoder(inner)
     if is_dict:
         sep = "{" + inner
         for key, child in sorted(value.items()):
@@ -142,6 +152,75 @@ def _write_json(value, out: list[str], newline: str) -> None:
             out.append(sep + encode(child, 0)[0])
         sep = "," + inner
     out.append(newline + "]")
+
+
+def _template(sample: dict, newline: str) -> str:
+    """``sample`` as the walker writes it one level below ``newline`` (the
+    sample holds no line break of its own), each "%r" and "%s" value made a
+    slot."""
+    return pretty_json(sample).replace("\n", newline).replace('"%r"', "%r").replace('"%s"', "%s")
+
+
+# An item as ``_evaluated_item_payload`` builds it and a breakdown row as
+# ``RubricConfig.evaluate`` builds it, at the depths ``Exam.to_json`` writes
+# them. %r takes an int or a finite float, as json.dumps writes them; %s a
+# str through encode_basestring, the breakdown's rows or a leaf's text.
+_ROW = {**dict.fromkeys(("contribution", "rating", "raw", "weight"), "%r"), "feature": "%s"}
+_PROVENANCE = dict.fromkeys(("chapter", "concept", "facts", "subject"), "%s")
+_ITEM = {**dict.fromkeys(("answer_index", "difficulty", "epsilon", "target"), "%r"),
+         **dict.fromkeys(("bloom", "id", "options", "ratings", "stem", "tier"), "%s"),
+         "breakdown": ["%s"], "provenance": _PROVENANCE}
+_ROW_TEXT = _template(_ROW, "\n        ")
+_ITEM_TEXT = _template(_ITEM, "\n    ")
+_row_values, _provenance_values, _item_values = (
+    itemgetter(*sorted(fields)) for fields in (_ROW, _PROVENANCE, _ITEM))
+# the value types the templates take, in sorted field order
+_NUMBERS = (int, float)
+_ROW_TYPES = frozenset(product(_NUMBERS, (str,), _NUMBERS, _NUMBERS, _NUMBERS))
+_PROVENANCE_TYPES = (str, str, list, str)
+_ITEM_TYPES = frozenset(product(_NUMBERS, (str,), (list,), _NUMBERS, _NUMBERS, (str,), (list,),
+                                (dict,), (dict,), (str,), _NUMBERS, (str,)))
+_INF = float("inf")  # _INF > abs(x) fails for NaN and infinities, holds for any int
+
+
+def _row_text(row) -> str | None:
+    """A breakdown row from ``_ROW_TEXT``, or None when it is not a record
+    of exactly those fields and types with finite numbers."""
+    if type(row) is dict and row.keys() == _ROW.keys():
+        values = _row_values(row)
+        contribution, feature, rating, raw, weight = values
+        if (tuple(map(type, values)) in _ROW_TYPES and _INF > abs(contribution)
+                and _INF > abs(rating) and _INF > abs(raw) and _INF > abs(weight)):
+            return _ROW_TEXT % (contribution, encode_basestring(feature), rating, raw, weight)
+    return None
+
+
+def _item_text(item) -> str | None:
+    """An exam item from ``_ITEM_TEXT``, or None when it is not a record of
+    exactly those fields and types with finite numbers, leaves for options,
+    facts and ratings, and a breakdown of one or more such rows."""
+    if type(item) is not dict or item.keys() != _ITEM.keys():
+        return None
+    values = _item_values(item)
+    if tuple(map(type, values)) not in _ITEM_TYPES:
+        return None
+    (answer, bloom, rows, difficulty, epsilon, id_, options, provenance,
+     ratings, stem, target, tier) = values
+    if provenance.keys() != _PROVENANCE.keys():
+        return None
+    source = _provenance_values(provenance)
+    chapter, concept, facts, subject = source
+    row_texts = list(map(_row_text, rows))
+    if (tuple(map(type, source)) != _PROVENANCE_TYPES or not rows or None in row_texts
+            or any(map(isinstance, chain(options, facts, ratings.values()), repeat(_CONTAINERS)))
+            or not (_INF > abs(answer) and _INF > abs(difficulty) and _INF > abs(epsilon)
+                    and _INF > abs(target))):
+        return None
+    return _ITEM_TEXT % (
+        answer, encode_basestring(bloom), ",\n        ".join(row_texts), difficulty, epsilon,
+        encode_basestring(id_), _leaf(options, "\n      "), encode_basestring(chapter),
+        encode_basestring(concept), _leaf(facts, "\n        "), encode_basestring(subject),
+        _leaf(ratings, "\n      "), encode_basestring(stem), target, encode_basestring(tier))
 
 
 @dataclass
@@ -173,7 +252,27 @@ class Exam:
         }
 
     def to_json(self) -> str:
-        return pretty_json(self.to_dict()) + "\n"
+        """``pretty_json(self.to_dict()) + "\\n"``, byte for byte: each item
+        that ``ExamSession`` built from a fixed template, the rest of the
+        exam through the walker, into one list joined once."""
+        out: list[str] = []
+        sep = "{\n  "
+        for key, value in sorted(self.to_dict().items()):
+            out.append(f'{sep}"{key}": ')
+            sep = ",\n  "
+            if key != "items" or type(value) is not list or not value:
+                _write_json(value, out, "\n  ")
+                continue
+            for index, item in enumerate(value):
+                out.append(",\n    " if index else "[\n    ")
+                text = _item_text(item)
+                if text is None:
+                    _write_json(item, out, "\n    ")
+                else:
+                    out.append(text)
+            out.append("\n  ]")
+        out.append("\n}\n")
+        return "".join(out)
 
 
 # bus peers set max_retries, and each slot builds and may grade that many
@@ -207,6 +306,12 @@ class ExamSession:
     ``gate_failed`` and does the same; the first accepted candidate fills
     the slot. A slot whose pairs run out is unfilled
     (``retries_exhausted``), as is every slot of a section without material.
+
+    A cell never asks the generator twice for the same pair, and never
+    grades it twice: a pair that an earlier slot of the cell saw rejected
+    logs a copy of that reject under its own slot and yields no candidate.
+    With a deterministic generator the log is the one regrading would
+    write; an LLM generator gets no second try at a pair.
     """
 
     def __init__(self, graph: KnowledgeGraph, blueprint: ExamBlueprint,
@@ -256,9 +361,13 @@ class ExamSession:
             for tier in TIER_ORDER:
                 count = section.tier_counts.get(tier, 0)
                 used: set[tuple[int, int]] = set()  # pairs accepted in this cell
+                rejected: dict[tuple[int, int], dict] = {}  # pair -> its reject record
                 for k in range(count if bundles else 0):
                     for pair in _attempt_pairs(k, len(bundles), self.max_retries):
                         if pair in used:
+                            continue
+                        if pair in rejected:
+                            self.rejects.append({**rejected[pair], "slot": k})
                             continue
                         bundle_index, variant = pair
                         where = {"chapter": section.chapter, "tier": tier.value,
@@ -269,8 +378,8 @@ class ExamSession:
                                 bundles[bundle_index], tier, DEFAULT_TIER_BLOOM[tier],
                                 self.generator, variant, subject=self.blueprint.subject)
                         except ExamGraphError as exc:
-                            self.rejects.append(
-                                {**where, "reason": exc.code, "message": str(exc)})
+                            rejected[pair] = {**where, "reason": exc.code, "message": str(exc)}
+                            self.rejects.append(rejected[pair])
                             continue
                         result = yield Candidate(
                             slot=SlotRef(index, section.chapter, tier, k),
@@ -282,11 +391,12 @@ class ExamSession:
                             used.add(pair)
                             yield True
                             break
-                        self.rejects.append({
+                        rejected[pair] = {
                             **where, "reason": "gate_failed", "stem": item.stem,
                             "difficulty": result.difficulty, "target": result.target,
                             "breakdown": result.breakdown,
-                        })
+                        }
+                        self.rejects.append(rejected[pair])
                         yield False
                 if count > len(used):
                     self.unfilled.append({

@@ -204,7 +204,8 @@ class TemplateGenerator:
     concepts in the same chapter (falling back to the rest of the graph).
 
     Deterministic given the seed; the seed drives option order only.
-    Distractors come from the graph's current revision.
+    Distractors come from the revision the bundle was assembled from, or
+    from the graph's current revision for a bundle built without one.
     """
 
     def __init__(self, graph: KnowledgeGraph, seed: int = 0):
@@ -223,7 +224,7 @@ class TemplateGenerator:
             chosen.append(label)
             return len(chosen) == 3
 
-        view = self.graph.view()
+        view = bundle.view if bundle.view is not None else self.graph.view()
         sibling_pools = [
             labels for concept_id, labels in _chapter_fact_pools(view, bundle.chapter_id)
             if concept_id != bundle.concept_id

@@ -18,6 +18,9 @@ class MaterialBundle:
     chapter_label: str
     facts: list[tuple[str, str]]  # (node id, label), rank order
     sub_connections: list[tuple[str, str, str]] = field(default_factory=list)
+    # the revision the bundle was assembled from, which its distractors
+    # come from too
+    view: GraphView | None = field(default=None, compare=False, repr=False)
 
     @property
     def fact_ids(self) -> list[str]:
@@ -73,6 +76,7 @@ def assemble_material(graph: KnowledgeGraph | GraphView, chapter: str,
             chapter_label=chapter_label,
             facts=[(fid, view.node(fid).label) for fid in fact_ids],
             sub_connections=_one_hop_fact_triples(view, fact_ids),
+            view=view,
         ))
     if not bundles:
         raise NoConceptsInChapter(

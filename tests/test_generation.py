@@ -38,7 +38,7 @@ from examgraph.generation.exam import MAX_RETRIES
 from examgraph.kg import GraphRegistry, KnowledgeGraph, NodeKind
 from examgraph.ranking import rank_chapter_concepts
 
-from helpers import ROOTS_A, blueprint_dict, build_registry
+from helpers import ROOTS_A, ROOTS_B, blueprint_dict, build_registry
 
 
 @pytest.fixture(scope="module")
@@ -666,4 +666,27 @@ def test_loop_call_counts(corpus, monkeypatch):
     gate_failed = [r for r in exam.rejects if r["reason"] == "gate_failed"]
     assert gate_failed
     assert calls["assemble"] == len(spec["sections"])
-    assert calls["record"] == calls["evaluate"] == len(exam.items) + len(gate_failed)
+    # a later slot logs a copy of a reject its cell already graded
+    graded = {(r["chapter"], r["tier"], r["attempt"], r["bundle_index"]) for r in gate_failed}
+    assert len(graded) < len(gate_failed)
+    assert calls["record"] == calls["evaluate"] == len(exam.items) + len(graded)
+
+
+def test_tight_blueprint_grades_each_pair_once_per_cell():
+    """The golden tight-epsilon blueprint: later slots of a cell reach pairs
+    an earlier slot saw rejected, log a copy of that reject and generate
+    and grade nothing for it."""
+    registry, _, _ = build_registry("envsci", ROOTS_A + ROOTS_B, chapters=6)
+    graph = registry.get("envsci")
+    spec = dict(blueprint_dict("envsci", 6), epsilon=0.05)
+    session = ExamSession(graph, ExamBlueprint.from_dict(spec),
+                          TemplateGenerator(graph, seed=11), seed=11)
+    graded = []
+    for candidate in iter(session.next_candidate, None):
+        graded.append((candidate.slot.section, candidate.slot.tier,
+                       candidate.attempt, candidate.bundle_index))
+        session.record_result(candidate, session.evaluate(candidate))
+    assert len(graded) == len(set(graded))
+    logged = [(r["chapter"], r["tier"], r["attempt"], r["bundle_index"])
+              for r in session.rejects]
+    assert len(set(logged)) < len(logged)

@@ -1,14 +1,19 @@
-"""`pretty_json` writes exactly what the standard library writes for the
-exam and CLI format: ``json.dumps(obj, sort_keys=True, indent=2,
-ensure_ascii=False)``."""
+"""`pretty_json` and `Exam.to_json` write exactly what the standard library
+writes for the exam and CLI format: ``json.dumps(obj, sort_keys=True,
+indent=2, ensure_ascii=False)``."""
 
+import copy
+import dataclasses
 import json
 import random
 
 import pytest
 
 from examgraph.assessment import BloomLevel
-from examgraph.generation import pretty_json
+from examgraph.generation import ExamBlueprint, TemplateGenerator, generate_exam, pretty_json
+from examgraph.generation.exam import _item_text
+
+from helpers import ROOTS_A, blueprint_dict, build_registry
 
 TEXT_ALPHABET = ['a', 'Z', '7', ' ', '"', '\\', '/', '\n', '\t', '\r', '\b', '\f',
                  '\x00', '\x1f', '\x7f', 'é', '中', ' ', '\ud800', '😀', "'"]
@@ -181,3 +186,95 @@ def test_unserialisable_payloads_raise_like_json_dumps(payload):
     with pytest.raises(TypeError) as got:
         pretty_json(payload)
     assert str(got.value) == str(expected.value)
+
+
+# --- Exam.to_json: items from templates, the walker for everything else ---
+
+class Real(float):
+    pass
+
+
+def odd_value(rng: random.Random):
+    """A fresh value the item templates do not take (or one they take at an
+    odd magnitude): a shared one could end up containing itself."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return random_value(rng)
+    if kind == 1:
+        return leafy_value(rng, rng.randrange(3))
+    return rng.choice([
+        True, False, None, float("nan"), float("inf"), float("-inf"), -0.0, 5e-324,
+        2**70, -(10**400), BloomLevel.APPLY, Real(1.5), "\u2028 \"q\" \\ \x00 é",
+        "", [], {}, (), (1, "x"), [[1]], {"k": {}}])
+
+
+def perturb(rng: random.Random, item: dict) -> None:
+    """One change to an item, a breakdown row or the provenance."""
+    rows = item.get("breakdown")
+    records = [item]
+    if isinstance(item.get("provenance"), dict):
+        records.append(item["provenance"])
+    if isinstance(rows, list):
+        records += [row for row in rows if isinstance(row, dict)]
+    record = rng.choice(records)
+    kind = rng.randrange(7)
+    if kind <= 2 and record:  # an odd value in a slot
+        record[rng.choice(sorted(record))] = odd_value(rng)
+    elif kind == 3 and record:  # a missing key
+        del record[rng.choice(sorted(record))]
+    elif kind == 4:  # an extra key
+        record[rng.choice(["aa", "ratings2", "raw_", "zz", random_text(rng)])] = odd_value(rng)
+    elif kind == 5:  # an empty list or dict
+        key = rng.choice(["breakdown", "options", "ratings", "provenance"])
+        if key == "provenance" and isinstance(item.get(key), dict):
+            item[key]["facts"] = []
+        else:
+            item[key] = {} if key == "ratings" else []
+    elif kind == 6:  # no provenance, a row that is no record, a record subclass
+        change = rng.randrange(3)
+        if change == 0:
+            item.pop("provenance", None)
+        elif change == 1 and isinstance(rows, list) and rows:
+            rows[rng.randrange(len(rows))] = odd_value(rng)
+        elif isinstance(rows, list) and rows:
+            rows[0] = Mapping(rows[0]) if isinstance(rows[0], dict) else rows[0]
+
+
+@pytest.fixture(scope="module")
+def generated_exam():
+    """A real exam: items as ``_evaluated_item_payload`` builds them, with
+    rejects and unfilled cells from a tight gate."""
+    registry, _, _ = build_registry("envsci", ROOTS_A, chapters=2)
+    spec = dict(blueprint_dict("envsci", 2), epsilon=0.5)
+    exam = generate_exam(registry, ExamBlueprint.from_dict(spec),
+                         TemplateGenerator(registry.get("envsci"), seed=3), seed=3)
+    assert exam.items and exam.rejects and exam.unfilled
+    return exam
+
+
+def exam_reference(exam) -> str:
+    return reference(exam.to_dict()) + "\n"
+
+
+def test_generated_exam_matches_json_dumps(generated_exam):
+    # every item ExamSession builds takes the template, not the walker
+    assert all(_item_text(item) for item in generated_exam.items)
+    assert generated_exam.to_json() == exam_reference(generated_exam)
+    for header in ({"subject": "é \u2028 \"s\""}, {"items": []}, {"items": ()},
+                   {"rejects": [], "unfilled": []}, {"seed": 2**70, "requested": None}):
+        exam = dataclasses.replace(generated_exam, **header)
+        assert exam.to_json() == exam_reference(exam)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_perturbed_exam_items_match_json_dumps(generated_exam, seed):
+    rng = random.Random(f"exam-items|{seed}")
+    for _ in range(15):
+        items = copy.deepcopy(generated_exam.items)
+        for item in rng.sample(items, rng.randint(1, 4)):
+            for _ in range(rng.randint(1, 3)):
+                perturb(rng, item)
+        if rng.randrange(5) == 0:
+            items[rng.randrange(len(items))] = odd_value(rng)
+        exam = dataclasses.replace(generated_exam, items=items)
+        assert exam.to_json() == exam_reference(exam)

@@ -1,6 +1,7 @@
 """Graph revisions, per-revision views and the derived data memoised on
 them: PageRank scores, the term lexicon and chapter rankings."""
 
+import dataclasses
 import json
 import random
 import sys
@@ -12,8 +13,8 @@ import pytest
 from examgraph import ranking
 from examgraph.assessment import build_lexicon
 from examgraph.errors import MalformedSnapshot
-from examgraph.generation import ExamBlueprint, TemplateGenerator, generate_exam
-from examgraph.ingestion import ExtractionResult, SourceDocument, ingest_document
+from examgraph.generation import ExamBlueprint, ExamSession, TemplateGenerator, generate_exam
+from examgraph.ingestion import ExtractionResult, RuleExtractor, SourceDocument, ingest_document
 from examgraph.kg import (
     EdgeKind,
     GraphRegistry,
@@ -25,7 +26,7 @@ from examgraph.kg import (
 from examgraph.ranking import cached_pagerank, pagerank
 from examgraph.textutils import normalize_label
 
-from helpers import ROOTS_A, blueprint_dict, build_registry
+from helpers import ROOTS_A, ROOTS_B, blueprint_dict, build_registry, corpus_documents
 
 
 def small_graph() -> KnowledgeGraph:
@@ -294,3 +295,32 @@ def test_view_labels_are_normalized_after_ingest_append_and_import():
     clone = import_graph("\n".join(lines))
     assert_view_labels_normalized(clone)
     assert [n.label for n in clone.view().nodes] == [n.label for n in graph.view().nodes]
+
+
+def test_session_writes_its_start_revision_exam_while_the_graph_grows():
+    """Text appended under a chapter after the third verdict changes the
+    graph's sibling facts, but not the exam of a session that began before
+    it: material and distractors both come from the session's revision."""
+    documents, lexicon, _ = corpus_documents("envsci", ROOTS_A + ROOTS_B, chapters=4)
+    extractor = RuleExtractor(lexicon)
+    registries = []
+    for _ in range(2):
+        registry = GraphRegistry()
+        for i, document in enumerate(documents[:3]):
+            ingest_document(registry, document, extractor, append=i > 0)
+        registries.append(registry)
+    blueprint = ExamBlueprint.from_dict(blueprint_dict("envsci", 3))
+    start = generate_exam(registries[0], blueprint,
+                          TemplateGenerator(registries[0].get("envsci"), seed=7), seed=7)
+
+    registry = registries[1]
+    graph = registry.get("envsci")
+    session = ExamSession(graph, blueprint, TemplateGenerator(graph, seed=7), seed=7)
+    for verdicts, candidate in enumerate(iter(session.next_candidate, None), start=1):
+        session.record_result(candidate, session.evaluate(candidate))
+        if verdicts == 3:
+            revision = graph.revision
+            ingest_document(registry, dataclasses.replace(
+                documents[3], chapter_path=["Ch 1"]), extractor, append=True)
+            assert graph.revision > revision
+    assert session.build_exam().to_json() == start.to_json()
