@@ -7,8 +7,10 @@ folds into the subject graph (reporting on `ingest/report` and answering
 which emits one `exam/candidate` at a time; *question_evaluation* grades
 each candidate and routes it to `exam/qualified` or back via `exam/reject`
 for a retry. When every blueprint slot is resolved the full exam appears on
-`exam/complete`. The *llm* agent serves `llm/request` for LLM-backed
-extractors/generators. Errors surface on `system/errors`.
+`exam/complete`. The *llm* agent answers `llm/request` on `llm/reply` for
+TCP peers; an LLM-backed extractor or generator in this process calls the
+provider directly through a ``complete_fn`` from ``gateway.completion_fn``.
+Errors surface on `system/errors`.
 
 Extraction, generation and evaluation run the same extract_document /
 ExamSession / RubricConfig.evaluate code as the direct library call, so with
@@ -18,14 +20,10 @@ a deterministic stack the pipeline exam is byte-identical to
 
 from __future__ import annotations
 
-import queue
-import threading
-import time
 from typing import Callable
 
 from ..assessment import EvaluationResult, RubricConfig, build_lexicon
 from ..checks import array, boolean, integer, member, number, obj, string, strings
-from ..errors import GatewayTimeout, MalformedResponse
 from ..gateway import completion_fn
 from ..generation import (
     ExamBlueprint,
@@ -40,51 +38,6 @@ from .core import MessageBus
 
 CompleteFn = Callable[[str, str], str]
 GeneratorFactory = Callable[..., object]  # (graph, seed) -> Generator
-
-
-class BusCompletion:
-    """Chat-completion callable that round-trips through the llm agent
-    (`llm/request` -> `llm/reply`), for LLM-backed extractors/generators
-    running inside other agents."""
-
-    def __init__(self, bus: MessageBus, requester: str, timeout: float = 30.0):
-        self.bus = bus
-        self.requester = requester
-        self.timeout = timeout
-        self._counter = 0
-        self._lock = threading.Lock()
-
-    def __call__(self, system_prompt: str, user_prompt: str) -> str:
-        with self._lock:
-            self._counter += 1
-            correlation = f"{self.requester}-llm-{self._counter}"
-        sub = self.bus.subscribe(f"{self.requester}-wait-{self._counter}", "llm/reply")
-        try:
-            self.bus.publish("llm/request", {
-                "system_prompt": system_prompt,
-                "user_prompt": user_prompt,
-            }, sender=self.requester, correlation_id=correlation)
-            deadline = time.monotonic() + self.timeout
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise GatewayTimeout("no llm/reply before timeout")
-                try:
-                    message = sub.get(timeout=remaining)
-                except queue.Empty:
-                    raise GatewayTimeout("no llm/reply before timeout") from None
-                if message is None:
-                    raise GatewayTimeout("bus closed while waiting for llm/reply")
-                if message.correlation_id != correlation:
-                    continue
-                payload = obj(message.payload, "llm/reply", MalformedResponse)
-                if "error_code" in payload:
-                    raise MalformedResponse(
-                        f"llm agent error {payload['error_code']}: "
-                        f"{payload.get('message', '')}")
-                return string(payload.get("text"), "llm/reply text", MalformedResponse)
-        finally:
-            sub.close()
 
 
 def _file_extraction_agent(max_chars: int, extractor) -> AgentDescriptor:

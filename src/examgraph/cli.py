@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from .assessment import DifficultyTier, RubricConfig
 from .checks import integer, obj, string
-from .errors import ExamGraphError, InsufficientMaterial, UnknownNode
+from .errors import ExamGraphError, InsufficientMaterial, SubjectCollision, UnknownNode
 from .gateway import ProviderConfig, completion_fn
 from .generation import (
     ExamBlueprint,
@@ -46,14 +47,23 @@ def _slug(subject: str) -> str:
 
 class SnapshotStore:
     """Filesystem-backed registry: snapshots loaded on demand, saved after
-    mutation."""
+    mutation. A save renames a finished temporary file into place, so a
+    reader sees the old snapshot or the new one, never a prefix."""
 
     def __init__(self, data_dir: str):
         self.root = Path(data_dir)
         self.registry = GraphRegistry()
 
     def _path(self, subject: str) -> Path:
-        return self.root / f"{_slug(subject)}.kg.jsonl"
+        """The snapshot file of ``subject``. ``_slug`` maps some subjects to
+        one name, so a file whose header names another subject is refused."""
+        path = self.root / f"{_slug(subject)}.kg.jsonl"
+        if path.exists():
+            with path.open("rb") as fh:
+                owner = import_graph(fh.readline()).subject
+            if owner != subject:
+                raise SubjectCollision(f"{path.name} holds subject {owner!r}, not {subject!r}")
+        return path
 
     def load(self, subject: str) -> None:
         if self.registry.has(subject):
@@ -72,8 +82,14 @@ class SnapshotStore:
 
     def save(self, subject: str) -> None:
         graph = self.registry.get(subject)
+        path = self._path(subject)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._path(subject).write_bytes(export_graph(graph))
+        temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            temp.write_bytes(export_graph(graph))
+            os.replace(temp, path)
+        finally:
+            temp.unlink(missing_ok=True)
 
     def get(self, subject: str):
         self.load(subject)

@@ -19,6 +19,10 @@ from .checks import string
 from .errors import AuthError, GatewayTimeout, MalformedResponse, RateLimited
 from .textutils import naive_svo, split_sentences
 
+# a chat completion of max_tokens 512 is a few KiB
+MAX_RESPONSE_BYTES = 1 << 20
+_CHUNK_BYTES = 1 << 16
+
 
 @dataclass
 class CompletionRequest:
@@ -52,6 +56,11 @@ def complete(config: ProviderConfig, request: CompletionRequest) -> str:
     5xx, timeouts and transport faults are retried with exponential backoff
     up to ``config.retries`` attempts; 401/403 fail immediately; 429 raises
     RateLimited once retries run out; other statuses (307/308 too) fail at once.
+    The whole call has one deadline, ``request.timeout``: each attempt's
+    socket waits are bounded by the time left when it starts, the body is
+    read in chunks with the deadline checked between them, and no backoff
+    sleep starts that would end past it. A body over MAX_RESPONSE_BYTES is
+    MalformedResponse, at once.
     """
     import urllib.request  # only the HTTP provider needs it
     from http.client import HTTPException
@@ -73,13 +82,17 @@ def complete(config: ProviderConfig, request: CompletionRequest) -> str:
     if token:  # unredirected: a redirect never carries the token on
         http_request.add_unredirected_header("Authorization", f"Bearer {token}")
 
+    deadline = time.monotonic() + request.timeout
     last_error: Exception | None = None
     for attempt in range(config.retries + 1):
-        if attempt:
-            time.sleep(config.backoff_base * (2 ** (attempt - 1)))
+        pause = config.backoff_base * (2 ** (attempt - 1)) if attempt else 0.0
+        left = deadline - time.monotonic() - pause
+        if left <= 0:
+            raise GatewayTimeout(f"no reply within {request.timeout}s") from last_error
+        time.sleep(pause)
         try:
-            with urllib.request.urlopen(http_request, timeout=request.timeout) as response:
-                status, raw = response.status, response.read()
+            with urllib.request.urlopen(http_request, timeout=left) as response:
+                status, raw = response.status, _read_body(response, deadline)
         except HTTPError as exc:  # urlopen raises it for every status >= 400
             status, raw = exc.code, b""
             exc.close()
@@ -103,6 +116,19 @@ def complete(config: ProviderConfig, request: CompletionRequest) -> str:
         return _extract_choice(raw)
     assert last_error is not None
     raise last_error
+
+
+def _read_body(response, deadline: float) -> bytes:
+    chunks, size = [], 0
+    while time.monotonic() < deadline:
+        chunk = response.read1(_CHUNK_BYTES)
+        if not chunk:
+            return b"".join(chunks)
+        size += len(chunk)
+        if size > MAX_RESPONSE_BYTES:
+            raise MalformedResponse(f"response body over {MAX_RESPONSE_BYTES} bytes")
+        chunks.append(chunk)
+    raise TimeoutError("deadline passed while reading the body")
 
 
 def _extract_choice(raw: bytes) -> str:

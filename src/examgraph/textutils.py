@@ -7,7 +7,7 @@ from __future__ import annotations
 import re
 import unicodedata
 
-_WORD_RE = re.compile(r"[a-z0-9]+(?:['\-][a-z0-9]+)*")
+_WORD_RE = re.compile(r"[^\W_]+(?:['\-][^\W_]+)*")
 _SENTENCE_RE = re.compile(r"[.!?]+")
 
 STOPWORDS = frozenset(

@@ -278,9 +278,12 @@ def test_echo_agent_round_trip():
 
 def test_duplicate_agent_name_rejected():
     bus = MessageBus()
-    spawn_agent(bus, AgentDescriptor("worker", ["a/b"], lambda c, m: None))
-    with pytest.raises(DuplicateName):
-        spawn_agent(bus, AgentDescriptor("worker", ["a/c"], lambda c, m: None))
+    agent = spawn_agent(bus, AgentDescriptor("worker", ["a/b"], lambda c, m: None))
+    try:
+        with pytest.raises(DuplicateName):
+            spawn_agent(bus, AgentDescriptor("worker", ["a/c"], lambda c, m: None))
+    finally:
+        agent.stop()
 
 
 def test_stopped_agent_gets_no_further_invocations():

@@ -1,10 +1,13 @@
 import json
 import socket
 import threading
+from pathlib import Path
 
 import pytest
 
-from examgraph.cli import main
+from examgraph.cli import SnapshotStore, main
+from examgraph.errors import SubjectCollision
+from examgraph.kg import KnowledgeGraph, NodeKind
 
 from helpers import ROOTS_A, blueprint_dict, corpus_documents
 
@@ -74,6 +77,47 @@ def test_reingest_without_append_fails_cleanly(workspace, capsys):
     assert main(argv) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error_code"] == "subject_collision"
+
+
+def test_subjects_sharing_a_file_name_collide(workspace, capsys):
+    """Subjects "Bio Logy" and "bio_logy" map to one snapshot file: the
+    second can neither load nor save over the first's."""
+    def ingest(subject):
+        return main(["ingest", "--subject", subject, "--doc", str(workspace["docs"][0]),
+                     "--chapter", "Ch 1", "--data-dir", workspace["data_dir"]])
+
+    assert ingest("Bio Logy") == 0
+    (snapshot,) = Path(workspace["data_dir"]).iterdir()
+    before = snapshot.read_bytes()
+    capsys.readouterr()
+    assert ingest("bio_logy") == 1
+    assert json.loads(capsys.readouterr().err)["error_code"] == "subject_collision"
+    store = SnapshotStore(workspace["data_dir"])
+    store.registry.attach(KnowledgeGraph("bio_logy"))
+    with pytest.raises(SubjectCollision):
+        store.save("bio_logy")
+    assert snapshot.read_bytes() == before
+    assert [path.name for path in Path(workspace["data_dir"]).iterdir()] == [snapshot.name]
+
+
+def test_save_that_fails_midway_keeps_the_old_snapshot(workspace, monkeypatch):
+    ingest_all(workspace)
+    store = SnapshotStore(workspace["data_dir"])
+    store.load("envsci")
+    store.registry.get("envsci").upsert_entity("zephyrite", NodeKind.TEXT)
+    (snapshot,) = Path(workspace["data_dir"]).iterdir()
+    before = snapshot.read_bytes()
+
+    def half_write(path, data):
+        with open(path, "wb") as fh:
+            fh.write(data[:len(data) // 2])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", half_write)
+    with pytest.raises(OSError, match="no space"):
+        store.save("envsci")
+    assert snapshot.read_bytes() == before
+    assert [path.name for path in Path(workspace["data_dir"]).iterdir()] == [snapshot.name]
 
 
 def test_graph_stats_and_export(workspace, capsys, tmp_path):

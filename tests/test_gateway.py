@@ -7,6 +7,7 @@ import pytest
 
 from examgraph.errors import AuthError, GatewayTimeout, MalformedResponse, RateLimited
 from examgraph.gateway import (
+    MAX_RESPONSE_BYTES,
     CompletionRequest,
     ProviderConfig,
     complete,
@@ -28,13 +29,24 @@ class StubHandler(BaseHTTPRequestHandler):
         if payload == "sleep":
             time.sleep(1.0)
             payload = {"choices": []}
+        drip = payload == "drip"
+        if drip:
+            payload = ok_body("dripped")
         data = (payload if isinstance(payload, str)
                 else json.dumps(payload)).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
-        self.wfile.write(data)
+        if not drip:
+            self.wfile.write(data)
+            return
+        try:  # one byte every 0.1 s, until the client hangs up
+            for byte in data:
+                self.wfile.write(bytes([byte]))
+                time.sleep(0.1)
+        except OSError:
+            pass
 
     def log_message(self, *args):
         pass
@@ -203,6 +215,37 @@ def test_timeout_raises_after_retries(stub_server):
     with pytest.raises(GatewayTimeout):
         complete(config, tiny)
     assert time.monotonic() - started < 5
+
+
+def test_dripped_body_ends_by_the_deadline(stub_server):
+    StubHandler.script = [(200, "drip")]
+    started = time.monotonic()
+    with pytest.raises(GatewayTimeout):
+        complete(provider(stub_server, retries=3),
+                 CompletionRequest("sys", "user", timeout=0.5))
+    assert time.monotonic() - started < 0.5 + 0.3
+    assert len(StubHandler.requests_seen) == 1  # no time was left to retry
+
+
+def test_oversized_body_is_malformed_without_retry(stub_server):
+    StubHandler.script = [(200, "x" * (MAX_RESPONSE_BYTES + 1))]
+    started = time.monotonic()
+    with pytest.raises(MalformedResponse, match="over"):
+        complete(provider(stub_server, retries=3),
+                 CompletionRequest("sys", "user", timeout=0.5))
+    assert time.monotonic() - started < 0.5 + 0.3
+    assert len(StubHandler.requests_seen) == 1
+
+
+def test_server_errors_are_retried_until_the_deadline(stub_server):
+    StubHandler.script = [(500, {})]
+    started = time.monotonic()
+    with pytest.raises(GatewayTimeout, match="no reply within 0.5s") as info:
+        complete(provider(stub_server, retries=100),
+                 CompletionRequest("sys", "user", timeout=0.5))
+    assert time.monotonic() - started < 0.5 + 0.3
+    assert isinstance(info.value.__cause__, MalformedResponse)
+    assert 1 < len(StubHandler.requests_seen) < 101
 
 
 def test_request_validation():

@@ -690,3 +690,31 @@ def test_tight_blueprint_grades_each_pair_once_per_cell():
     logged = [(r["chapter"], r["tier"], r["attempt"], r["bundle_index"])
               for r in session.rejects]
     assert len(set(logged)) < len(logged)
+
+
+def test_words_outside_ascii_stay_whole_from_ingest_to_grading():
+    """Letters outside ASCII are word letters: a French/Swedish chapter
+    ingests whole labels, and the rubric grades an exam over it on whole
+    tokens."""
+    from examgraph.ingestion import RuleExtractor, SourceDocument, ingest_document
+    from examgraph.textutils import tokenize
+
+    registry = GraphRegistry()
+    ingest_document(registry, SourceDocument(
+        doc_id="kapitel", subject="språk", chapter_path=["Kapitel 1"],
+        body="Le café contains caféine. The fjäll supports the ljung."),
+        RuleExtractor())
+    labels = {node.label for node in registry.get("språk").view().nodes}
+    assert {"le café", "caféine", "fjäll", "ljung"} <= labels
+
+    registry, _, _ = build_registry("ord", ["café", "fjäll", "smör", "ström"], chapters=1)
+    graph = registry.get("ord")
+    exam = generate_exam(registry, ExamBlueprint.from_dict(blueprint_dict("ord", 1, 2, 1, 1)),
+                         TemplateGenerator(graph, seed=3), seed=3).to_dict()
+    lexicon = build_lexicon(graph)
+    assert len(exam["items"]) == 4
+    for item in exam["items"]:
+        words = [word.strip("?.,:").lower() for word in item["stem"].split()]
+        assert tokenize(item["stem"]) == words
+        raw = {row["feature"]: row["raw"] for row in item["breakdown"]}
+        assert raw["vocab_density"] == sum(word in lexicon for word in words) / len(words)
