@@ -13,7 +13,13 @@ import os
 import re
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
+
+try:
+    import fcntl
+except ImportError:  # not POSIX: SnapshotStore.locked takes no lock
+    fcntl = None
 
 from .assessment import DifficultyTier, RubricConfig
 from .checks import integer, obj, string
@@ -64,6 +70,18 @@ class SnapshotStore:
             if owner != subject:
                 raise SubjectCollision(f"{path.name} holds subject {owner!r}, not {subject!r}")
         return path
+
+    @contextmanager
+    def locked(self, subject: str):
+        """Hold ``subject``'s lock file, ``.<slug>.kg.lock`` in the data
+        directory, so that one writer's load, fold and save never interleave
+        with another's. ``fcntl.flock`` is POSIX only; elsewhere no lock is
+        taken, and two concurrent appends can lose one of their chapters."""
+        self.root.mkdir(parents=True, exist_ok=True)
+        with open(self.root / f".{_slug(subject)}.kg.lock", "ab") as fh:
+            if fcntl is not None:
+                fcntl.flock(fh, fcntl.LOCK_EX)
+            yield
 
     def load(self, subject: str) -> None:
         if self.registry.has(subject):
@@ -168,7 +186,6 @@ def _emit_error(exc: Exception) -> None:
 def cmd_ingest(args) -> int:
     config = _load_config(args)
     store = SnapshotStore(_data_dir(args, config))
-    store.load(args.subject)
     extractor = _extractor(args, config)
     doc_path = Path(args.doc)
     fmt = args.format or ("markdown" if doc_path.suffix.lower() in (".md", ".markdown")
@@ -181,9 +198,11 @@ def cmd_ingest(args) -> int:
         body=doc_path.read_text(encoding="utf-8"),
         format=fmt,
     )
-    report = ingest_document(store.registry, document, extractor,
-                             append=args.append, max_chars=args.max_chars)
-    store.save(args.subject)
+    with store.locked(args.subject):
+        store.load(args.subject)
+        report = ingest_document(store.registry, document, extractor,
+                                 append=args.append, max_chars=args.max_chars)
+        store.save(args.subject)
     _emit(report.to_dict())
     return 0
 

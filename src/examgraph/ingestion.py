@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import chain
 from typing import Callable, Protocol
 
 from .checks import array, integer, obj, strings
@@ -56,6 +57,8 @@ class TextSegment:
 class ExtractionResult:
     triples: list[tuple[str, str, str]] = field(default_factory=list)
     concept_map: dict[str, list[str]] = field(default_factory=dict)
+    # surface label -> normalized form, filled in by validate_extraction
+    labels: dict[str, str] = field(default_factory=dict, compare=False)
 
 
 class Extractor(Protocol):
@@ -147,28 +150,34 @@ def segment_text(text: str, max_chars: int = 2000, doc_id: str = "") -> list[Tex
 # --- extraction ---
 
 def validate_extraction(result: ExtractionResult) -> ExtractionResult:
-    """Reject results with a head, relation, tail or concept that is empty
-    after normalization, or whose concept map mentions entities absent from
-    the triples; extractor output is never silently repaired. A valid result
-    folds into a graph without error, so a rejected segment writes nothing."""
-    seen: set[str] = set()
-    for triple in result.triples:
-        if len(triple) != 3 or not all(isinstance(x, str) for x in triple):
+    """The one check of a segment's extraction, whichever extractor or peer
+    made it; its output is never silently repaired. Every head, relation,
+    tail, concept-map entity and concept must be a string that is non-empty
+    once normalized, and every entity a head or tail. Returns the result
+    with ``labels``, each distinct label normalized once: the forms
+    ``fold_segment`` writes unchecked."""
+    triples = array(result.triples, "triples", InvalidExtraction)
+    concept_map = obj(result.concept_map, "concept map", InvalidExtraction)
+    for triple in triples:
+        if not (isinstance(triple, tuple) and len(triple) == 3
+                and all(isinstance(x, str) for x in triple)):
             raise InvalidExtraction(f"bad triple {triple!r}")
-        head, relation, tail = map(normalize_label, triple)
-        if not (head and relation and tail):
-            raise InvalidExtraction(
-                f"triple {triple!r} has a label that is empty after normalization")
-        seen.add(head)
-        seen.add(tail)
-    for entity, concepts in result.concept_map.items():
-        if normalize_label(entity) not in seen:
+    for entity, concepts in concept_map.items():
+        if not (isinstance(entity, str) and isinstance(concepts, list) and concepts
+                and all(isinstance(c, str) for c in concepts)):
+            raise InvalidExtraction(f"bad concept mapping {entity!r}: {concepts!r}")
+    texts = dict.fromkeys(x for h, _, t in triples for x in (h, t))
+    labels = {x: normalize_label(x) for x in dict.fromkeys(chain(
+        texts, (r for _, r, _ in triples), concept_map, *concept_map.values()))}
+    for label, norm in labels.items():
+        if not norm:
+            raise InvalidExtraction(f"label {label!r} is empty after normalization")
+    entities = {labels[x] for x in texts}
+    for entity in concept_map:
+        if labels[entity] not in entities:
             raise InvalidExtraction(
                 f"concept mapping for {entity!r} has no matching triple entity")
-        if (not isinstance(concepts, list) or not concepts
-                or not all(isinstance(c, str) and normalize_label(c) for c in concepts)):
-            raise InvalidExtraction(f"bad concept list for {entity!r}")
-    return result
+    return ExtractionResult(triples, concept_map, labels)
 
 
 def load_hypernym_lexicon(path_or_data) -> dict[str, list[str]]:
@@ -203,11 +212,10 @@ class RuleExtractor:
             if match:
                 triples.append(match)
         concept_map: dict[str, list[str]] = {}
-        for h, _, t in triples:
-            for entity in (h, t):
-                norm = normalize_label(entity)
-                if norm in self.hypernyms and norm not in concept_map:
-                    concept_map[norm] = list(self.hypernyms[norm])
+        for entity in dict.fromkeys(x for h, _, t in triples for x in (h, t)):
+            norm = normalize_label(entity)
+            if norm in self.hypernyms and norm not in concept_map:
+                concept_map[norm] = list(self.hypernyms[norm])
         return ExtractionResult(triples, concept_map)
 
 
@@ -222,8 +230,9 @@ EXTRACTION_SYSTEM_PROMPT = (
 class LLMExtractor:
     """Extractor backed by a chat-completion callable.
 
-    Sends one segment per request; any reply that is not the required JSON
-    object shape is rejected as InvalidExtraction.
+    Sends one segment per request; a reply that is not the required JSON
+    object shape is rejected as InvalidExtraction, and ``extract_segment``
+    validates the values.
     """
 
     def __init__(self, complete_fn: Callable[[str, str], str]):
@@ -234,7 +243,7 @@ class LLMExtractor:
             reply = self._complete(EXTRACTION_SYSTEM_PROMPT, text)
         except Exception as exc:
             raise ExtractorFailure(f"extraction backend failed: {exc}") from exc
-        return validate_extraction(parse_extraction_reply(reply))
+        return parse_extraction_reply(reply)
 
 
 def parse_extraction_reply(reply: str) -> ExtractionResult:
@@ -249,10 +258,8 @@ def parse_extraction_reply(reply: str) -> ExtractionResult:
 
 def _extraction_from_json(triples, concepts) -> ExtractionResult:
     """An extraction from its JSON shape; ``validate_extraction`` checks the values."""
-    return ExtractionResult(
-        [tuple(array(t, "triple", InvalidExtraction, size=3))
-         for t in array(triples, "triples", InvalidExtraction)],
-        dict(obj(concepts, "concepts", InvalidExtraction)))
+    return ExtractionResult([tuple(array(t, "triple", InvalidExtraction, size=3))
+                             for t in array(triples, "triples", InvalidExtraction)], concepts)
 
 
 def extract_segment(segment: TextSegment, extractor: Extractor) -> ExtractionResult:
@@ -307,14 +314,7 @@ class IngestReport:
     failures: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "doc_id": self.doc_id,
-            "subject": self.subject,
-            "segments": self.segments,
-            "triples_added": self.triples_added,
-            "concepts_added": self.concepts_added,
-            "failures": self.failures,
-        }
+        return asdict(self)
 
 
 def build_hierarchy(graph: KnowledgeGraph, chapter_path: list[str]) -> str:
@@ -333,11 +333,11 @@ def build_hierarchy(graph: KnowledgeGraph, chapter_path: list[str]) -> str:
 def apply_extraction(graph: KnowledgeGraph, result: ExtractionResult,
                      leaf_chapter: str, source_ref: tuple[str, int],
                      report: IngestReport) -> None:
-    """Fold one segment's extraction into the graph (fact edges for triples,
-    then concept nodes with is_a and include_in links) and count what it
-    added in the report."""
+    """Fold one segment's validated extraction into the graph (fact edges
+    for triples, then concept nodes with is_a and include_in links) and
+    count what it added in the report."""
     triples, concepts = graph.fold_segment(result.triples, result.concept_map,
-                                           leaf_chapter, source_ref)
+                                           result.labels, leaf_chapter, source_ref)
     report.triples_added += triples
     report.concepts_added += concepts
 

@@ -28,7 +28,7 @@ import re
 import threading
 from collections import Counter
 from enum import Enum
-from itertools import chain, groupby
+from itertools import groupby
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -241,38 +241,32 @@ class KnowledgeGraph:
         return edge
 
     def fold_segment(self, triples: list[tuple[str, str, str]],
-                     concept_map: dict[str, list[str]], leaf_chapter: str,
-                     source_ref: tuple[str, int] | None) -> tuple[int, int]:
+                     concept_map: dict[str, list[str]], labels: dict[str, str],
+                     leaf_chapter: str, source_ref: tuple[str, int] | None
+                     ) -> tuple[int, int]:
         """Write one segment's extraction in one locked pass: each triple as
         by ``assert_fact_triple``, then for each entity of ``concept_map`` and
         each of its concepts a concept node with an is_a link from the entity
-        and an include_in link to ``leaf_chapter``. Each distinct label is
-        normalized once. Every label, entity and the leaf are checked before
-        the first write, so a refused segment writes nothing. Returns the
-        number of fact edges and of concept nodes the segment added."""
+        and an include_in link to ``leaf_chapter``. The caller has checked the
+        extraction (``ingestion.validate_extraction``): ``labels`` holds each
+        label's non-empty normalized form, written as given, and each entity
+        is a head or tail. The source ref and the leaf are checked before the
+        first write. Returns the fact edges and concept nodes added."""
         _check_source_ref(source_ref)
-        texts = dict.fromkeys(x for h, _, t in triples for x in (h, t))
-        labels = dict.fromkeys(chain(texts, (r for _, r, _ in triples), concept_map,
-                                     chain.from_iterable(concept_map.values())))
-        norms = {label: _normalized(label) for label in labels}
         with self._write_lock:
             check_edge_kinds(EdgeKind.INCLUDE_IN, NodeKind.CONCEPT, self.node(leaf_chapter).kind)
-            entities = {norms[x] for x in texts}
-            for entity in concept_map:
-                if norms[entity] not in entities \
-                        and (NodeKind.TEXT, norms[entity]) not in self._by_key:
-                    raise UnknownNode(f"concept mapping for unseen entity {entity!r}")
             # each surface form once, in first-use order: a repeat of a form
             # with the same source ref would write nothing
-            ids = {x: self._upsert(NodeKind.TEXT, norms[x], x, source_ref) for x in texts}
+            ids = {x: self._upsert(NodeKind.TEXT, labels[x], x, source_ref)
+                   for x in dict.fromkeys(x for h, _, t in triples for x in (h, t))}
             edges = len(self._edges)
             for h, r, t in triples:
-                self._link(Edge(EdgeKind.FACT, ids[h], ids[t], norms[r]))
+                self._link(Edge(EdgeKind.FACT, ids[h], ids[t], labels[r]))
             facts, concepts_added = len(self._edges) - edges, 0
             for entity, concepts in concept_map.items():
-                entity_id = self._by_key[(NodeKind.TEXT, norms[entity])]
+                entity_id = self._by_key[(NodeKind.TEXT, labels[entity])]
                 for concept in concepts:
-                    norm = norms[concept]
+                    norm = labels[concept]
                     concepts_added += (NodeKind.CONCEPT, norm) not in self._by_key
                     concept_id = self._upsert(NodeKind.CONCEPT, norm, concept, None)
                     self._link(Edge(EdgeKind.IS_A, entity_id, concept_id))

@@ -47,21 +47,25 @@ def _trimmable(ch: str) -> bool:
 # the characters below 128 that _trimmable accepts: the blank and ASCII
 # punctuation
 _ASCII_TRIM = "".join(filter(_trimmable, map(chr, range(128))))
+# double quotes, which become blanks anywhere in a label
+_QUOTES = dict.fromkeys(map(ord, '"\u00ab\u00bb\u201c\u201d\u201e\u201f'), " ")
 
 
 def normalize_label(label: str) -> str:
-    """Canonical form used for entity dedup: NFC, lowercase, internal
-    whitespace collapsed, leading/trailing punctuation trimmed.
+    """Canonical form used for entity dedup: double quotes (``"`` « » “ ” „ ‟)
+    blanked, NFC, lowercase, internal whitespace collapsed, leading/trailing
+    punctuation trimmed, so ``'"ling" shrub'`` is ``'ling shrub'``. An
+    apostrophe inside a word stays (``plant's``).
 
     Idempotent: normalize_label(normalize_label(x)) == normalize_label(x).
     The edge trim consumes punctuation and blanks together so a space
     between edge punctuation and the word cannot shield the punctuation.
-    On ASCII text NFC is the identity and the trim set is ``_ASCII_TRIM``,
-    so ``str.strip`` does the trim.
+    On ASCII text NFC is the identity, ``"`` is the one double quote and the
+    trim set is ``_ASCII_TRIM``, so ``str.replace`` and ``str.strip`` do it.
     """
     if label.isascii():
-        return " ".join(label.lower().split()).strip(_ASCII_TRIM)
-    s = unicodedata.normalize("NFC", unicodedata.normalize("NFC", label).lower())
+        return " ".join(label.replace('"', " ").lower().split()).strip(_ASCII_TRIM)
+    s = unicodedata.normalize("NFC", unicodedata.normalize("NFC", label.translate(_QUOTES)).lower())
     s = " ".join(s.split())
     start, end = 0, len(s)
     while start < end and _trimmable(s[start]):

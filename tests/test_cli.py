@@ -87,7 +87,7 @@ def test_subjects_sharing_a_file_name_collide(workspace, capsys):
                      "--chapter", "Ch 1", "--data-dir", workspace["data_dir"]])
 
     assert ingest("Bio Logy") == 0
-    (snapshot,) = Path(workspace["data_dir"]).iterdir()
+    (snapshot,) = Path(workspace["data_dir"]).glob("*.kg.jsonl")
     before = snapshot.read_bytes()
     capsys.readouterr()
     assert ingest("bio_logy") == 1
@@ -97,7 +97,8 @@ def test_subjects_sharing_a_file_name_collide(workspace, capsys):
     with pytest.raises(SubjectCollision):
         store.save("bio_logy")
     assert snapshot.read_bytes() == before
-    assert [path.name for path in Path(workspace["data_dir"]).iterdir()] == [snapshot.name]
+    assert sorted(path.name for path in Path(workspace["data_dir"]).iterdir()) \
+        == [".bio_logy.kg.lock", snapshot.name]
 
 
 def test_save_that_fails_midway_keeps_the_old_snapshot(workspace, monkeypatch):
@@ -105,7 +106,7 @@ def test_save_that_fails_midway_keeps_the_old_snapshot(workspace, monkeypatch):
     store = SnapshotStore(workspace["data_dir"])
     store.load("envsci")
     store.registry.get("envsci").upsert_entity("zephyrite", NodeKind.TEXT)
-    (snapshot,) = Path(workspace["data_dir"]).iterdir()
+    (snapshot,) = Path(workspace["data_dir"]).glob("*.kg.jsonl")
     before = snapshot.read_bytes()
 
     def half_write(path, data):
@@ -117,7 +118,41 @@ def test_save_that_fails_midway_keeps_the_old_snapshot(workspace, monkeypatch):
     with pytest.raises(OSError, match="no space"):
         store.save("envsci")
     assert snapshot.read_bytes() == before
-    assert [path.name for path in Path(workspace["data_dir"]).iterdir()] == [snapshot.name]
+    assert sorted(path.name for path in Path(workspace["data_dir"]).iterdir()) \
+        == [".envsci.kg.lock", snapshot.name]
+
+
+def test_concurrent_appends_to_one_subject_both_land(workspace, monkeypatch):
+    """Each load waits up to 0.5 s for the other ingest's load: without the
+    subject's lock both load before either saves, and one chapter is lost."""
+    loads, loaded = [], threading.Condition()
+    load = SnapshotStore.load
+
+    def slow_load(self, subject):
+        load(self, subject)
+        with loaded:
+            loads.append(subject)
+            loaded.notify_all()
+            loaded.wait_for(lambda: len(loads) == 2, timeout=0.5)
+
+    monkeypatch.setattr(SnapshotStore, "load", slow_load)
+    statuses = []
+
+    def ingest(i):
+        statuses.append(main(["ingest", "--subject", "envsci", "--doc", str(workspace["docs"][i]),
+                              "--chapter", f"Ch {i + 1}", "--lexicon", str(workspace["lexicon"]),
+                              "--data-dir", workspace["data_dir"], "--append"]))
+
+    threads = [threading.Thread(target=ingest, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert statuses == [0, 0]
+    graph = SnapshotStore(workspace["data_dir"]).get("envsci")
+    assert None not in (graph.find_node("Ch 1", NodeKind.HIERARCHY),
+                        graph.find_node("Ch 2", NodeKind.HIERARCHY))
 
 
 def test_graph_stats_and_export(workspace, capsys, tmp_path):

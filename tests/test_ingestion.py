@@ -1,8 +1,10 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
+from examgraph import ingestion as ingestion_module
 from examgraph.errors import (
     EmptyLabel,
     ExtractorFailure,
@@ -35,6 +37,7 @@ from examgraph.kg import (
     export_graph,
     import_graph,
 )
+from examgraph.kg import graph as graph_module
 from examgraph.textutils import normalize_label
 
 
@@ -172,7 +175,7 @@ def test_llm_extractor_parses_contract_reply():
 ])
 def test_llm_extractor_rejects_bad_shapes(reply):
     with pytest.raises(InvalidExtraction):
-        LLMExtractor(lambda s, u: reply).extract("text")
+        extract_segment(TextSegment("d", 0, "text"), LLMExtractor(lambda s, u: reply))
 
 
 def test_llm_extractor_wraps_transport_error():
@@ -336,12 +339,18 @@ def _populated(subject="s"):
     return registry
 
 
-# one good triple beside one field that normalizes to nothing
+# one good triple beside one field that normalizes to nothing; then a
+# concept-map entity that no triple names, and labels that are not strings
 EMPTY_AFTER_NORMALIZATION = [
     {"triples": [["oak", "supports", "fern"], ["moss", "!!!", "rock"]], "concepts": {}},
     {"triples": [["oak", "supports", "fern"], ["...", "covers", "rock"]], "concepts": {}},
     {"triples": [["oak", "supports", "fern"], ["moss", "covers", " - "]], "concepts": {}},
     {"triples": [["oak", "supports", "fern"]], "concepts": {"oak": ["plant", "?!"]}},
+    {"triples": [["oak", "supports", "fern"]], "concepts": {"oak": ["tree", "?"]}},
+    {"triples": [["oak", "supports", "fern"]], "concepts": {"moss": ["plant"]}},
+    {"triples": [["oak", "supports", "fern"]], "concepts": {1: ["tree"]}},
+    {"triples": [["oak", "supports", "fern"]], "concepts": {"oak": ["tree", 1]}},
+    {"triples": [["oak", "supports", "fern"], ["moss", 1, "rock"]], "concepts": {}},
 ]
 
 
@@ -475,6 +484,40 @@ def _seeded_documents(seed):
             segments.append(ExtractionResult(triples, concept_map))
         documents.append((f"d{d}", ["Ch 1", f"1.{d % 2}"], segments))
     return documents
+
+
+def test_ingest_normalizes_each_distinct_label_once_per_segment(monkeypatch):
+    """On the write path, validation and the fold, each distinct label of a
+    segment is normalized once; each chapter label is checked, then
+    upserted."""
+    calls = Counter()
+
+    def counting(label):
+        calls[label] += 1
+        return normalize_label(label)
+
+    for module in (ingestion_module, graph_module):
+        monkeypatch.setattr(module, "normalize_label", counting)
+    registry, expected = GraphRegistry(), Counter()
+    for i, (doc_id, chapter_path, segments) in enumerate(_seeded_documents(3)):
+        # paragraphs too long to share a 200-character segment
+        by_text = {f"Paragraph {j}." + " Filler text." * 11: result
+                   for j, result in enumerate(segments)}
+
+        class Stub:
+            def extract(self, text):
+                return by_text[text]
+
+        document = SourceDocument(doc_id, "s", chapter_path, "\n\n".join(by_text))
+        report = ingest_document(registry, document, Stub(), append=i > 0, max_chars=200)
+        assert (report.segments, report.failures) == (len(segments), [])
+        for result in segments:
+            expected.update({x for t in result.triples for x in t} | set(result.concept_map)
+                            | {c for cs in result.concept_map.values() for c in cs})
+        expected.update(chapter_path * 2)
+    assert len(expected) > 20 and max(expected.values()) > 2
+    assert set(calls) == set(expected)
+    assert calls <= expected, calls - expected
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -24,10 +24,7 @@ from examgraph.kg import (
     export_graph,
     import_graph,
 )
-
-from examgraph.kg import graph as graph_module
 from examgraph.kg import snapshot as snapshot_module
-from examgraph.textutils import normalize_label
 
 from helpers import ROOTS_A, ROOTS_B, build_registry
 
@@ -701,28 +698,6 @@ def test_export_of_an_imported_graph_writes_awkward_node_ids_like_json_dumps():
 
 
 
-def test_fold_segment_normalizes_each_distinct_label_once(monkeypatch):
-    graph = KnowledgeGraph("s")
-    leaf = graph.upsert_entity("Ch 1", NodeKind.HIERARCHY)
-    graph.fold_segment([("Hugite", "feeds", "moss")], {"hugite": ["Mineral"]}, leaf, ("d", 0))
-    seen = []
-
-    def counting(label):
-        seen.append(label)
-        return normalize_label(label)
-
-    monkeypatch.setattr(graph_module, "normalize_label", counting)
-    triples = [("Hugite", "feeds", "moss"), (" hugite.", "Feeds", "Moss"),
-               ("Hugite", "feeds", "moss"), ("moss", "feeds", " hugite."),
-               ("fern", "shades", "Hugite")]
-    concepts = {"HUGITE": ["Mineral", "rock", "mineral"], "moss": ["Plant", "Mineral"]}
-    facts, added = graph.fold_segment(triples, concepts, leaf, ("d", 1))
-    assert (facts, added) == (2, 2)  # moss->hugite, fern->hugite; rock, plant
-    distinct = {x for t in triples for x in t} | set(concepts) \
-        | {c for cs in concepts.values() for c in cs}
-    assert sorted(seen) == sorted(distinct)
-
-
 BAD_SOURCE_REFS = [("d", "x"), ("d", 1.5), ("d", True), ("d", [1]), ["d", 1], (1, 1),
                    ("d",), ("d", 1, 2), "d1"]
 
@@ -738,15 +713,15 @@ def test_write_path_refuses_a_source_ref_a_snapshot_cannot_hold(ref):
     with pytest.raises(InvalidParams, match="source_ref"):
         graph.assert_fact_triple("oak", "supports", "moss", ref)
     with pytest.raises(InvalidParams, match="source_ref"):
-        graph.fold_segment([("oak", "supports", "moss")], {}, leaf, ref)
+        graph.fold_segment([("oak", "supports", "moss")], {},
+                           {"oak": "oak", "supports": "supports", "moss": "moss"}, leaf, ref)
     assert graph.revision == revision
     assert import_graph(export_graph(graph)).revision == 1
 
 
+# the labels of an extraction are checked by validate_extraction, before
+# the fold (tests/test_ingestion.py, EMPTY_AFTER_NORMALIZATION)
 @pytest.mark.parametrize("triples, concepts, leaf, error", [
-    ([("oak", "supports", "fern"), ("moss", "!!!", "rock")], {}, "n0", EmptyLabel),
-    ([("oak", "supports", "fern")], {"oak": ["tree", "?"]}, "n0", EmptyLabel),
-    ([("oak", "supports", "fern")], {"moss": ["plant"]}, "n0", UnknownNode),
     ([("oak", "supports", "fern")], {}, "n99", UnknownNode),
     ([("oak", "supports", "fern")], {}, "n1", KindMismatch),
 ])
@@ -755,7 +730,8 @@ def test_fold_segment_checks_everything_before_its_first_write(triples, concepts
     graph.upsert_entity("Ch 1", NodeKind.HIERARCHY)
     graph.upsert_entity("tree", NodeKind.CONCEPT)
     revision, snapshot = graph.revision, export_graph(graph)
+    labels = {"oak": "oak", "supports": "supports", "fern": "fern"}
     with pytest.raises(error):
-        graph.fold_segment(triples, concepts, leaf, ("d", 0))
+        graph.fold_segment(triples, concepts, labels, leaf, ("d", 0))
     assert graph.revision == revision
     assert export_graph(graph) == snapshot

@@ -12,8 +12,11 @@ from examgraph.textutils import normalize_label
 
 
 def reference_normalize(label: str) -> str:
-    """The Unicode algorithm, applied to every label: NFC, lowercase, NFC,
-    whitespace collapsed, blanks and punctuation trimmed off both edges."""
+    """The Unicode algorithm, applied to every label: double quotes blanked,
+    NFC, lowercase, NFC, whitespace collapsed, blanks and punctuation trimmed
+    off both edges."""
+    for quote in '"\u00ab\u00bb\u201c\u201d\u201e\u201f':
+        label = label.replace(quote, " ")
     s = unicodedata.normalize("NFC", unicodedata.normalize("NFC", label).lower())
     s = " ".join(s.split())
 
@@ -60,3 +63,14 @@ def test_seeded_random_ascii_labels():
 ])
 def test_pinned_non_ascii_labels(label, expected):
     assert normalize_label(label) == reference_normalize(label) == expected
+
+
+@pytest.mark.parametrize("label, expected", [
+    ('"ling" shrub', "ling shrub"),
+    ("caf\u00e9 \u201cx\u201d y", "caf\u00e9 x y"),
+    ("\u201eA\u201f \u00abb\u00bb c", "a b c"),
+    ("plant's  \"x\"", "plant's x"),      # an apostrophe inside a word stays
+])
+def test_double_quotes_inside_a_label_become_blanks(label, expected):
+    assert normalize_label(label) == reference_normalize(label) == expected
+    assert normalize_label(expected) == expected
