@@ -720,8 +720,12 @@ def test_write_path_refuses_a_source_ref_a_snapshot_cannot_hold(ref):
 
 
 # the labels of an extraction are checked by validate_extraction, before
-# the fold (tests/test_ingestion.py, EMPTY_AFTER_NORMALIZATION)
+# the fold (tests/test_ingestion.py, EMPTY_AFTER_NORMALIZATION); the leaf is
+# checked by the fold, with or without a concept map to link to it
 @pytest.mark.parametrize("triples, concepts, leaf, error", [
+    ([("oak", "supports", "fern")], {"oak": ["tree"]}, "n99", UnknownNode),
+    ([("oak", "supports", "fern")], {"oak": ["tree"]}, "n1", KindMismatch),
+    ([("oak", "supports", "fern")], {}, "n2", KindMismatch),
     ([("oak", "supports", "fern")], {}, "n99", UnknownNode),
     ([("oak", "supports", "fern")], {}, "n1", KindMismatch),
 ])
@@ -729,8 +733,9 @@ def test_fold_segment_checks_everything_before_its_first_write(triples, concepts
     graph = KnowledgeGraph("s")
     graph.upsert_entity("Ch 1", NodeKind.HIERARCHY)
     graph.upsert_entity("tree", NodeKind.CONCEPT)
+    graph.upsert_entity("moss", NodeKind.TEXT)
     revision, snapshot = graph.revision, export_graph(graph)
-    labels = {"oak": "oak", "supports": "supports", "fern": "fern"}
+    labels = {"oak": "oak", "supports": "supports", "fern": "fern", "tree": "tree"}
     with pytest.raises(error):
         graph.fold_segment(triples, concepts, labels, leaf, ("d", 0))
     assert graph.revision == revision
