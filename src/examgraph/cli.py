@@ -12,6 +12,7 @@ import json
 import os
 import re
 import sys
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -102,7 +103,7 @@ class SnapshotStore:
         graph = self.registry.get(subject)
         path = self._path(subject)
         self.root.mkdir(parents=True, exist_ok=True)
-        temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        temp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         try:
             temp.write_bytes(export_graph(graph))
             os.replace(temp, path)

@@ -13,13 +13,17 @@ them, and the one int of a source ref through ``%d``, which is its repr.
 The graph's write path admits only (str, int) source refs, so every graph
 exports to a snapshot that imports.
 
-``import_graph(export_graph(g))`` reproduces the graph with identical node
-ids, labels and edges.
+Import reads each line that matches its template and holds no escape from
+the regex match; every other line goes through ``json.loads`` and its field
+checks, with the same line numbers and messages. Node labels and fact-edge relations are
+normalized again on either path. ``import_graph(export_graph(g))``
+reproduces the graph with identical node ids, labels and edges.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from json.encoder import encode_basestring
 
 from ..errors import KindMismatch, MalformedSnapshot
@@ -29,8 +33,6 @@ from .graph import ID_PATTERN, Edge, EdgeKind, KnowledgeGraph, Node, NodeKind, c
 SNAPSHOT_FORMAT = "kaqg-kg"
 SNAPSHOT_VERSION = 1
 
-# json.loads's scanner: the C one where the interpreter has it
-_SCAN = json.JSONDecoder().scan_once
 # line templates; the kind names are JSON strings that need no escaping
 _NODE_LINE = {kind: '{"type": "node", "id": %s, "kind": "' + kind.value
               + '", "label": %s, "raw_labels": [%s], "source_refs": [%s]}'
@@ -41,6 +43,20 @@ _EDGE_LINE = {kind: '{"type": "edge", "kind": "' + kind.value + '", "from": %s, 
 # kinds by value: the Enum constructor's lookup runs in Python
 _NODE_KINDS = {kind.value: kind for kind in NodeKind}
 _EDGE_KINDS = {kind.value: kind for kind in EdgeKind}
+# The templates as regexes. A string matches only where json.loads gives
+# exactly its characters (no escape, no control character) and an int only in
+# JSON's own form, so a matching line reads as json.loads reads it. No string
+# here holds '"', so a raw label list splits at '", "'.
+_FIELD = {"s": r'[^"\\\x00-\x1f]+', "i": r"-?(?:0|[1-9][0-9]*)"}
+_FIELD["ref"] = r'\["%(s)s", %(i)s\]' % _FIELD
+_REF_RE = re.compile(r'\["(%(s)s)", (%(i)s)\]' % _FIELD)
+_NODE_RE = re.compile(
+    r'\{"type": "node", "id": "(%(s)s)", "kind": "(text|concept|hierarchy)", "label": "(%(s)s)", '
+    r'"raw_labels": \[(?:"(%(s)s(?:", "%(s)s)*)")?\], "source_refs": \[(%(ref)s(?:, %(ref)s)*)?\]\}'
+    % _FIELD)
+_EDGE_RE = re.compile(  # a label exactly where the kind is fact
+    r'\{"type": "edge", "kind": "(?:(fact)|(is_a|part_of|include_in))", "from": "(%(s)s)", '
+    r'"to": "(%(s)s)"(?(1), "label": "(%(s)s)")\}' % _FIELD)
 
 
 def _node_sort_key(node_id: str) -> tuple:
@@ -84,28 +100,24 @@ def _kind(kinds: dict, raw, what: str, line_no: int):
     return kind
 
 
-def _records(text: str):
-    """(line number, JSON object) for each non-blank line."""
+def _lines(text: str):
+    """(line number, line) for each non-blank line."""
     # records end at "\n" only: JSON leaves U+0085 and U+2028 in a label
     # unescaped, and str.splitlines would break the record there
     for line_no, raw in enumerate(text.split("\n"), start=1):
-        if not raw or raw.isspace():
-            continue
-        # the scanner reads the common line, one value from its first
-        # character to its last, without json.loads's per-call overhead; any
-        # other line goes to json.loads, which gives its value or error
-        try:
-            record, end = _SCAN(raw, 0)
-        except (StopIteration, json.JSONDecodeError):
-            end = -1
-        if end != len(raw):
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                _fail(line_no, f"invalid JSON: {exc.msg}")
-        if not isinstance(record, dict):
-            _fail(line_no, "record is not an object")
-        yield line_no, record
+        if raw and not raw.isspace():
+            yield line_no, raw
+
+
+def _record(raw: str, line_no: int) -> dict:
+    """A line read by ``json.loads``, which must give an object."""
+    try:
+        record = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        _fail(line_no, f"invalid JSON: {exc.msg}")
+    if not isinstance(record, dict):
+        _fail(line_no, "record is not an object")
+    return record
 
 
 def import_graph(stream: bytes | str) -> KnowledgeGraph:
@@ -118,23 +130,24 @@ def import_graph(stream: bytes | str) -> KnowledgeGraph:
             _fail(0, f"not valid UTF-8: {exc}")
     else:
         text = stream
-    records = _records(text)
+    lines = _lines(text)
     try:
-        return _build(records)
+        return _build(lines)
     except MalformedSnapshot:
         # every line is read as JSON before any record is checked, so a
         # later line that is no JSON object is the error to report
-        for _ in records:
-            pass
+        for line_no, raw in lines:
+            _record(raw, line_no)
         raise
 
 
-def _build(records) -> KnowledgeGraph:
+def _build(lines) -> KnowledgeGraph:
     """Check each record against the tables built from the lines above it,
     then hand the tables to a new graph in one call."""
-    line_no, header = next(records, (0, None))
-    if header is None:
+    line_no, raw = next(lines, (0, None))
+    if raw is None:
         _fail(0, "empty snapshot")
+    header = _record(raw, line_no)
     if header.get("type") != "header":
         _fail(line_no, "first record must be the header")
     if header.get("format") != SNAPSHOT_FORMAT:
@@ -149,32 +162,62 @@ def _build(records) -> KnowledgeGraph:
     nodes: dict[str, Node] = {}
     keys: dict[tuple[NodeKind, str], str] = {}
     edges: dict[Edge, None] = {}
-    for line_no, record in records:
-        kind = record.get("type")
-        if kind == "node":
-            node = _parse_node(record, line_no)
-            key = (node.kind, node.label)
-            if node.id in nodes or key in keys:
-                _fail(line_no, f"duplicate node {node.id!r} ({node.kind.value}, {node.label!r})")
-            nodes[node.id] = node
-            keys[key] = node.id
-        elif kind == "edge":
-            edge = _parse_edge(record, line_no)
-            src, dst = nodes.get(edge.src), nodes.get(edge.dst)
-            if src is None or dst is None:
-                missing = edge.src if src is None else edge.dst
-                _fail(line_no, f"no node {missing!r} in graph {subject!r}")
-            try:
-                check_edge_kinds(edge.kind, src.kind, dst.kind)
-            except KindMismatch as exc:
-                _fail(line_no, str(exc))
-            if edge in edges:
-                _fail(line_no, "duplicate edge")
-            edges[edge] = None
-        elif kind == "header":
-            _fail(line_no, "unexpected second header")
+    relations: dict[str, str] = {}  # raw relation -> normalized, once each
+    edge_match, node_match = _EDGE_RE.fullmatch, _NODE_RE.fullmatch
+    for line_no, raw in lines:
+        # a line in an export template is read from the match, any other by
+        # json.loads with every field checked; most lines are edges
+        if m := edge_match(raw):
+            fact, link, src, dst, label = m.groups()
+            item = Edge(_EDGE_KINDS[fact or link], src, dst, label)
+        elif m := node_match(raw):
+            node_id, kind, label, raw_labels, refs = m.groups()
+            item = Node(node_id, _NODE_KINDS[kind], label,
+                        frozenset(raw_labels.split('", "') if raw_labels else ()),
+                        tuple([(doc, int(seg)) for doc, seg in _REF_RE.findall(refs)])
+                        if refs else ())
         else:
-            _fail(line_no, f"unknown record type {kind!r}")
+            record = _record(raw, line_no)
+            kind = record.get("type")
+            if kind == "node":
+                item = _parse_node(record, line_no)
+            elif kind == "edge":
+                item = _parse_edge(record, line_no)
+            elif kind == "header":
+                _fail(line_no, "unexpected second header")
+            else:
+                _fail(line_no, f"unknown record type {kind!r}")
+        if type(item) is Node:
+            label = normalize_label(item.label)
+            if not label:
+                _fail(line_no, f"label {item.label!r} is empty after normalization")
+            if label != item.label:
+                item = item._replace(label=label)
+            key = (item.kind, label)
+            if item.id in nodes or key in keys:
+                _fail(line_no, f"duplicate node {item.id!r} ({item.kind.value}, {label!r})")
+            nodes[item.id] = item
+            keys[key] = item.id
+            continue
+        if item.label is not None:
+            label = relations.get(item.label)
+            if label is None:
+                label = relations[item.label] = normalize_label(item.label)
+                if not label:
+                    _fail(line_no, f"relation {item.label!r} is empty after normalization")
+            if label != item.label:
+                item = item._replace(label=label)
+        src, dst = nodes.get(item.src), nodes.get(item.dst)
+        if src is None or dst is None:
+            missing = item.src if src is None else item.dst
+            _fail(line_no, f"no node {missing!r} in graph {subject!r}")
+        try:
+            check_edge_kinds(item.kind, src.kind, dst.kind)
+        except KindMismatch as exc:
+            _fail(line_no, str(exc))
+        if item in edges:
+            _fail(line_no, "duplicate edge")
+        edges[item] = None
     graph = KnowledgeGraph(subject)
     graph.load(nodes, keys, edges)
     return graph
@@ -197,10 +240,7 @@ def _parse_node(record: dict, line_no: int) -> Node:
         if (not isinstance(ref, list) or len(ref) != 2
                 or not isinstance(ref[0], str) or type(ref[1]) is not int):
             _fail(line_no, f"bad source_ref {ref!r}")
-    norm = normalize_label(label)
-    if not norm:
-        _fail(line_no, f"label {label!r} is empty after normalization")
-    return Node(node_id, kind, norm, frozenset(raw_labels), tuple(map(tuple, refs)))
+    return Node(node_id, kind, label, frozenset(raw_labels), tuple(map(tuple, refs)))
 
 
 def _parse_edge(record: dict, line_no: int) -> Edge:

@@ -112,6 +112,15 @@ def _by_score(view: GraphView, node_ids: set[str],
     return ranked
 
 
+def _cached_ranking(view: GraphView, kind: str, node_id: str, config: PageRankConfig | None,
+                    members) -> list[tuple[str, float]]:
+    """``members()`` ranked by ``_by_score``, once per revision, ranking
+    kind, node and config; the stored list is shared, so callers copy it."""
+    config = config or PageRankConfig()
+    return view.memo((kind, node_id, config.damping, config.tol, config.max_iter),
+                     lambda: _by_score(view, members(), config))
+
+
 def rank_chapter_concepts(graph: KnowledgeGraph | GraphView, chapter: str,
                           config: PageRankConfig | None = None) -> list[tuple[str, float]]:
     """Concepts filed under a chapter (or its nested sub-chapters), highest
@@ -120,13 +129,12 @@ def rank_chapter_concepts(graph: KnowledgeGraph | GraphView, chapter: str,
     node = view.node(chapter)
     if node.kind != NodeKind.HIERARCHY:
         raise NotAHierarchyNode(f"{chapter!r} is a {node.kind.value} node")
-    concept_ids = {
+    return list(_cached_ranking(view, "chapter_concepts", chapter, config, lambda: {
         edge.src
         for ch in _chapter_and_descendants(view, chapter)
         for edge in view.in_edges.get(ch, ())
         if edge.kind == EdgeKind.INCLUDE_IN
-    }
-    return _by_score(view, concept_ids, config) if concept_ids else []
+    }))
 
 
 def rank_concept_facts(graph: KnowledgeGraph | GraphView, concept: str, top_m: int,
@@ -139,7 +147,6 @@ def rank_concept_facts(graph: KnowledgeGraph | GraphView, concept: str, top_m: i
         raise NotAConcept(f"{concept!r} is a {node.kind.value} node")
     if top_m < 1:
         raise ValueError(f"top_m must be >= 1, got {top_m}")
-    fact_ids = {
+    return _cached_ranking(view, "concept_facts", concept, config, lambda: {
         edge.src for edge in view.in_edges.get(concept, ()) if edge.kind == EdgeKind.IS_A
-    }
-    return _by_score(view, fact_ids, config)[:top_m] if fact_ids else []
+    })[:top_m]

@@ -122,6 +122,48 @@ def test_save_that_fails_midway_keeps_the_old_snapshot(workspace, monkeypatch):
         == [".envsci.kg.lock", snapshot.name]
 
 
+def test_two_threads_save_one_subject_each_through_its_own_temporary_file(workspace,
+                                                                          monkeypatch):
+    """Each write waits up to 0.5 s for the other thread's, so both temporary
+    files are written before either is renamed: with one name per process the
+    second rename finds no file."""
+    ingest_all(workspace)
+    stores = [SnapshotStore(workspace["data_dir"]) for _ in range(2)]
+    for store, word in zip(stores, ("zephyrite", "quillwort")):
+        store.load("envsci")
+        store.registry.get("envsci").upsert_entity(word, NodeKind.TEXT)
+    written, wrote = [], threading.Condition()
+    write_bytes = Path.write_bytes
+
+    def slow_write(path, data):
+        write_bytes(path, data)
+        with wrote:
+            written.append(data)
+            wrote.notify_all()
+            wrote.wait_for(lambda: len(written) == 2, timeout=0.5)
+
+    monkeypatch.setattr(Path, "write_bytes", slow_write)
+    errors = []
+
+    def save(store):
+        try:
+            store.save("envsci")
+        except OSError as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=save, args=(store,)) for store in stores]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=5)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(set(written)) == 2
+    (snapshot,) = Path(workspace["data_dir"]).glob("*.kg.jsonl")
+    assert snapshot.read_bytes() in written
+    assert [p.name for p in Path(workspace["data_dir"]).iterdir() if p.name.endswith(".tmp")] == []
+
+
 def test_concurrent_appends_to_one_subject_both_land(workspace, monkeypatch):
     """Each load waits up to 0.5 s for the other ingest's load: without the
     subject's lock both load before either saves, and one chapter is lost."""

@@ -672,6 +672,35 @@ def test_loop_call_counts(corpus, monkeypatch):
     assert calls["record"] == calls["evaluate"] == len(exam.items) + len(graded)
 
 
+def test_exam_48_shaped_op_reads_its_header_by_json_and_ranks_each_chapter_and_concept_once(
+        monkeypatch):
+    """The benchmark's exam op on a corpus of its shape: 48 chapters of four
+    concepts, ten items a chapter. The snapshot's node and edge lines are
+    read by template, and material and distractor pools share one ranking
+    per chapter and per concept."""
+    import itertools
+
+    import examgraph.ranking as ranking_module
+    from examgraph.kg import export_graph, import_graph
+
+    roots = ["".join(p) for p in itertools.product("bdfgkmnprstvz", "aeiou", "bdgklnrsx")]
+    registry, _, _ = build_registry("bio", roots[:48 * 4], chapters=48)
+    snapshot = export_graph(registry.get("bio"))
+    loads, by_score = [], []
+    json_loads, rank = json.loads, ranking_module._by_score
+    monkeypatch.setattr(json, "loads", lambda *a, **kw: loads.append(1) or json_loads(*a, **kw))
+    monkeypatch.setattr(ranking_module, "_by_score",
+                        lambda *a: by_score.append(1) or rank(*a))
+    graph = import_graph(snapshot)
+    assert len(loads) == 1
+    imported = GraphRegistry()
+    imported.attach(graph)
+    exam = generate_exam(imported, ExamBlueprint.from_dict(blueprint_dict("bio", 48)),
+                         TemplateGenerator(graph, seed=42), seed=42)
+    assert len(exam.items) == 480
+    assert len(by_score) == 48 + 48 * 4 == 240
+
+
 def test_tight_blueprint_grades_each_pair_once_per_cell():
     """The golden tight-epsilon blueprint: later slots of a cell reach pairs
     an earlier slot saw rejected, log a copy of that reject and generate

@@ -310,6 +310,17 @@ def _node_line(tail):
     return '{"type":"node","id":"n9","kind":"text","label":"z"' + tail
 
 
+def _template_node(label="z", raw_labels='"z"', refs='["d", 1]', kind="text"):
+    """Node ``n9`` in the export's own line template."""
+    return ('{"type": "node", "id": "n9", "kind": "%s", "label": "%s", "raw_labels": [%s], '
+            '"source_refs": [%s]}' % (kind, label, raw_labels, refs))
+
+
+def _template_edge(kind="fact", src="n0", dst="n1", label=None):
+    tail = "}" if label is None else ', "label": "%s"}' % label
+    return '{"type": "edge", "kind": "%s", "from": "%s", "to": "%s"' % (kind, src, dst) + tail
+
+
 SNAPSHOT_LINE_CASES = {
     "valid": lambda ls: ls,
     "spaces-and-tabs": lambda ls: [ls[0], " \t" + ls[1] + "\t ", *ls[2:]],
@@ -329,6 +340,21 @@ SNAPSHOT_LINE_CASES = {
     "number-line": lambda ls: [*ls, "42"],
     "cross-line-object": lambda ls: [ls[0], ls[1] + "," + ls[2],
                                      _node_line(',"x":[{}'), "{}]}", *ls[3:]],
+    # lines in the export's templates, and near misses of them
+    "template-node": lambda ls: [*ls, _template_node(raw_labels='"z", "Z"',
+                                                     refs='["d", 1], ["e", 20]')],
+    "template-escaped-quote": lambda ls: [*ls, _template_node(raw_labels='"\\"z\\""')],
+    "template-backslash": lambda ls: [*ls, _template_node(raw_labels='"z\\\\"')],
+    "template-control-character": lambda ls: [*ls, _template_node(raw_labels='"z\x01"')],
+    "template-u2028": lambda ls: [*ls, _template_node("z\u2028y", '"z\u2028y"')],
+    "template-empty-raw-label": lambda ls: [*ls, _template_node(raw_labels='""')],
+    "template-segments": lambda ls: [*ls, _template_node(refs='["d", -0], ["d", -3]')],
+    "template-trailing-blank": lambda ls: [*ls, _template_node() + " "],
+    "template-fact-edge-without-label": lambda ls: [*ls, _template_edge()],
+    "template-is-a-edge-with-label": lambda ls: [
+        *ls, _template_node(kind="concept"), _template_edge("is_a", "n0", "n9", "r")],
+    "template-quoted-relation": lambda ls: [*ls, _template_edge(label='\\"harms\\"')],
+    "template-relation-collapses": lambda ls: [*ls, _template_edge(label=" R ")],
 }
 
 
@@ -350,14 +376,15 @@ def test_import_parses_lines_like_json_loads(case, monkeypatch):
     text = "\n".join(SNAPSHOT_LINE_CASES[case](_snapshot_lines())) + "\n"
     outcome = _import_outcome(text)
 
-    def read_nothing(line, idx):  # sends every line to json.loads
-        raise StopIteration(idx)
-
-    monkeypatch.setattr(snapshot_module, "_SCAN", read_nothing)
+    match_nothing = re.compile(r"(?!)")  # sends every line to json.loads
+    monkeypatch.setattr(snapshot_module, "_NODE_RE", match_nothing)
+    monkeypatch.setattr(snapshot_module, "_EDGE_RE", match_nothing)
     assert outcome == _import_outcome(text)
     assert (outcome[0] == "graph") == (case in {
         "valid", "spaces-and-tabs", "nbsp-only-line", "lone-surrogate",
-        "infinity-extra-key", "duplicate-keys"})
+        "infinity-extra-key", "duplicate-keys", "template-node", "template-escaped-quote",
+        "template-backslash", "template-u2028", "template-empty-raw-label",
+        "template-segments", "template-trailing-blank", "template-quoted-relation"})
 
 
 HEADER = {"type": "header", "format": "kaqg-kg", "version": 1, "subject": "s"}
@@ -437,6 +464,8 @@ MALFORMED_SNAPSHOTS = {
     "edge-kind-mismatch": (_edge(kind="is_a", label=DROP), 4,
                            "is_a requires text->concept, got text->text"),
     "edge-duplicate": (_edge() + _edge()[-1:], 5, "duplicate edge"),
+    "edge-blank-relation": (_edge(label='" "'), 4, """relation '" "' is empty after normalization"""),
+    "edge-relation-collapses": (_edge() + [_record(EDGE, label='"R"')], 5, "duplicate edge"),
     # every line is read as JSON before any record is checked
     "bad-record-then-invalid-json": ([_record(HEADER), '{"type":"x"}', "{"], 3,
                                      "invalid JSON: Expecting property name enclosed in "
@@ -506,6 +535,12 @@ def test_import_normalizes_node_labels():
     assert graph.node("n4") == Node("n4", NodeKind.TEXT, "soil erosion",
                                     frozenset({"Soil Erosion"}), (("d", 1),))
     assert graph.upsert_entity("next", NodeKind.TEXT) == "n5"
+
+
+def test_import_normalizes_fact_edge_relations():
+    snapshot = [_record(HEADER), *NODES, _record(EDGE, label='"harms"')]
+    (edge,) = import_graph("\n".join(snapshot) + "\n").edges()
+    assert edge == Edge(EdgeKind.FACT, "n0", "n1", "harms")
 
 
 def test_node_record_may_follow_the_edges():
@@ -696,6 +731,38 @@ def test_export_of_an_imported_graph_writes_awkward_node_ids_like_json_dumps():
     assert export_graph(graph) == expected.encode("utf-8")
     assert export_graph(import_graph(export_graph(graph))) == expected.encode("utf-8")
 
+
+@pytest.mark.parametrize("seed", [5, 23, 61])
+def test_awkward_graph_round_trips_through_both_line_readers(seed, monkeypatch):
+    """Labels, relations and source refs drawn from plain and awkward
+    characters put some lines on the template reader and the rest on
+    json.loads; the import reproduces the graph either way."""
+    rng = random.Random(seed)
+
+    def draw():
+        return "w" + "".join(rng.choice(AWKWARD + 'ab, []"\\') for _ in range(rng.randint(0, 3)))
+
+    graph = KnowledgeGraph(draw())
+    chapter = graph.upsert_entity("Ch 1 " + draw(), NodeKind.HIERARCHY)
+    part = graph.upsert_entity("Part " + draw(), NodeKind.HIERARCHY)
+    graph.assert_link(EdgeKind.PART_OF, chapter, part)
+    for _ in range(40):
+        edge = graph.assert_fact_triple(draw(), draw(), draw(),
+                                        (draw(), rng.randint(-3, 10 ** 6)))
+        concept = graph.upsert_entity(draw(), NodeKind.CONCEPT, (draw(), -rng.randint(0, 3)))
+        graph.assert_link(EdgeKind.IS_A, edge.src, concept)
+        graph.assert_link(EdgeKind.INCLUDE_IN, concept, chapter)
+    snapshot = export_graph(graph)
+
+    loads, json_loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **kw: loads.append(1) or json_loads(*a, **kw))
+    clone = import_graph(snapshot)
+    assert 1 < len(loads) < snapshot.count(b"\n") - 1
+    assert clone.subject == graph.subject
+    assert [(n.id, n.kind, n.label, n.raw_labels, n.source_refs) for n in clone.nodes()] \
+        == [(n.id, n.kind, n.label, n.raw_labels, n.source_refs) for n in graph.nodes()]
+    assert clone.edges() == graph.edges()
+    assert export_graph(clone) == snapshot
 
 
 BAD_SOURCE_REFS = [("d", "x"), ("d", 1.5), ("d", True), ("d", [1]), ["d", 1], (1, 1),

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import examgraph.ranking as ranking_module
 from examgraph.errors import EmptyGraph, NotAConcept, NotAHierarchyNode
 from examgraph.kg import EdgeKind, KnowledgeGraph, NodeKind
 from examgraph.ranking import (
@@ -207,3 +208,29 @@ def test_rank_concept_facts_scores_match_global_pagerank():
     global_scores = pagerank(graph).scores
     for fact_id, score in rank_concept_facts(graph, big, top_m=5):
         assert score == global_scores[fact_id]
+
+
+def test_each_ranking_is_computed_once_per_revision_and_config_and_handed_out_as_a_copy(
+        monkeypatch):
+    graph, chapter, big, small = chapter_fixture()
+    calls = []
+    by_score = ranking_module._by_score
+    monkeypatch.setattr(ranking_module, "_by_score", lambda *a: calls.append(1) or by_score(*a))
+    concepts = rank_chapter_concepts(graph, chapter)
+    facts = rank_concept_facts(graph, big, top_m=10)
+    assert len(calls) == 2
+    expected_concepts, expected_facts = list(concepts), list(facts)
+    concepts.clear()
+    facts.clear()
+    assert rank_chapter_concepts(graph, chapter) == expected_concepts
+    assert rank_concept_facts(graph, big, top_m=10) == expected_facts
+    assert rank_concept_facts(graph, big, top_m=2) == expected_facts[:2]
+    assert len(calls) == 2
+    # another config is another ranking
+    rank_chapter_concepts(graph, chapter, PageRankConfig(damping=0.5))
+    assert len(calls) == 3
+    # a new revision ranks again
+    extra = graph.upsert_entity("new concept", NodeKind.CONCEPT)
+    graph.assert_link(EdgeKind.INCLUDE_IN, extra, chapter)
+    assert extra in {cid for cid, _ in rank_chapter_concepts(graph, chapter)}
+    assert len(calls) == 4
