@@ -9,11 +9,11 @@ D = sum(w_i * d_i) is compared against a target D* and accepted when
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 
-from ..checks import array, integer, member, number, obj, string, strings
+from ..checks import array, integer, json_value, member, number, obj, string, strings
 from ..errors import AllZeroWeights, InvalidParams
 from .features import (
     DEFAULT_BLOOM_VERBS,
@@ -287,7 +287,11 @@ class RubricConfig:
             }
         return cls(**kwargs)
 
+    def target(self, tier: DifficultyTier) -> float:
+        if tier not in self.tiers:  # a rubric file may name some tiers only
+            raise InvalidParams(f"the rubric gives no target for tier {tier.value!r}")
+        return self.tiers[tier]
+
     @classmethod
     def load(cls, path) -> "RubricConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(json_value(Path(path).read_bytes(), "rubric config"))

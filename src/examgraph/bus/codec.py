@@ -1,14 +1,14 @@
 """Wire codec for the TCP transport: a 4-byte big-endian length prefix
 followed by one UTF-8 JSON object with lexicographically sorted keys at
 every nesting level. Encoding is canonical: equal messages produce equal
-bytes."""
+bytes. A body that ``checks.json_value`` cannot read is ``MalformedFrame``."""
 
 from __future__ import annotations
 
 import json
 import struct
 
-from ..checks import integer, obj, string
+from ..checks import integer, json_value, obj, string
 from ..errors import FrameTooLarge, MalformedFrame
 from .core import Message
 
@@ -30,12 +30,7 @@ def encode_frame(message: Message) -> bytes:
 
 
 def _decode_body(body: bytes) -> Message:
-    try:
-        data = obj(json.loads(body.decode("utf-8")), "frame body", MalformedFrame)
-    except UnicodeDecodeError as exc:
-        raise MalformedFrame(f"body is not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedFrame(f"body is not JSON: {exc.msg}") from exc
+    data = obj(json_value(body, "frame body", MalformedFrame), "frame body", MalformedFrame)
     if "payload" not in data:
         raise MalformedFrame("frame has no payload")
     topic, correlation_id, sender = (string(data.get(key), key, MalformedFrame)

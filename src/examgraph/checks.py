@@ -3,11 +3,24 @@ files and bus or TCP payloads. Each function takes the value, its field name
 and the error class to raise, and returns the value as the type the caller
 reads or raises an error that names the field and the value. Values pass
 through as JSON gave them; only ``number`` converts. Messages are built on
-failure only: some checks run for every graded candidate."""
+failure only: some checks run for every graded candidate. ``json_value`` is
+the one door for JSON text from outside, so each reader (frame, snapshot,
+reply, file) fails with its own code, never a bare ValueError."""
 
 from __future__ import annotations
 
+import json
+
 from .errors import InvalidParams
+
+
+def json_value(text: str | bytes, what: str, error=InvalidParams):
+    """``json.loads(text)``, bytes with their encoding detected; any failure, a
+    huge int or deep nesting too, raises ``error``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError too
+        raise error(f"{what} is not JSON: {getattr(exc, 'msg', exc)}") from None
 
 
 def obj(value, field: str, error=InvalidParams) -> dict:

@@ -23,8 +23,9 @@ except ImportError:  # not POSIX: SnapshotStore.locked takes no lock
     fcntl = None
 
 from .assessment import DifficultyTier, RubricConfig
-from .checks import integer, obj, string
-from .errors import ExamGraphError, InsufficientMaterial, SubjectCollision, UnknownNode
+from .checks import integer, json_value, obj, string
+from .errors import (
+    ExamGraphError, InsufficientMaterial, MalformedItem, SubjectCollision, UnknownNode)
 from .gateway import ProviderConfig, completion_fn
 from .generation import (
     ExamBlueprint,
@@ -117,8 +118,7 @@ class SnapshotStore:
 
 def _load_config(args) -> dict:
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            return obj(json.load(fh), "config")
+        return obj(json_value(Path(args.config).read_bytes(), "config"), "config")
     return {}
 
 
@@ -168,11 +168,15 @@ def _extractor(args, config: dict):
 
 
 def _emit(data, out: str | None = None) -> None:
-    text = pretty_json(data) + "\n"
+    # a lone surrogate, which UTF-8 cannot hold, is written as its JSON escape
+    _write((pretty_json(data) + "\n").encode("utf-8", "backslashreplace"), out)
+
+
+def _write(payload: bytes, out: str | None) -> None:
     if out:
-        Path(out).write_bytes(text.encode("utf-8"))
+        Path(out).write_bytes(payload)
     else:
-        sys.stdout.write(text)
+        sys.stdout.buffer.write(payload)
 
 
 def _emit_error(exc: Exception) -> None:
@@ -211,11 +215,7 @@ def cmd_ingest(args) -> int:
 def cmd_graph_export(args) -> int:
     config = _load_config(args)
     store = SnapshotStore(_data_dir(args, config))
-    data = export_graph(store.get(args.subject))
-    if args.out:
-        Path(args.out).write_bytes(data)
-    else:
-        sys.stdout.buffer.write(data)
+    _write(export_graph(store.get(args.subject)), args.out)
     return 0
 
 
@@ -275,11 +275,7 @@ def cmd_generate(args) -> int:
     exam = generate_exam(store.registry, blueprint, generator, rubric,
                          seed=args.seed, top_concepts=args.top_concepts,
                          top_m_facts=args.top_facts, max_retries=args.retries)
-    payload = exam.to_json().encode("utf-8")
-    if args.out:
-        Path(args.out).write_bytes(payload)
-    else:
-        sys.stdout.buffer.write(payload)
+    _write(exam.to_json().encode("utf-8", "backslashreplace"), args.out)
     if not exam.complete:
         _emit_error(InsufficientMaterial(
             f"{len(exam.unfilled)} blueprint cell(s) unfillable; see 'unfilled'"))
@@ -290,13 +286,10 @@ def cmd_generate(args) -> int:
 def cmd_evaluate_item(args) -> int:
     config = _load_config(args)
     rubric = _rubric(args, config)
-    with open(args.item, encoding="utf-8") as fh:
-        data = json.load(fh)
-    item = QuestionItem.from_payload(data)
-    if args.target is not None:
-        target = args.target
-    else:
-        target = rubric.tiers[DifficultyTier(args.tier) if args.tier else item.tier]
+    item = QuestionItem.from_payload(
+        json_value(Path(args.item).read_bytes(), "item", MalformedItem))
+    target = args.target if args.target is not None else rubric.target(
+        DifficultyTier(args.tier) if args.tier else item.tier)
     lexicon: frozenset[str] = frozenset()
     if args.subject:
         from .assessment import build_lexicon
@@ -312,8 +305,7 @@ def cmd_analyze(args) -> int:
     matrix = ResponseMatrix.from_csv(Path(args.responses).read_text(encoding="utf-8"))
     groups = None
     if args.groups:
-        with open(args.groups, encoding="utf-8") as fh:
-            groups = obj(json.load(fh), "groups")
+        groups = obj(json_value(Path(args.groups).read_bytes(), "groups"), "groups")
         for pid, label in groups.items():
             string(label, f"group label of {pid!r}")
     report = analyze(matrix, groups, discrimination_fraction=args.fraction)
@@ -479,7 +471,7 @@ def main(argv: list[str] | None = None) -> int:
         args.backend = "mock"
     try:
         return args.func(args)
-    except (ExamGraphError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ExamGraphError, ValueError, OSError) as exc:
         _emit_error(exc)
         return 1
 

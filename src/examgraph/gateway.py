@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .checks import string
+from .checks import json_value, string
 from .errors import AuthError, GatewayTimeout, MalformedResponse, RateLimited
 from .textutils import naive_svo, split_sentences
 
@@ -132,10 +132,7 @@ def _read_body(response, deadline: float) -> bytes:
 
 
 def _extract_choice(raw: bytes) -> str:
-    try:
-        data = json.loads(raw)  # bytes: a BOM and UTF-16/32 are detected
-    except ValueError as exc:  # UnicodeDecodeError is a ValueError too
-        raise MalformedResponse("response body is not JSON") from exc
+    data = json_value(raw, "response body", MalformedResponse)  # a BOM and UTF-16/32 are detected
     try:
         content = data["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:

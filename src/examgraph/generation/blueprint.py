@@ -7,9 +7,10 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 from ..assessment import DifficultyTier, validate_overrides
-from ..checks import array, integer, member, obj, string
+from ..checks import array, integer, json_value, member, obj, string
 from ..errors import AllZeroCounts, BadRatios, InvalidParams
 
 TIER_ORDER = (
@@ -130,8 +131,7 @@ class ExamBlueprint:
 
     @classmethod
     def load(cls, path) -> "ExamBlueprint":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(json_value(Path(path).read_bytes(), "blueprint"))
 
     def sha256(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

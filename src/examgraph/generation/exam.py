@@ -384,7 +384,7 @@ class ExamSession:
                         result = yield Candidate(
                             slot=SlotRef(index, section.chapter, tier, k),
                             attempt=variant, bundle_index=bundle_index,
-                            item=item, target=self.rubric.tiers[tier],
+                            item=item, target=self.rubric.target(tier),
                             epsilon=self.epsilon, weights=self.weights)
                         if result.passed:
                             self.items.append(_evaluated_item_payload(item, result))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from ..assessment import BloomLevel, DifficultyTier, bloom_profile
-from ..checks import array, integer, member, obj, string, strings
+from ..checks import array, integer, json_value, member, obj, string, strings
 from ..errors import ExamGraphError, GeneratorFailure, MalformedCandidate, MalformedItem
 from ..kg import GraphView, KnowledgeGraph, NodeKind
 from ..ranking import cached_pagerank, rank_chapter_concepts, rank_concept_facts
@@ -344,10 +344,7 @@ class LLMGenerator:
 
 
 def _parse_item_reply(reply: str, tier: DifficultyTier, bloom: BloomLevel) -> QuestionItem:
-    try:
-        data = obj(json.loads(reply), "reply", MalformedCandidate)
-    except json.JSONDecodeError as exc:
-        raise MalformedCandidate(f"reply is not JSON: {exc.msg}") from exc
+    data = obj(json_value(reply, "reply", MalformedCandidate), "reply", MalformedCandidate)
     return QuestionItem(
         id="",
         stem=string(data.get("stem"), "stem", MalformedCandidate),

@@ -9,13 +9,13 @@ strict JSON reply contract.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import asdict, dataclass, field
 from itertools import chain
+from pathlib import Path
 from typing import Callable, Protocol
 
-from .checks import array, integer, obj, strings
+from .checks import array, integer, json_value, obj, strings
 from .errors import (
     EmptyLabel,
     ExtractorFailure,
@@ -183,11 +183,8 @@ def validate_extraction(result: ExtractionResult) -> ExtractionResult:
 def load_hypernym_lexicon(path_or_data) -> dict[str, list[str]]:
     """Hypernym lexicon file: JSON object of normalized entity label ->
     list of concept labels."""
-    if isinstance(path_or_data, dict):
-        data = path_or_data
-    else:
-        with open(path_or_data, encoding="utf-8") as fh:
-            data = json.load(fh)
+    data = path_or_data if isinstance(path_or_data, dict) else json_value(
+        Path(path_or_data).read_bytes(), "hypernym lexicon", InvalidExtraction)
     return {normalize_label(entity): list(strings(concepts, f"lexicon entry {entity!r}",
                                                   InvalidExtraction))
             for entity, concepts in obj(data, "hypernym lexicon", InvalidExtraction).items()}
@@ -247,10 +244,7 @@ class LLMExtractor:
 
 
 def parse_extraction_reply(reply: str) -> ExtractionResult:
-    try:
-        data = obj(json.loads(reply), "reply", InvalidExtraction)
-    except json.JSONDecodeError as exc:
-        raise InvalidExtraction(f"reply is not JSON: {exc.msg}") from exc
+    data = obj(json_value(reply, "reply", InvalidExtraction), "reply", InvalidExtraction)
     if set(data) != {"triples", "concepts"}:
         raise InvalidExtraction('reply must be {"triples": ..., "concepts": ...}')
     return _extraction_from_json(data["triples"], data["concepts"])

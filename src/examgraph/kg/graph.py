@@ -14,8 +14,9 @@ a whole extracted segment folds in one ``fold_segment`` call, so a reader's
 through ``_upsert`` and every edge write through ``_link``; each effective
 mutation (a new node, raw label, source ref or edge, not an exact
 duplicate) bumps ``revision``. A source ref must be a (str, int) pair, the
-shape a snapshot holds. Nodes and edges are immutable tuples; a write that
-gives a node a raw label or source ref swaps in a new ``Node``. Readers
+shape a snapshot holds, of at most ``MAX_DIGITS`` digits. Nodes and edges
+are immutable tuples; a write that gives a node a raw label or source ref
+swaps in a new ``Node``. Readers
 never touch the live dicts but read ``view()``: an immutable snapshot built
 at most once per revision, on which derived data such as PageRank scores,
 the lexicon and chapter rankings is memoised, and which shares the graph's
@@ -44,7 +45,11 @@ from ..errors import (
 )
 from ..textutils import normalize_label
 
-ID_PATTERN = re.compile(r"^n(\d+)$")
+# The most digits of an int in a snapshot (a segment, an n<digits> id): the
+# least value of Python's int/str digit limit, so %d and int() take it always
+MAX_DIGITS = 640
+_SEGMENT_BOUND = 10 ** MAX_DIGITS
+ID_PATTERN = re.compile(r"^n(\d{1,%d})$" % MAX_DIGITS)
 
 
 class NodeKind(Enum):
@@ -90,12 +95,21 @@ def _normalized(label: str, what: str = "label") -> str:
     return norm
 
 
+def is_source_ref(pair) -> bool:
+    """Whether ``pair`` is a (document id, segment) that a snapshot holds."""
+    return (len(pair) == 2 and isinstance(pair[0], str) and type(pair[1]) is int
+            and -_SEGMENT_BOUND < pair[1] < _SEGMENT_BOUND)
+
+
 def _check_source_ref(source_ref) -> None:
-    """Refuse a source ref a snapshot could not hold: (document id, segment)."""
-    if source_ref is not None and not (
-            type(source_ref) is tuple and len(source_ref) == 2
-            and isinstance(source_ref[0], str) and type(source_ref[1]) is int):
-        raise InvalidParams(f"source_ref must be a (str, int) pair, got {source_ref!r}")
+    """Refuse a source ref a snapshot could not hold."""
+    if source_ref is not None and not (type(source_ref) is tuple and is_source_ref(source_ref)):
+        try:
+            shown = repr(source_ref)
+        except ValueError:  # an int past Python's digit limit has no repr
+            shown = "an int past Python's digit limit"
+        raise InvalidParams(f"source_ref must be a (str, int) pair with at most "
+                            f"{MAX_DIGITS} digits, got {shown}")
 
 
 class Node(NamedTuple):

@@ -9,26 +9,29 @@ Line 1 is a header record, then one record per node and per edge:
 Each line is ``json.dumps(record, ensure_ascii=False)``, byte for byte, but
 is written from a fixed template per record type and kind: strings go
 through ``json.encoder.encode_basestring``, the function that call uses for
-them, and the one int of a source ref through ``%d``, which is its repr.
-The graph's write path admits only (str, int) source refs, so every graph
-exports to a snapshot that imports.
+them, and the one int of a source ref through ``%d``, which is its repr;
+a lone surrogate, which UTF-8 cannot hold, as its JSON escape. The graph's
+write path admits only (str, int) source refs of at most ``MAX_DIGITS``
+digits, so every graph exports to a snapshot that imports.
 
 Import reads each line that matches its template and holds no escape from
-the regex match; every other line goes through ``json.loads`` and its field
-checks, with the same line numbers and messages. Node labels and fact-edge relations are
-normalized again on either path. ``import_graph(export_graph(g))``
+the regex match; every other line goes through ``checks.json_value`` and its
+field checks, with the same line numbers and messages. Node labels and fact-edge
+relations are normalized again on either path. ``import_graph(export_graph(g))``
 reproduces the graph with identical node ids, labels and edges.
 """
 
 from __future__ import annotations
 
-import json
 import re
+from functools import partial
 from json.encoder import encode_basestring
 
+from ..checks import json_value, member
 from ..errors import KindMismatch, MalformedSnapshot
 from ..textutils import normalize_label
-from .graph import ID_PATTERN, Edge, EdgeKind, KnowledgeGraph, Node, NodeKind, check_edge_kinds
+from .graph import (ID_PATTERN, MAX_DIGITS, Edge, EdgeKind, KnowledgeGraph, Node, NodeKind,
+                    check_edge_kinds, is_source_ref)
 
 SNAPSHOT_FORMAT = "kaqg-kg"
 SNAPSHOT_VERSION = 1
@@ -43,11 +46,12 @@ _EDGE_LINE = {kind: '{"type": "edge", "kind": "' + kind.value + '", "from": %s, 
 # kinds by value: the Enum constructor's lookup runs in Python
 _NODE_KINDS = {kind.value: kind for kind in NodeKind}
 _EDGE_KINDS = {kind.value: kind for kind in EdgeKind}
-# The templates as regexes. A string matches only where json.loads gives
+# The templates as regexes. A string matches only where JSON decoding gives
 # exactly its characters (no escape, no control character) and an int only in
-# JSON's own form, so a matching line reads as json.loads reads it. No string
-# here holds '"', so a raw label list splits at '", "'.
-_FIELD = {"s": r'[^"\\\x00-\x1f]+', "i": r"-?(?:0|[1-9][0-9]*)"}
+# JSON's own form with at most MAX_DIGITS digits, so a matching line reads as
+# the JSON path reads it. No string here holds '"', so a raw label list
+# splits at '", "'.
+_FIELD = {"s": r'[^"\\\x00-\x1f]+', "i": r"-?(?:0|[1-9][0-9]{0,%d})" % (MAX_DIGITS - 1)}
 _FIELD["ref"] = r'\["%(s)s", %(i)s\]' % _FIELD
 _REF_RE = re.compile(r'\["(%(s)s)", (%(i)s)\]' % _FIELD)
 _NODE_RE = re.compile(
@@ -78,7 +82,8 @@ def export_graph(graph: KnowledgeGraph) -> bytes:
         lines.append(_EDGE_LINE[edge.kind] % (
             (enc(edge.src), enc(edge.dst), enc(edge.label)) if edge.kind is EdgeKind.FACT
             else (enc(edge.src), enc(edge.dst))))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    # a lone surrogate, which UTF-8 cannot hold, is written as its JSON escape
+    return ("\n".join(lines) + "\n").encode("utf-8", "backslashreplace")
 
 
 def _fail(line_no: int, reason: str):
@@ -93,13 +98,6 @@ def _require(record: dict, keys: tuple[str, ...], line_no: int) -> list:
         _fail(line_no, f"missing key {exc.args[0]!r}")
 
 
-def _kind(kinds: dict, raw, what: str, line_no: int):
-    kind = kinds.get(raw) if isinstance(raw, str) else None
-    if kind is None:
-        _fail(line_no, f"unknown {what} kind {raw!r}")
-    return kind
-
-
 def _lines(text: str):
     """(line number, line) for each non-blank line."""
     # records end at "\n" only: JSON leaves U+0085 and U+2028 in a label
@@ -110,11 +108,8 @@ def _lines(text: str):
 
 
 def _record(raw: str, line_no: int) -> dict:
-    """A line read by ``json.loads``, which must give an object."""
-    try:
-        record = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        _fail(line_no, f"invalid JSON: {exc.msg}")
+    """A line read as JSON, which must give an object."""
+    record = json_value(raw, "record", partial(MalformedSnapshot, line_no))
     if not isinstance(record, dict):
         _fail(line_no, "record is not an object")
     return record
@@ -123,13 +118,10 @@ def _record(raw: str, line_no: int) -> dict:
 def import_graph(stream: bytes | str) -> KnowledgeGraph:
     """Rebuild a graph from snapshot bytes; the caller registers it
     (GraphRegistry.attach raises SubjectCollision on occupied subjects)."""
-    if isinstance(stream, bytes):
-        try:
-            text = stream.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            _fail(0, f"not valid UTF-8: {exc}")
-    else:
-        text = stream
+    try:
+        text = stream if isinstance(stream, str) else stream.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        _fail(0, f"not valid UTF-8: {exc}")
     lines = _lines(text)
     try:
         return _build(lines)
@@ -165,8 +157,8 @@ def _build(lines) -> KnowledgeGraph:
     relations: dict[str, str] = {}  # raw relation -> normalized, once each
     edge_match, node_match = _EDGE_RE.fullmatch, _NODE_RE.fullmatch
     for line_no, raw in lines:
-        # a line in an export template is read from the match, any other by
-        # json.loads with every field checked; most lines are edges
+        # a line in an export template is read from the match, any other as
+        # JSON with every field checked; most lines are edges
         if m := edge_match(raw):
             fact, link, src, dst, label = m.groups()
             item = Edge(_EDGE_KINDS[fact or link], src, dst, label)
@@ -225,7 +217,7 @@ def _build(lines) -> KnowledgeGraph:
 
 def _parse_node(record: dict, line_no: int) -> Node:
     node_id, kind_raw, label = _require(record, ("id", "kind", "label"), line_no)
-    kind = _kind(_NODE_KINDS, kind_raw, "node", line_no)
+    kind = member(kind_raw, "node kind", NodeKind, partial(MalformedSnapshot, line_no))
     if not isinstance(node_id, str) or not node_id:
         _fail(line_no, "node id must be a non-empty string")
     if not isinstance(label, str) or not label:
@@ -237,15 +229,14 @@ def _parse_node(record: dict, line_no: int) -> Node:
     if not isinstance(refs, list):
         _fail(line_no, "source_refs must be a list")
     for ref in refs:
-        if (not isinstance(ref, list) or len(ref) != 2
-                or not isinstance(ref[0], str) or type(ref[1]) is not int):
+        if not (isinstance(ref, list) and is_source_ref(ref)):
             _fail(line_no, f"bad source_ref {ref!r}")
     return Node(node_id, kind, label, frozenset(raw_labels), tuple(map(tuple, refs)))
 
 
 def _parse_edge(record: dict, line_no: int) -> Edge:
     kind_raw, src, dst = _require(record, ("kind", "from", "to"), line_no)
-    kind = _kind(_EDGE_KINDS, kind_raw, "edge", line_no)
+    kind = member(kind_raw, "edge kind", EdgeKind, partial(MalformedSnapshot, line_no))
     if not isinstance(src, str) or not isinstance(dst, str):
         _fail(line_no, "edge from and to must be node id strings")
     if kind is EdgeKind.FACT:

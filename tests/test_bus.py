@@ -726,10 +726,25 @@ def test_tcp_server_stops_beside_a_silent_peer():
     assert raised == []
 
 
+def _frame_around(payload_json: str) -> bytes:
+    """A frame whose payload is the given JSON text, valid in every other field."""
+    body = ('{"correlation_id":"","payload":%s,"sender":"peer","seq":0,"topic":"t/x"}'
+            % payload_json).encode()
+    return len(body).to_bytes(4, "big") + body
+
+
+# json.loads raises a bare ValueError for an int past Python's 4,300-digit
+# limit and RecursionError for deep nesting; both once killed the reader
+HUGE_INT_FRAME = _frame_around("1" * 5000)
+DEEP_FRAME = _frame_around("[" * 100_000 + "]" * 100_000)
+
+
 @pytest.mark.parametrize("data, code", [
     (b"\xff\xff\xff\xff", "frame_too_large"),  # declares a 4 GiB body
     (b"\x00\x00\x00\x02{]", "malformed_frame"),
-], ids=["too_large", "malformed"])
+    (HUGE_INT_FRAME, "malformed_frame"),
+    (DEEP_FRAME, "malformed_frame"),
+], ids=["too_large", "malformed", "huge_int", "deep"])
 def test_tcp_bad_frame_gets_one_error_frame(data, code):
     bus = MessageBus()
     server = TcpBusServer(bus)
@@ -756,6 +771,51 @@ def test_tcp_bad_frame_gets_one_error_frame(data, code):
     error = decode_frame(received)
     assert error.topic == "system/errors"
     assert error.payload["error_code"] == code
+    assert raised == []
+
+
+@pytest.mark.parametrize("data", [HUGE_INT_FRAME, DEEP_FRAME], ids=["huge_int", "deep"])
+def test_tcp_client_ends_its_inbox_on_a_hostile_frame(data):
+    """A fake hub acknowledges the announce, sends one good frame and, once
+    the client has it, one the codec cannot read, and keeps the socket open:
+    the client's inbox gives the good frame, then None, and no thread raises."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    got_good, ended = threading.Event(), threading.Event()
+
+    def fake_hub():
+        conn, _ = listener.accept()
+        with conn:
+            reader = FrameReader()
+            while not reader.feed(conn.recv(65536)):  # the announce
+                pass
+            conn.sendall(encode_frame(Message(tcp_module.ANNOUNCE_TOPIC, "", "bus", 0,
+                                              {"ok": True, "name": "peer"}))
+                         + encode_frame(Message("t/x", "", "bus", 1, "good")))
+            got_good.wait(5)
+            conn.sendall(data)
+            ended.wait(5)
+
+    hub = threading.Thread(target=fake_hub)
+    raised = []
+    previous_hook = threading.excepthook
+    threading.excepthook = raised.append
+    hub.start()
+    try:
+        client = TcpBusClient("127.0.0.1", listener.getsockname()[1], "peer", ["t/*"])
+        try:
+            assert client.get(timeout=5).payload == "good"
+            got_good.set()
+            assert client.get(timeout=5) is None
+        finally:
+            ended.set()
+            client.close()
+            client._thread.join(timeout=5)
+    finally:
+        got_good.set()
+        ended.set()
+        hub.join(timeout=5)
+        listener.close()
+        threading.excepthook = previous_hook
     assert raised == []
 
 

@@ -420,7 +420,7 @@ MALFORMED_SNAPSHOTS = {
     "empty": ("", 0, "empty snapshot"),
     "blank-lines-only": ("\n \n", 0, "empty snapshot"),
     "invalid-json": ([_record(HEADER), "{"], 2,
-                     "invalid JSON: Expecting property name enclosed in double quotes"),
+                     "record is not JSON: Expecting property name enclosed in double quotes"),
     "not-an-object": ([_record(HEADER), "[1]"], 2, "record is not an object"),
     "no-header": (NODES, 1, "first record must be the header"),
     "unknown-format": (_header(format="x"), 1, "unknown format 'x'"),
@@ -468,8 +468,8 @@ MALFORMED_SNAPSHOTS = {
     "edge-relation-collapses": (_edge() + [_record(EDGE, label='"R"')], 5, "duplicate edge"),
     # every line is read as JSON before any record is checked
     "bad-record-then-invalid-json": ([_record(HEADER), '{"type":"x"}', "{"], 3,
-                                     "invalid JSON: Expecting property name enclosed in "
-                                     "double quotes"),
+                                     "record is not JSON: Expecting property name "
+                                     "enclosed in double quotes"),
     "no-header-then-not-an-object": ([*NODES, "[1]"], 3, "record is not an object"),
 }
 
