@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 
-from ..checks import array, integer, json_value, member, number, obj, string, strings
+from ..checks import array, boolean, integer, json_file, member, number, obj, string, strings
 from ..errors import AllZeroWeights, InvalidParams
 from .features import (
     DEFAULT_BLOOM_VERBS,
@@ -171,8 +170,7 @@ class EvaluationResult:
         data = obj(data, "evaluation")
         for key in ("difficulty", "target", "epsilon"):
             number(data.get(key), key)
-        if not isinstance(data.get("passed"), bool):
-            raise InvalidParams(f"passed must be true or false, got {data.get('passed')!r}")
+        boolean(data.get("passed"), "passed")
         for entry in array(data.get("breakdown"), "breakdown"):
             string(obj(entry, "breakdown entry").get("feature"), "breakdown feature")
             integer(entry.get("rating"), "breakdown rating")
@@ -294,4 +292,4 @@ class RubricConfig:
 
     @classmethod
     def load(cls, path) -> "RubricConfig":
-        return cls.from_dict(json_value(Path(path).read_bytes(), "rubric config"))
+        return cls.from_dict(json_file(path, "rubric config"))

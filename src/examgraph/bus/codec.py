@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import struct
+from typing import Iterator
 
 from ..checks import integer, json_value, obj, string
 from ..errors import FrameTooLarge, MalformedFrame
@@ -45,15 +46,13 @@ class FrameReader:
     def __init__(self):
         self._buffer = bytearray()
 
-    def feed(self, chunk) -> list[Message]:
-        """Decode the frames that ``chunk`` completes. The reader copies
-        what it keeps, so ``chunk`` may be a view of a buffer that the
-        caller overwrites afterwards."""
+    def feed(self, chunk) -> Iterator[Message]:
+        """Yield the frames that ``chunk`` completes, each as it is decoded,
+        so a bad frame raises only after the good ones ahead of it. The
+        reader copies ``chunk`` before it returns, so ``chunk`` may be a
+        view of a buffer that the caller overwrites afterwards."""
         self._buffer.extend(chunk)
-        messages = []
-        while (message := self._pop()) is not None:
-            messages.append(message)
-        return messages
+        return iter(self._pop, None)
 
     def _pop(self) -> Message | None:
         """Remove and decode the first whole frame in the buffer; None

@@ -1,15 +1,17 @@
-"""Checks on values from outside the program: config files, blueprints, item
-files and bus or TCP payloads. Each function takes the value, its field name
-and the error class to raise, and returns the value as the type the caller
-reads or raises an error that names the field and the value. Values pass
-through as JSON gave them; only ``number`` converts. Messages are built on
-failure only: some checks run for every graded candidate. ``json_value`` is
-the one door for JSON text from outside, so each reader (frame, snapshot,
-reply, file) fails with its own code, never a bare ValueError."""
+"""Checks on values from outside the program (config, blueprint, item and
+snapshot files, bus or TCP payloads) and on the parameters of public calls.
+Each function takes the value, its field name and the error to raise, and
+returns the value as the type the caller reads or raises an error that names
+the field and the value. Values pass through as JSON gave them; only
+``number`` converts. Messages are built on failure only: some checks run for
+every graded candidate. ``json_value`` is the one door for JSON text from
+outside and ``json_file`` for a JSON file, so each reader (frame, snapshot,
+reply, file) fails with its own code, never a bare ValueError or OSError."""
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 from .errors import InvalidParams
 
@@ -21,6 +23,16 @@ def json_value(text: str | bytes, what: str, error=InvalidParams):
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError too
         raise error(f"{what} is not JSON: {getattr(exc, 'msg', exc)}") from None
+
+
+def json_file(path, what: str, error=InvalidParams):
+    """``json_value`` of the file at ``path``; a file that cannot be read
+    raises ``error`` too."""
+    try:
+        data = Path(path).read_bytes()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or lone surrogate in the path
+        raise error(f"cannot read {what}: {exc}") from None
+    return json_value(data, what, error)
 
 
 def obj(value, field: str, error=InvalidParams) -> dict:
@@ -65,12 +77,16 @@ def integer(value, field: str, error=InvalidParams, *,
     return value
 
 
-def number(value, field: str, error=InvalidParams, *, above: float | None = None) -> float:
-    """An int or float, not a bool or NaN, as a float, greater than ``above``."""
+def number(value, field: str, error=InvalidParams, *,
+           above: float | None = None, below: float | None = None) -> float:
+    """An int or float, not a bool or NaN, as a float, greater than ``above``
+    and less than ``below``."""
     if (type(value) not in (int, float) or value != value
-            or (above is not None and not value > above)):
-        bound = "" if above is None else f" > {above}"
-        raise error(f"{field} must be a number{bound}, got {value!r}")
+            or (above is not None and not value > above)
+            or (below is not None and not value < below)):
+        bounds = " and".join(f" {op} {b}" for op, b in ((">", above), ("<", below))
+                             if b is not None)
+        raise error(f"{field} must be a number{bounds}, got {value!r}")
     return float(value)
 
 

@@ -23,7 +23,7 @@ except ImportError:  # not POSIX: SnapshotStore.locked takes no lock
     fcntl = None
 
 from .assessment import DifficultyTier, RubricConfig
-from .checks import integer, json_value, obj, string
+from .checks import integer, json_file, obj, string
 from .errors import (
     ExamGraphError, InsufficientMaterial, MalformedItem, SubjectCollision, UnknownNode)
 from .gateway import ProviderConfig, completion_fn
@@ -118,7 +118,7 @@ class SnapshotStore:
 
 def _load_config(args) -> dict:
     if getattr(args, "config", None):
-        return obj(json_value(Path(args.config).read_bytes(), "config"), "config")
+        return obj(json_file(args.config, "config"), "config")
     return {}
 
 
@@ -228,20 +228,20 @@ def cmd_graph_stats(args) -> int:
 
 def cmd_rank(args) -> int:
     config = _load_config(args)
-    store = SnapshotStore(_data_dir(args, config))
-    graph = store.get(args.subject)
     pr_config = PageRankConfig(damping=args.damping, tol=args.tol,
                                max_iter=args.max_iter)
+    top = integer(args.top, "--top", low=1)
+    graph = SnapshotStore(_data_dir(args, config)).get(args.subject)
     if args.facts_of:
         concept = graph.find_node(args.facts_of, NodeKind.CONCEPT)
         if concept is None:
             raise UnknownNode(f"no concept {args.facts_of!r} in {args.subject!r}")
-        ranked = rank_concept_facts(graph, concept, args.top, pr_config)
+        ranked = rank_concept_facts(graph, concept, top, pr_config)
     else:
         chapter = graph.find_node(args.chapter, NodeKind.HIERARCHY)
         if chapter is None:
             raise UnknownNode(f"no chapter {args.chapter!r} in {args.subject!r}")
-        ranked = rank_chapter_concepts(graph, chapter, pr_config)[:args.top]
+        ranked = rank_chapter_concepts(graph, chapter, pr_config)[:top]
     _emit([
         {"node": node_id, "label": graph.node(node_id).label, "score": score}
         for node_id, score in ranked
@@ -286,8 +286,7 @@ def cmd_generate(args) -> int:
 def cmd_evaluate_item(args) -> int:
     config = _load_config(args)
     rubric = _rubric(args, config)
-    item = QuestionItem.from_payload(
-        json_value(Path(args.item).read_bytes(), "item", MalformedItem))
+    item = QuestionItem.from_payload(json_file(args.item, "item", MalformedItem))
     target = args.target if args.target is not None else rubric.target(
         DifficultyTier(args.tier) if args.tier else item.tier)
     lexicon: frozenset[str] = frozenset()
@@ -305,7 +304,7 @@ def cmd_analyze(args) -> int:
     matrix = ResponseMatrix.from_csv(Path(args.responses).read_text(encoding="utf-8"))
     groups = None
     if args.groups:
-        groups = obj(json_value(Path(args.groups).read_bytes(), "groups"), "groups")
+        groups = obj(json_file(args.groups, "groups"), "groups")
         for pid, label in groups.items():
             string(label, f"group label of {pid!r}")
     report = analyze(matrix, groups, discrimination_fraction=args.fraction)
@@ -397,8 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="rank chapter concepts (or a concept's facts)")
     p.add_argument("--subject", required=True)
-    p.add_argument("--chapter", help="chapter label to rank concepts for")
-    p.add_argument("--facts-of", help="concept label: rank its facts instead")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--chapter", help="chapter label to rank concepts for")
+    target.add_argument("--facts-of", help="concept label: rank its facts instead")
     p.add_argument("--top", type=int, default=10)
     p.add_argument("--damping", type=float, default=0.85)
     p.add_argument("--tol", type=float, default=1e-9)

@@ -15,8 +15,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .checks import json_value, string
-from .errors import AuthError, GatewayTimeout, MalformedResponse, RateLimited
+from .checks import json_value, number, string
+from .errors import AuthError, GatewayTimeout, InvalidParams, MalformedResponse, RateLimited
 from .textutils import naive_svo, split_sentences
 
 # a chat completion of max_tokens 512 is a few KiB
@@ -32,9 +32,8 @@ class CompletionRequest:
 
     def __post_init__(self):
         if not self.system_prompt or not self.user_prompt:
-            raise ValueError("prompts must be non-empty")
-        if self.timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
+            raise InvalidParams("prompts must be non-empty")
+        number(self.timeout, "timeout", above=0)
 
 
 @dataclass
@@ -47,7 +46,7 @@ class ProviderConfig:
 
     def __post_init__(self):
         if not self.endpoint.startswith(("http://", "https://")):
-            raise ValueError(f"endpoint must be an http(s) URL, got {self.endpoint!r}")
+            raise InvalidParams(f"endpoint must be an http(s) URL, got {self.endpoint!r}")
 
 
 def complete(config: ProviderConfig, request: CompletionRequest) -> str:

@@ -7,10 +7,9 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from ..assessment import DifficultyTier, validate_overrides
-from ..checks import array, integer, json_value, member, obj, string
+from ..checks import array, integer, json_file, member, obj, string
 from ..errors import AllZeroCounts, BadRatios, InvalidParams
 
 TIER_ORDER = (
@@ -22,8 +21,8 @@ TIER_ORDER = (
 
 def allocation_ratios(counts: list[int]) -> list[float]:
     """Chapter fractions alpha_i = n_i / sum(n_j); the fractions sum to 1."""
-    if any(n < 0 for n in counts):
-        raise ValueError("counts must be >= 0")
+    for n in counts:
+        integer(n, "chapter count", low=0)
     total = sum(counts)
     if total == 0:
         raise AllZeroCounts("at least one chapter count must be positive")
@@ -34,8 +33,7 @@ def allocate_counts(ratios: list[float], total: int) -> list[int]:
     """Integer apportionment of ``total`` by largest remainder; ties go to
     the lowest index. Guarantees sum(counts) == total and
     |counts_i - ratios_i * total| < 1."""
-    if total < 1:
-        raise ValueError(f"total must be >= 1, got {total}")
+    integer(total, "total", low=1)
     if not ratios or any(r < 0 for r in ratios):
         raise BadRatios("ratios must be non-negative and non-empty")
     if abs(sum(ratios) - 1.0) > 1e-9:
@@ -131,7 +129,7 @@ class ExamBlueprint:
 
     @classmethod
     def load(cls, path) -> "ExamBlueprint":
-        return cls.from_dict(json_value(Path(path).read_bytes(), "blueprint"))
+        return cls.from_dict(json_file(path, "blueprint"))
 
     def sha256(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

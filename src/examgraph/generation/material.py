@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..checks import integer
 from ..errors import NoConceptsInChapter
 from ..kg import EdgeKind, GraphView, KnowledgeGraph
 from ..ranking import rank_chapter_concepts, rank_concept_facts
@@ -56,8 +57,8 @@ def assemble_material(graph: KnowledgeGraph | GraphView, chapter: str,
     Each bundle carries the concept's ``top_m_facts`` best facts and the
     fact edges one hop from those facts (included unranked).
     """
-    if top_concepts < 1 or top_m_facts < 1:
-        raise ValueError("top_concepts and top_m_facts must be >= 1")
+    integer(top_concepts, "top_concepts", low=1)
+    integer(top_m_facts, "top_m_facts", low=1)
     view = graph.view()
     concepts = rank_chapter_concepts(view, chapter)
     chapter_label = view.node(chapter).label

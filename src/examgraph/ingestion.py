@@ -12,10 +12,9 @@ from __future__ import annotations
 import re
 from dataclasses import asdict, dataclass, field
 from itertools import chain
-from pathlib import Path
 from typing import Callable, Protocol
 
-from .checks import array, integer, json_value, obj, strings
+from .checks import array, integer, json_file, json_value, obj, strings
 from .errors import (
     EmptyLabel,
     ExtractorFailure,
@@ -183,8 +182,8 @@ def validate_extraction(result: ExtractionResult) -> ExtractionResult:
 def load_hypernym_lexicon(path_or_data) -> dict[str, list[str]]:
     """Hypernym lexicon file: JSON object of normalized entity label ->
     list of concept labels."""
-    data = path_or_data if isinstance(path_or_data, dict) else json_value(
-        Path(path_or_data).read_bytes(), "hypernym lexicon", InvalidExtraction)
+    data = path_or_data if isinstance(path_or_data, dict) else json_file(
+        path_or_data, "hypernym lexicon", InvalidExtraction)
     return {normalize_label(entity): list(strings(concepts, f"lexicon entry {entity!r}",
                                                   InvalidExtraction))
             for entity, concepts in obj(data, "hypernym lexicon", InvalidExtraction).items()}

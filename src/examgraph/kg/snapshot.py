@@ -15,10 +15,11 @@ write path admits only (str, int) source refs of at most ``MAX_DIGITS``
 digits, so every graph exports to a snapshot that imports.
 
 Import reads each line that matches its template and holds no escape from
-the regex match; every other line goes through ``checks.json_value`` and its
-field checks, with the same line numbers and messages. Node labels and fact-edge
-relations are normalized again on either path. ``import_graph(export_graph(g))``
-reproduces the graph with identical node ids, labels and edges.
+the regex match; every other line goes through ``checks.json_value`` and the
+field checks of ``examgraph.checks``, with the same line numbers and
+messages. Node labels and fact-edge relations are normalized again on either
+path. ``import_graph(export_graph(g))`` reproduces the graph with identical
+node ids, labels and edges.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import re
 from functools import partial
 from json.encoder import encode_basestring
 
-from ..checks import json_value, member
+from ..checks import array, integer, json_value, member, obj, string, strings
 from ..errors import KindMismatch, MalformedSnapshot
 from ..textutils import normalize_label
 from .graph import (ID_PATTERN, MAX_DIGITS, Edge, EdgeKind, KnowledgeGraph, Node, NodeKind,
@@ -86,18 +87,6 @@ def export_graph(graph: KnowledgeGraph) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8", "backslashreplace")
 
 
-def _fail(line_no: int, reason: str):
-    raise MalformedSnapshot(line_no, reason)
-
-
-def _require(record: dict, keys: tuple[str, ...], line_no: int) -> list:
-    """The values of ``keys``, failing on the first one missing."""
-    try:
-        return [record[key] for key in keys]
-    except KeyError as exc:
-        _fail(line_no, f"missing key {exc.args[0]!r}")
-
-
 def _lines(text: str):
     """(line number, line) for each non-blank line."""
     # records end at "\n" only: JSON leaves U+0085 and U+2028 in a label
@@ -107,12 +96,9 @@ def _lines(text: str):
             yield line_no, raw
 
 
-def _record(raw: str, line_no: int) -> dict:
+def _record(raw: str, error) -> dict:
     """A line read as JSON, which must give an object."""
-    record = json_value(raw, "record", partial(MalformedSnapshot, line_no))
-    if not isinstance(record, dict):
-        _fail(line_no, "record is not an object")
-    return record
+    return obj(json_value(raw, "record", error), "record", error)
 
 
 def import_graph(stream: bytes | str) -> KnowledgeGraph:
@@ -121,7 +107,7 @@ def import_graph(stream: bytes | str) -> KnowledgeGraph:
     try:
         text = stream if isinstance(stream, str) else stream.decode("utf-8")
     except UnicodeDecodeError as exc:
-        _fail(0, f"not valid UTF-8: {exc}")
+        raise MalformedSnapshot(0, f"not valid UTF-8: {exc}") from None
     lines = _lines(text)
     try:
         return _build(lines)
@@ -129,7 +115,7 @@ def import_graph(stream: bytes | str) -> KnowledgeGraph:
         # every line is read as JSON before any record is checked, so a
         # later line that is no JSON object is the error to report
         for line_no, raw in lines:
-            _record(raw, line_no)
+            _record(raw, partial(MalformedSnapshot, line_no))
         raise
 
 
@@ -138,18 +124,17 @@ def _build(lines) -> KnowledgeGraph:
     then hand the tables to a new graph in one call."""
     line_no, raw = next(lines, (0, None))
     if raw is None:
-        _fail(0, "empty snapshot")
-    header = _record(raw, line_no)
+        raise MalformedSnapshot(0, "empty snapshot")
+    error = partial(MalformedSnapshot, line_no)
+    header = _record(raw, error)
     if header.get("type") != "header":
-        _fail(line_no, "first record must be the header")
+        raise error("first record must be the header")
     if header.get("format") != SNAPSHOT_FORMAT:
-        _fail(line_no, f"unknown format {header.get('format')!r}")
-    version = header.get("version")
-    if type(version) is not int or version != SNAPSHOT_VERSION:  # not true, not 1.0
-        _fail(line_no, f"unsupported version {version!r}")
-    [subject] = _require(header, ("subject",), line_no)
-    if not isinstance(subject, str) or not subject.strip():
-        _fail(line_no, "header subject must be a non-empty string")
+        raise error(f"unknown format {header.get('format')!r}")
+    integer(header.get("version"), "version", error, low=SNAPSHOT_VERSION, high=SNAPSHOT_VERSION)
+    subject = string(header.get("subject"), "header subject", error)
+    if not subject.strip():
+        raise error("header subject must be a non-empty string")
 
     nodes: dict[str, Node] = {}
     keys: dict[tuple[NodeKind, str], str] = {}
@@ -169,25 +154,28 @@ def _build(lines) -> KnowledgeGraph:
                         tuple([(doc, int(seg)) for doc, seg in _REF_RE.findall(refs)])
                         if refs else ())
         else:
-            record = _record(raw, line_no)
+            error = partial(MalformedSnapshot, line_no)
+            record = _record(raw, error)
             kind = record.get("type")
             if kind == "node":
-                item = _parse_node(record, line_no)
+                item = _parse_node(record, error)
             elif kind == "edge":
-                item = _parse_edge(record, line_no)
+                item = _parse_edge(record, error)
             elif kind == "header":
-                _fail(line_no, "unexpected second header")
+                raise error("unexpected second header")
             else:
-                _fail(line_no, f"unknown record type {kind!r}")
+                raise error(f"unknown record type {kind!r}")
         if type(item) is Node:
             label = normalize_label(item.label)
             if not label:
-                _fail(line_no, f"label {item.label!r} is empty after normalization")
+                raise MalformedSnapshot(
+                    line_no, f"label {item.label!r} is empty after normalization")
             if label != item.label:
                 item = item._replace(label=label)
             key = (item.kind, label)
             if item.id in nodes or key in keys:
-                _fail(line_no, f"duplicate node {item.id!r} ({item.kind.value}, {label!r})")
+                raise MalformedSnapshot(
+                    line_no, f"duplicate node {item.id!r} ({item.kind.value}, {label!r})")
             nodes[item.id] = item
             keys[key] = item.id
             continue
@@ -196,55 +184,46 @@ def _build(lines) -> KnowledgeGraph:
             if label is None:
                 label = relations[item.label] = normalize_label(item.label)
                 if not label:
-                    _fail(line_no, f"relation {item.label!r} is empty after normalization")
+                    raise MalformedSnapshot(
+                        line_no, f"relation {item.label!r} is empty after normalization")
             if label != item.label:
                 item = item._replace(label=label)
         src, dst = nodes.get(item.src), nodes.get(item.dst)
         if src is None or dst is None:
             missing = item.src if src is None else item.dst
-            _fail(line_no, f"no node {missing!r} in graph {subject!r}")
+            raise MalformedSnapshot(line_no, f"no node {missing!r} in graph {subject!r}")
         try:
             check_edge_kinds(item.kind, src.kind, dst.kind)
         except KindMismatch as exc:
-            _fail(line_no, str(exc))
+            raise MalformedSnapshot(line_no, str(exc)) from None
         if item in edges:
-            _fail(line_no, "duplicate edge")
+            raise MalformedSnapshot(line_no, "duplicate edge")
         edges[item] = None
     graph = KnowledgeGraph(subject)
     graph.load(nodes, keys, edges)
     return graph
 
 
-def _parse_node(record: dict, line_no: int) -> Node:
-    node_id, kind_raw, label = _require(record, ("id", "kind", "label"), line_no)
-    kind = member(kind_raw, "node kind", NodeKind, partial(MalformedSnapshot, line_no))
-    if not isinstance(node_id, str) or not node_id:
-        _fail(line_no, "node id must be a non-empty string")
-    if not isinstance(label, str) or not label:
-        _fail(line_no, "node label must be a non-empty string")
-    raw_labels = record.get("raw_labels", [])
-    refs = record.get("source_refs", [])
-    if not isinstance(raw_labels, list) or not all(isinstance(r, str) for r in raw_labels):
-        _fail(line_no, "raw_labels must be a list of strings")
-    if not isinstance(refs, list):
-        _fail(line_no, "source_refs must be a list")
+def _parse_node(record: dict, error) -> Node:
+    node_id = string(record.get("id"), "node id", error)
+    if not node_id:
+        raise error("node id must be a non-empty string")
+    refs = array(record.get("source_refs", []), "source_refs", error)
     for ref in refs:
         if not (isinstance(ref, list) and is_source_ref(ref)):
-            _fail(line_no, f"bad source_ref {ref!r}")
-    return Node(node_id, kind, label, frozenset(raw_labels), tuple(map(tuple, refs)))
+            raise error(f"bad source_ref {ref!r}")
+    return Node(node_id, member(record.get("kind"), "node kind", NodeKind, error),
+                string(record.get("label"), "node label", error),
+                frozenset(strings(record.get("raw_labels", []), "raw_labels", error)),
+                tuple(map(tuple, refs)))
 
 
-def _parse_edge(record: dict, line_no: int) -> Edge:
-    kind_raw, src, dst = _require(record, ("kind", "from", "to"), line_no)
-    kind = member(kind_raw, "edge kind", EdgeKind, partial(MalformedSnapshot, line_no))
-    if not isinstance(src, str) or not isinstance(dst, str):
-        _fail(line_no, "edge from and to must be node id strings")
+def _parse_edge(record: dict, error) -> Edge:
+    kind = member(record.get("kind"), "edge kind", EdgeKind, error)
+    label = None
     if kind is EdgeKind.FACT:
-        [label] = _require(record, ("label",), line_no)
-        if not isinstance(label, str) or not label:
-            _fail(line_no, "fact edge label must be a non-empty string")
-    else:
-        if "label" in record:
-            _fail(line_no, f"{kind.value} edges carry no label")
-        label = None
-    return Edge(kind, src, dst, label)
+        label = string(record.get("label"), "fact edge label", error)
+    elif "label" in record:
+        raise error(f"{kind.value} edges carry no label")
+    return Edge(kind, string(record.get("from"), "edge from", error),
+                string(record.get("to"), "edge to", error), label)

@@ -15,23 +15,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .checks import integer, number
 from .errors import EmptyGraph, NotAConcept, NotAHierarchyNode
 from .kg import EdgeKind, GraphView, KnowledgeGraph, NodeKind
 
 
-@dataclass
+@dataclass(frozen=True)  # hashable: a config is its own memo key
 class PageRankConfig:
     damping: float = 0.85
     tol: float = 1e-9
     max_iter: int = 1000
 
     def __post_init__(self):
-        if not 0 < self.damping < 1:
-            raise ValueError(f"damping must be in (0, 1), got {self.damping}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        number(self.damping, "damping", above=0, below=1)
+        number(self.tol, "tol", above=0)
+        integer(self.max_iter, "max_iter", low=1)
+
+
+DEFAULT_CONFIG = PageRankConfig()
 
 
 @dataclass
@@ -42,10 +43,9 @@ class PageRankResult:
 
 
 def pagerank(graph: KnowledgeGraph | GraphView,
-             config: PageRankConfig | None = None) -> PageRankResult:
+             config: PageRankConfig = DEFAULT_CONFIG) -> PageRankResult:
     """Fixed-point scores for every node, computed afresh; deterministic for
     a given graph and config (fixed node order, fixed summation order)."""
-    config = config or PageRankConfig()
     view = graph.view()
     if not view.nodes:
         raise EmptyGraph(f"graph {view.subject!r} has no nodes")
@@ -82,13 +82,11 @@ def pagerank(graph: KnowledgeGraph | GraphView,
 
 
 def cached_pagerank(graph: KnowledgeGraph | GraphView,
-                    config: PageRankConfig | None = None) -> PageRankResult:
+                    config: PageRankConfig = DEFAULT_CONFIG) -> PageRankResult:
     """``pagerank`` of the current revision, computed once per revision and
     config and shared by every caller; treat the result as read-only."""
-    config = config or PageRankConfig()
     view = graph.view()
-    return view.memo(("pagerank", config.damping, config.tol, config.max_iter),
-                     lambda: pagerank(view, config))
+    return view.memo(("pagerank", config), lambda: pagerank(view, config))
 
 
 def _chapter_and_descendants(view: GraphView, chapter: str) -> set[str]:
@@ -105,24 +103,22 @@ def _chapter_and_descendants(view: GraphView, chapter: str) -> set[str]:
 
 
 def _by_score(view: GraphView, node_ids: set[str],
-              config: PageRankConfig | None) -> list[tuple[str, float]]:
+              config: PageRankConfig) -> list[tuple[str, float]]:
     scores = cached_pagerank(view, config).scores
     ranked = [(nid, scores[nid]) for nid in node_ids]
     ranked.sort(key=lambda pair: (-pair[1], pair[0]))
     return ranked
 
 
-def _cached_ranking(view: GraphView, kind: str, node_id: str, config: PageRankConfig | None,
+def _cached_ranking(view: GraphView, kind: str, node_id: str, config: PageRankConfig,
                     members) -> list[tuple[str, float]]:
     """``members()`` ranked by ``_by_score``, once per revision, ranking
     kind, node and config; the stored list is shared, so callers copy it."""
-    config = config or PageRankConfig()
-    return view.memo((kind, node_id, config.damping, config.tol, config.max_iter),
-                     lambda: _by_score(view, members(), config))
+    return view.memo((kind, node_id, config), lambda: _by_score(view, members(), config))
 
 
 def rank_chapter_concepts(graph: KnowledgeGraph | GraphView, chapter: str,
-                          config: PageRankConfig | None = None) -> list[tuple[str, float]]:
+                          config: PageRankConfig = DEFAULT_CONFIG) -> list[tuple[str, float]]:
     """Concepts filed under a chapter (or its nested sub-chapters), highest
     score first; ties break on ascending node id."""
     view = graph.view()
@@ -138,15 +134,14 @@ def rank_chapter_concepts(graph: KnowledgeGraph | GraphView, chapter: str,
 
 
 def rank_concept_facts(graph: KnowledgeGraph | GraphView, concept: str, top_m: int,
-                       config: PageRankConfig | None = None) -> list[tuple[str, float]]:
+                       config: PageRankConfig = DEFAULT_CONFIG) -> list[tuple[str, float]]:
     """Text entities tied to a concept by is_a edges, ranked by the same
     whole-graph scores, truncated to the top ``top_m``."""
     view = graph.view()
     node = view.node(concept)
     if node.kind != NodeKind.CONCEPT:
         raise NotAConcept(f"{concept!r} is a {node.kind.value} node")
-    if top_m < 1:
-        raise ValueError(f"top_m must be >= 1, got {top_m}")
+    integer(top_m, "top_m", low=1)
     return _cached_ranking(view, "concept_facts", concept, config, lambda: {
         edge.src for edge in view.in_edges.get(concept, ()) if edge.kind == EdgeKind.IS_A
     })[:top_m]

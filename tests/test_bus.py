@@ -419,7 +419,7 @@ def test_frame_reader_takes_views_of_a_reused_buffer():
     rng = random.Random(6464)
     messages = [random_message(rng) for _ in range(4)]
     stream = b"".join(encode_frame(message) for message in messages)
-    assert FrameReader().feed(stream) == messages
+    assert list(FrameReader().feed(stream)) == messages
     buffer = bytearray(len(stream))
     view = memoryview(buffer)
     for cut in range(len(stream) + 1):
@@ -774,6 +774,72 @@ def test_tcp_bad_frame_gets_one_error_frame(data, code):
     assert raised == []
 
 
+def test_frame_reader_yields_the_good_frames_ahead_of_a_bad_one():
+    good = [Message("t/x", "", "s", seq, "good") for seq in range(2)]
+    frames = FrameReader().feed(b"".join(map(encode_frame, good)) + HUGE_INT_FRAME)
+    assert [next(frames), next(frames)] == good
+    with pytest.raises(MalformedFrame):
+        next(frames)
+
+
+def test_tcp_hub_publishes_the_good_frame_ahead_of_a_bad_one():
+    """The announce, a good frame and a bad one in one write: the hub
+    publishes the good frame, then answers with one error frame."""
+    bus = MessageBus()
+    watcher = bus.subscribe("watcher", "t/*")
+    server = TcpBusServer(bus)
+    server.start()
+    try:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(encode_frame(Message(tcp_module.ANNOUNCE_TOPIC, "a-1", "peer", 0,
+                                              {"name": "peer", "subscriptions": []}))
+                         + encode_frame(Message("t/x", "", "peer", 1, "good"))
+                         + HUGE_INT_FRAME)
+            received = b""
+            while chunk := sock.recv(65536):  # the hub closes after the error
+                received += chunk
+        published = watcher.get(timeout=5)
+    finally:
+        server.stop()
+        bus.close()
+    assert (published.topic, published.payload) == ("t/x", "good")
+    ack, error = FrameReader().feed(received)
+    assert (ack.topic, ack.payload["ok"]) == (tcp_module.ANNOUNCE_TOPIC, True)
+    assert (error.topic, error.payload["error_code"]) == ("system/errors", "malformed_frame")
+
+
+def test_tcp_client_takes_an_ack_that_shares_a_write_with_a_hostile_frame():
+    """The constructor gets the acknowledgement that arrives in one write
+    with a frame the codec cannot read, and the inbox then ends."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    ended = threading.Event()
+
+    def fake_hub():
+        conn, _ = listener.accept()
+        with conn:
+            reader = FrameReader()
+            while not list(reader.feed(conn.recv(65536))):  # the announce
+                pass
+            conn.sendall(encode_frame(Message(tcp_module.ANNOUNCE_TOPIC, "", "bus", 0,
+                                              {"ok": True, "name": "peer"}))
+                         + HUGE_INT_FRAME)
+            ended.wait(5)
+
+    hub = threading.Thread(target=fake_hub)
+    hub.start()
+    try:
+        client = TcpBusClient("127.0.0.1", listener.getsockname()[1], "peer", ["t/*"])
+        try:
+            assert client.get(timeout=5) is None
+        finally:
+            client.close()
+            client._thread.join(timeout=5)
+    finally:
+        ended.set()
+        hub.join(timeout=5)
+        listener.close()
+
+
 @pytest.mark.parametrize("data", [HUGE_INT_FRAME, DEEP_FRAME], ids=["huge_int", "deep"])
 def test_tcp_client_ends_its_inbox_on_a_hostile_frame(data):
     """A fake hub acknowledges the announce, sends one good frame and, once
@@ -786,7 +852,7 @@ def test_tcp_client_ends_its_inbox_on_a_hostile_frame(data):
         conn, _ = listener.accept()
         with conn:
             reader = FrameReader()
-            while not reader.feed(conn.recv(65536)):  # the announce
+            while not list(reader.feed(conn.recv(65536))):  # the announce
                 pass
             conn.sendall(encode_frame(Message(tcp_module.ANNOUNCE_TOPIC, "", "bus", 0,
                                               {"ok": True, "name": "peer"}))

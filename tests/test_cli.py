@@ -399,9 +399,11 @@ def test_config_file_supplies_defaults_flags_win(workspace, capsys, tmp_path):
      {"provider": {"model": "m"}}),
     (["agents", "run", "--duration", "0.1", "--extractor", "llm"],
      {"provider": {"endpoint": "https://x", "retries": "3"}}),
+    (["agents", "run", "--duration", "0.1", "--extractor", "llm"],
+     {"provider": {"endpoint": "ftp://x"}}),
     (["evaluate-item", "--item", "item.json"], {"rubric": 5}),
 ], ids=["config-list", "data-dir-number", "provider-without-endpoint",
-        "provider-retries-string", "rubric-number"])
+        "provider-retries-string", "provider-ftp-endpoint", "rubric-number"])
 def test_malformed_config_file_is_invalid_params(capsys, tmp_path, monkeypatch,
                                                  command, config):
     """Not the AttributeError, TypeError or KeyError traceback of the
@@ -473,6 +475,15 @@ def test_unknown_flag_exits_2(capsys):
         main(["rank", "--subject", "x", "--no-such-flag"])
     assert exc_info.value.code == 2
     assert "usage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("targets", [[], ["--chapter", "Ch 1", "--facts-of", "tree"]],
+                         ids=["neither", "both"])
+def test_rank_takes_exactly_one_of_chapter_and_facts_of(capsys, targets):
+    """Neither once ended in an AttributeError traceback."""
+    with pytest.raises(SystemExit) as exc_info:
+        main(["rank", "--subject", "x", *targets])
+    assert exc_info.value.code == 2
 
 
 def test_unknown_subcommand_exits_2():
@@ -549,3 +560,80 @@ def test_rank_missing_node_reports_unknown_node(workspace, capsys, flag, label):
                  "--data-dir", workspace["data_dir"]]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error_code"] == "unknown_node"
+
+
+@pytest.fixture
+def bio(tmp_path, monkeypatch):
+    """A one-chapter subject with two concepts, "tree" and "plant", and a
+    blueprint for it, in ``tmp_path``, the working directory."""
+    monkeypatch.chdir(tmp_path)
+    Path("ch1.txt").write_text(
+        "The oak supports the elm. The oak supports the ash. The oak supports the pine. "
+        "The elm needs the ash. The fern needs the moss. The fern needs the lichen. "
+        "The fern needs the sedge. The oak affects the fern.\n")
+    Path("lex.json").write_text(json.dumps({
+        "oak": ["tree"], "elm": ["tree"], "ash": ["tree"], "pine": ["tree"],
+        "fern": ["plant"], "moss": ["plant"], "lichen": ["plant"], "sedge": ["plant"]}))
+    Path("bp.json").write_text(json.dumps({"subject": "bio", "sections": [
+        {"chapter": "Ch 1", "count": 1, "tiers": {"basic": 1}}]}))
+    assert main(["ingest", "--data-dir", "kgdata", "--subject", "bio", "--doc", "ch1.txt",
+                 "--chapter", "Ch 1", "--lexicon", "lex.json"]) == 0
+    Path("items.csv").write_text("participant,q1,q2\np1,1,0\np2,1,1\np3,0,0\np4,0,1\n")
+    Path("absent-rubric.json").write_text(json.dumps({"rubric": "nothere.json"}))
+    Path("nul-rubric.json").write_text(json.dumps({"rubric": "a\u0000b"}))
+
+
+def _one_error_line(capsys, argv) -> str:
+    """The error code of a CLI run that must exit 1 with one JSON line on
+    stderr and nothing on stdout."""
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    return json.loads(line)["error_code"]
+
+
+RANK = ["rank", "--data-dir", "kgdata", "--subject", "bio"]
+
+
+@pytest.mark.parametrize("argv", [
+    RANK + ["--chapter", "Ch 1", "--damping", "2"],
+    RANK + ["--chapter", "Ch 1", "--damping", "1"],
+    RANK + ["--chapter", "Ch 1", "--max-iter", "0"],
+    RANK + ["--chapter", "Ch 1", "--tol", "nan"],
+    RANK + ["--chapter", "Ch 1", "--top", "-1"],
+    RANK + ["--chapter", "Ch 1", "--top", "0"],
+    RANK + ["--facts-of", "tree", "--top", "0"],
+], ids=["damping-2", "damping-1", "max-iter-0", "tol-nan", "top-minus-1", "top-0",
+        "facts-top-0"])
+def test_a_bad_rank_value_is_invalid_params(bio, capsys, monkeypatch, argv):
+    """Refused before any PageRank iteration runs, with one error line."""
+    import examgraph.ranking
+
+    def no_pagerank(*args):
+        raise AssertionError("PageRank ran")
+
+    monkeypatch.setattr(examgraph.ranking, "pagerank", no_pagerank)
+    assert _one_error_line(capsys, argv) == "invalid_params"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["graph", "stats", "--subject", "bio", "--config", "missing.json"], "invalid_params"),
+    (["graph", "stats", "--subject", "bio", "--config", "a\x00b"], "invalid_params"),
+    (["generate", "--data-dir", "kgdata", "--blueprint", "bp.json", "--rubric", "missing.json"],
+     "invalid_params"),
+    (["generate", "--data-dir", "kgdata", "--blueprint", "bp.json",
+      "--config", "absent-rubric.json"], "invalid_params"),
+    (["generate", "--data-dir", "kgdata", "--blueprint", "bp.json",
+      "--config", "nul-rubric.json"], "invalid_params"),
+    (["blueprint", "validate", "--blueprint", "missing.json"], "invalid_params"),
+    (["blueprint", "validate", "--blueprint", "."], "invalid_params"),
+    (["evaluate-item", "--item", "missing.json"], "malformed_item"),
+    (["analyze", "--responses", "items.csv", "--groups", "missing.json"], "invalid_params"),
+    (["ingest", "--data-dir", "kgdata", "--subject", "bio", "--doc", "ch1.txt", "--append",
+      "--lexicon", "missing.json"], "invalid_extraction"),
+], ids=["config", "config-nul", "rubric", "config-rubric", "config-rubric-nul", "blueprint",
+        "blueprint-directory", "item", "groups", "lexicon"])
+def test_a_json_file_that_cannot_be_read_ends_in_its_readers_code(bio, capsys, argv, code):
+    assert _one_error_line(capsys, argv) == code

@@ -5,7 +5,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from examgraph.errors import AuthError, GatewayTimeout, MalformedResponse, RateLimited
+from examgraph.errors import (
+    AuthError, GatewayTimeout, InvalidParams, MalformedResponse, RateLimited)
 from examgraph.gateway import (
     MAX_RESPONSE_BYTES,
     CompletionRequest,
@@ -255,6 +256,21 @@ def test_request_validation():
         CompletionRequest("sys", "user", timeout=0)
     with pytest.raises(ValueError):
         ProviderConfig(endpoint="ftp://nope", model="m")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CompletionRequest("sys", "user", timeout=float("nan")),
+    lambda: CompletionRequest("sys", "user", timeout=True),
+    lambda: CompletionRequest("sys", "user", timeout=-1),
+    lambda: CompletionRequest("", "user"),
+    lambda: CompletionRequest("sys", ""),
+    lambda: ProviderConfig(endpoint="ftp://x", model="m"),
+], ids=["timeout-nan", "timeout-true", "timeout-negative", "empty-system", "empty-user",
+        "ftp-endpoint"])
+def test_a_bad_request_or_provider_value_is_invalid_params(make):
+    with pytest.raises(InvalidParams) as exc_info:
+        make()
+    assert exc_info.value.code == "invalid_params"
 
 
 # --- the deterministic mock ---

@@ -83,6 +83,19 @@ def test_allocate_counts_errors():
         allocate_counts([1.0], 0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: allocation_ratios([-1, 2]),
+    lambda: allocation_ratios([1.5, 2]),
+    lambda: allocation_ratios([True, 2]),
+    lambda: allocate_counts([1.0], 0),
+    lambda: allocate_counts([1.0], 2.0),
+], ids=["negative-count", "float-count", "bool-count", "zero-total", "float-total"])
+def test_a_bad_count_or_total_is_invalid_params(call):
+    with pytest.raises(InvalidParams) as exc_info:
+        call()
+    assert exc_info.value.code == "invalid_params"
+
+
 def test_allocate_counts_largest_remainder_properties():
     rng = random.Random(2)
     for _ in range(200):
@@ -182,6 +195,10 @@ def test_assemble_material_single_concept():
     assert bundle.concept_label == "tree"
     assert set(bundle.fact_labels) == {"oak", "pine"}
     assert ("oak", "outgrows", "pine") in bundle.sub_connections
+    for counts in ({"top_concepts": 0}, {"top_m_facts": 0}, {"top_m_facts": 2.0}):
+        with pytest.raises(InvalidParams) as exc_info:
+            assemble_material(graph, chapter, **counts)
+        assert exc_info.value.code == "invalid_params"
 
 
 def test_assemble_material_selects_top_ranked_concepts(corpus):

@@ -421,43 +421,44 @@ MALFORMED_SNAPSHOTS = {
     "blank-lines-only": ("\n \n", 0, "empty snapshot"),
     "invalid-json": ([_record(HEADER), "{"], 2,
                      "record is not JSON: Expecting property name enclosed in double quotes"),
-    "not-an-object": ([_record(HEADER), "[1]"], 2, "record is not an object"),
+    "not-an-object": ([_record(HEADER), "[1]"], 2, "record must be a JSON object, got [1]"),
     "no-header": (NODES, 1, "first record must be the header"),
     "unknown-format": (_header(format="x"), 1, "unknown format 'x'"),
-    "unsupported-version": (_header(version=2), 1, "unsupported version 2"),
-    "version-true": (_header(version=True), 1, "unsupported version True"),
-    "version-float": (_header(version=1.0), 1, "unsupported version 1.0"),
-    "no-subject": (_header(subject=DROP), 1, "missing key 'subject'"),
+    "unsupported-version": (_header(version=2), 1, "version must be an integer in 1..1, got 2"),
+    "version-true": (_header(version=True), 1, "version must be an integer in 1..1, got True"),
+    "version-float": (_header(version=1.0), 1, "version must be an integer in 1..1, got 1.0"),
+    "no-subject": (_header(subject=DROP), 1, "header subject must be a string, got None"),
     "blank-subject": (_header(subject=" "), 1, "header subject must be a non-empty string"),
     "second-header": (_header() * 2, 2, "unexpected second header"),
     "unknown-type": ([_record(HEADER), '{"type":"x"}'], 2, "unknown record type 'x'"),
     "no-type": ([_record(HEADER), "{}"], 2, "unknown record type None"),
-    "node-no-id": (_node(id=DROP), 2, "missing key 'id'"),
-    "node-no-kind": (_node(kind=DROP), 2, "missing key 'kind'"),
-    "node-no-label": (_node(label=DROP), 2, "missing key 'label'"),
+    "node-no-id": (_node(id=DROP), 2, "node id must be a string, got None"),
+    "node-no-kind": (_node(kind=DROP), 2, "unknown node kind None"),
+    "node-no-label": (_node(label=DROP), 2, "node label must be a string, got None"),
     "node-unknown-kind": (_node(kind="fact"), 2, "unknown node kind 'fact'"),
     "node-list-kind": (_node(kind=["text"]), 2, "unknown node kind ['text']"),
-    "node-int-id": (_node(id=2), 2, "node id must be a non-empty string"),
-    "node-empty-label": (_node(label=""), 2, "node label must be a non-empty string"),
+    "node-int-id": (_node(id=2), 2, "node id must be a string, got 2"),
+    "node-empty-label": (_node(label=""), 2, "label '' is empty after normalization"),
     "node-blank-label": (_node(label=" "), 2, "label ' ' is empty after normalization"),
-    "node-raw-labels": (_node(raw_labels=["x", 1]), 2, "raw_labels must be a list of strings"),
-    "node-source-refs": (_node(source_refs="d"), 2, "source_refs must be a list"),
+    "node-raw-labels": (_node(raw_labels=["x", 1]), 2,
+                        "raw_labels must be a list of strings, got ['x', 1]"),
+    "node-source-refs": (_node(source_refs="d"), 2, "source_refs must be a list, got 'd'"),
     "node-short-ref": (_node(source_refs=[["d"]]), 2, "bad source_ref ['d']"),
     "node-bool-ref": (_node(source_refs=[["d", True]]), 2, "bad source_ref ['d', True]"),
     "node-duplicate-id": ([*_edge()[:3], _record(NODE, id="n0")], 4,
                           "duplicate node 'n0' (concept, 'c')"),
     "node-duplicate-label": ([*_edge()[:3], _record(NODE, kind="text", label="A")], 4,
                              "duplicate node 'n2' (text, 'a')"),
-    "edge-no-kind": (_edge(kind=DROP), 4, "missing key 'kind'"),
-    "edge-no-from": (_edge(**{"from": DROP}), 4, "missing key 'from'"),
-    "edge-no-to": (_edge(to=DROP), 4, "missing key 'to'"),
+    "edge-no-kind": (_edge(kind=DROP), 4, "unknown edge kind None"),
+    "edge-no-from": (_edge(**{"from": DROP}), 4, "edge from must be a string, got None"),
+    "edge-no-to": (_edge(to=DROP), 4, "edge to must be a string, got None"),
     "edge-unknown-kind": (_edge(kind="text"), 4, "unknown edge kind 'text'"),
     "edge-list-kind": (_edge(kind=["fact"]), 4, "unknown edge kind ['fact']"),
-    "edge-no-label": (_edge(label=DROP), 4, "missing key 'label'"),
-    "edge-empty-label": (_edge(label=""), 4, "fact edge label must be a non-empty string"),
+    "edge-no-label": (_edge(label=DROP), 4, "fact edge label must be a string, got None"),
+    "edge-empty-label": (_edge(label=""), 4, "relation '' is empty after normalization"),
     "edge-label-on-link": (_edge(kind="is_a"), 4, "is_a edges carry no label"),
-    "edge-list-from": (_edge(**{"from": ["n0"]}), 4, "edge from and to must be node id strings"),
-    "edge-int-to": (_edge(to=0), 4, "edge from and to must be node id strings"),
+    "edge-list-from": (_edge(**{"from": ["n0"]}), 4, "edge from must be a string, got ['n0']"),
+    "edge-int-to": (_edge(to=0), 4, "edge to must be a string, got 0"),
     "edge-unknown-node": (_edge(to="n9"), 4, "no node 'n9' in graph 's'"),
     "edge-before-its-node": ([*_edge(to="nX"), _record(NODE, id="nX", kind="text", label="x")],
                              4, "no node 'nX' in graph 's'"),
@@ -470,7 +471,8 @@ MALFORMED_SNAPSHOTS = {
     "bad-record-then-invalid-json": ([_record(HEADER), '{"type":"x"}', "{"], 3,
                                      "record is not JSON: Expecting property name "
                                      "enclosed in double quotes"),
-    "no-header-then-not-an-object": ([*NODES, "[1]"], 3, "record is not an object"),
+    "no-header-then-not-an-object": ([*NODES, "[1]"], 3,
+                                     "record must be a JSON object, got [1]"),
 }
 
 

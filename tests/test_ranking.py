@@ -1,9 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 import examgraph.ranking as ranking_module
-from examgraph.errors import EmptyGraph, NotAConcept, NotAHierarchyNode
+from examgraph.errors import EmptyGraph, InvalidParams, NotAConcept, NotAHierarchyNode
 from examgraph.kg import EdgeKind, KnowledgeGraph, NodeKind
 from examgraph.ranking import (
     PageRankConfig,
@@ -50,6 +51,35 @@ def test_config_validation():
         PageRankConfig(tol=0)
     with pytest.raises(ValueError):
         PageRankConfig(max_iter=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("damping", 1), ("damping", 0.0), ("damping", 2.0), ("damping", float("nan")),
+    ("tol", float("nan")), ("tol", 0), ("tol", "1e-9"),
+    ("max_iter", True), ("max_iter", 0), ("max_iter", 10.0),
+])
+def test_a_bad_config_value_is_invalid_params(field, value):
+    with pytest.raises(InvalidParams) as exc_info:
+        PageRankConfig(**{field: value})
+    assert exc_info.value.code == "invalid_params"
+    assert str(exc_info.value).startswith(f"{field} must be ")
+
+
+def test_config_is_frozen_and_equal_configs_are_one_key():
+    config = PageRankConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.damping = 0.5
+    assert config == ranking_module.DEFAULT_CONFIG
+    assert hash(config) == hash(PageRankConfig(0.85, 1e-9, 1000))
+
+
+def test_rank_concept_facts_refuses_a_top_m_below_one():
+    graph = KnowledgeGraph("g")
+    concept = graph.upsert_entity("tree", NodeKind.CONCEPT)
+    for top_m in (0, -1, True):
+        with pytest.raises(InvalidParams) as exc_info:
+            rank_concept_facts(graph, concept, top_m)
+        assert exc_info.value.code == "invalid_params"
 
 
 def test_empty_graph_rejected():

@@ -152,6 +152,15 @@ def test_pagerank_memo_is_keyed_by_config():
     assert cached_pagerank(graph, ranking.PageRankConfig()) is default
 
 
+def test_the_default_and_an_equal_config_share_one_memo_entry(monkeypatch):
+    graph = small_graph()
+    calls = counting_pagerank(monkeypatch)
+    default = cached_pagerank(graph)
+    assert cached_pagerank(graph, ranking.PageRankConfig()) is default
+    assert cached_pagerank(graph, ranking.PageRankConfig(0.85, 1e-9, 1000)) is default
+    assert len(calls) == 1
+
+
 def test_readers_beside_a_writer_never_raise():
     registry, _, _ = build_registry("envsci", ROOTS_A, chapters=1)
     graph = registry.get("envsci")
