@@ -6,16 +6,3 @@ from . import assessment, bus, errors, gateway, generation, ingestion, kg
 from . import psychometrics, ranking
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "assessment",
-    "bus",
-    "errors",
-    "gateway",
-    "generation",
-    "ingestion",
-    "kg",
-    "psychometrics",
-    "ranking",
-    "__version__",
-]

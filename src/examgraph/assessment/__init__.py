@@ -24,29 +24,3 @@ from .rubric import (
     validate_overrides,
     weighted_difficulty,
 )
-
-__all__ = [
-    "BloomLevel",
-    "DEFAULT_BLOOM_VERBS",
-    "DEFAULT_EPSILON",
-    "DEFAULT_TAU",
-    "DEFAULT_THRESHOLDS",
-    "DEFAULT_TIERS",
-    "DifficultyTier",
-    "EvaluationResult",
-    "FEATURE_ORDER",
-    "FeatureId",
-    "IrtParams",
-    "RubricConfig",
-    "UNIT_WEIGHTS",
-    "bloom_profile",
-    "build_lexicon",
-    "classify_bloom",
-    "irt_probability",
-    "measure_features",
-    "rate_features",
-    "total_difficulty",
-    "validate_gate",
-    "validate_overrides",
-    "weighted_difficulty",
-]

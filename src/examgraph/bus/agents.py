@@ -1,5 +1,7 @@
 """Agent harness: a named handler with its own worker thread, fed by one or
-more bus subscriptions. Handlers run single-threaded with respect to their
+more bus subscriptions. The worker calls ``handler(message)`` and publishes
+what it returns under the agent's name; an agent keeps any state in its
+handler's closure. Handlers run single-threaded with respect to their
 agent; distinct agents run concurrently. Handler exceptions are reported on
 ``system/errors`` and never kill the worker."""
 
@@ -7,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from .core import Message, MessageBus
@@ -27,7 +29,7 @@ class Outgoing:
     correlation_id: str | None = None
 
 
-Handler = Callable[["AgentContext", Message], Iterable[Outgoing] | None]
+Handler = Callable[[Message], Iterable[Outgoing] | None]
 
 
 @dataclass
@@ -37,23 +39,11 @@ class AgentDescriptor:
     handler: Handler
 
 
-@dataclass
-class AgentContext:
-    bus: MessageBus
-    name: str
-    state: dict = field(default_factory=dict)
-
-    def publish(self, topic: str, payload: Any, correlation_id: str = "") -> int:
-        return self.bus.publish(topic, payload, sender=self.name,
-                                correlation_id=correlation_id)
-
-
 class AgentHandle:
     def __init__(self, bus: MessageBus, descriptor: AgentDescriptor):
         self.bus = bus
         self.descriptor = descriptor
         self.name = descriptor.name
-        self.context = AgentContext(bus=bus, name=descriptor.name)
         self._inbox = bus.new_queue()
         self._subscriptions = []
         self._thread = threading.Thread(target=self._run,
@@ -77,20 +67,21 @@ class AgentHandle:
 
     def _dispatch(self, message: Message) -> None:
         try:
-            outgoing = self.descriptor.handler(self.context, message) or ()
+            outgoing = self.descriptor.handler(message) or ()
             for out in outgoing:
                 correlation = (out.correlation_id if out.correlation_id is not None
                                else message.correlation_id)
-                self.context.publish(out.topic, out.payload, correlation)
+                self.bus.publish(out.topic, out.payload, sender=self.name,
+                                 correlation_id=correlation)
         except Exception as exc:
             logger.exception("agent %s failed handling %s", self.name, message.topic)
             try:
-                self.context.publish("system/errors", {
+                self.bus.publish("system/errors", {
                     "error_code": getattr(exc, "code", "agent_error"),
                     "agent": self.name,
                     "topic": message.topic,
                     "message": str(exc),
-                }, message.correlation_id)
+                }, sender=self.name, correlation_id=message.correlation_id)
             except Exception:
                 pass  # bus may be closing
 

@@ -41,7 +41,7 @@ GeneratorFactory = Callable[..., object]  # (graph, seed) -> Generator
 
 
 def _file_extraction_agent(max_chars: int, extractor) -> AgentDescriptor:
-    def handler(ctx, message):
+    def handler(message):
         payload = obj(message.payload, "ingest/request")
         append = boolean(payload.get("append", False), "append")
         doc = obj(payload.get("doc"), "doc")
@@ -69,7 +69,7 @@ def _file_extraction_agent(max_chars: int, extractor) -> AgentDescriptor:
 
 
 def _kg_management_agent(registry: GraphRegistry) -> AgentDescriptor:
-    def handler(ctx, message):
+    def handler(message):
         payload = obj(message.payload, message.topic)
         if message.topic == "kg/assert":
             report = apply_extractions(
@@ -115,7 +115,9 @@ def _answer_query(registry: GraphRegistry, payload: dict) -> dict:
 def _question_generation_agent(registry: GraphRegistry,
                                generator_factory: GeneratorFactory,
                                rubric: RubricConfig) -> AgentDescriptor:
-    def handler(ctx, message):
+    sessions: dict[str, ExamSession] = {}  # by request id; read by this agent's thread only
+
+    def handler(message):
         payload = obj(message.payload, message.topic)
         if message.topic == "exam/request":
             request_id = message.correlation_id or f"{message.sender}-{message.seq}"
@@ -126,11 +128,11 @@ def _question_generation_agent(registry: GraphRegistry,
             # absent settings take ExamSession's defaults; it checks the others
             knobs = {key: payload[key] for key in
                      ("top_concepts", "top_m_facts", "max_retries") if key in payload}
-            session = ctx.state[request_id] = ExamSession(
+            session = sessions[request_id] = ExamSession(
                 graph, blueprint, generator, rubric, seed=seed, **knobs)
         else:
             request_id = message.correlation_id
-            session = ctx.state.get(request_id)
+            session = sessions.get(request_id)
             pending = session.pending if session is not None else None
             if pending is None:
                 return []
@@ -142,7 +144,7 @@ def _question_generation_agent(registry: GraphRegistry,
                                   EvaluationResult.from_dict(payload.get("evaluation")))
         candidate = session.next_candidate()
         if candidate is None:
-            del ctx.state[request_id]
+            del sessions[request_id]
             return [Outgoing("exam/complete", session.build_exam().to_dict(),
                              correlation_id=request_id)]
         return [Outgoing("exam/candidate", {
@@ -159,7 +161,7 @@ def _question_generation_agent(registry: GraphRegistry,
 
 def _question_evaluation_agent(registry: GraphRegistry,
                                rubric: RubricConfig) -> AgentDescriptor:
-    def handler(ctx, message):
+    def handler(message):
         payload = obj(message.payload, "exam/candidate")
         candidate = obj(payload.get("candidate"), "candidate")
         target = candidate.get("target")
@@ -181,7 +183,7 @@ def _question_evaluation_agent(registry: GraphRegistry,
 
 
 def _llm_agent(complete_fn: CompleteFn) -> AgentDescriptor:
-    def handler(ctx, message):
+    def handler(message):
         try:
             payload = obj(message.payload, "llm/request")
             text = complete_fn(string(payload.get("system_prompt"), "system_prompt"),

@@ -5,8 +5,9 @@ returns the value as the type the caller reads or raises an error that names
 the field and the value. Values pass through as JSON gave them; only
 ``number`` converts. Messages are built on failure only: some checks run for
 every graded candidate. ``json_value`` is the one door for JSON text from
-outside and ``json_file`` for a JSON file, so each reader (frame, snapshot,
-reply, file) fails with its own code, never a bare ValueError or OSError."""
+outside, ``json_file`` for a JSON file and ``text_file`` for any other text
+file, so each reader (frame, snapshot, reply, file) fails with its own code,
+never a bare ValueError or OSError."""
 
 from __future__ import annotations
 
@@ -33,6 +34,15 @@ def json_file(path, what: str, error=InvalidParams):
     except (OSError, ValueError) as exc:  # ValueError: a NUL or lone surrogate in the path
         raise error(f"cannot read {what}: {exc}") from None
     return json_value(data, what, error)
+
+
+def text_file(path, what: str, error=InvalidParams) -> str:
+    """The UTF-8 text of the file at ``path``, read with universal newlines;
+    a file that cannot be read, or whose bytes are not UTF-8, raises ``error``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: a bad path, or UnicodeDecodeError
+        raise error(f"cannot read {what}: {exc}") from None
 
 
 def obj(value, field: str, error=InvalidParams) -> dict:

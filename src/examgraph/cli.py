@@ -23,7 +23,7 @@ except ImportError:  # not POSIX: SnapshotStore.locked takes no lock
     fcntl = None
 
 from .assessment import DifficultyTier, RubricConfig
-from .checks import integer, json_file, obj, string
+from .checks import integer, json_file, obj, string, text_file
 from .errors import (
     ExamGraphError, InsufficientMaterial, MalformedItem, SubjectCollision, UnknownNode)
 from .gateway import ProviderConfig, completion_fn
@@ -200,7 +200,7 @@ def cmd_ingest(args) -> int:
         doc_id=args.doc_id or doc_path.name,
         subject=args.subject,
         chapter_path=chapters,
-        body=doc_path.read_text(encoding="utf-8"),
+        body=text_file(doc_path, "document"),
         format=fmt,
     )
     with store.locked(args.subject):
@@ -301,7 +301,7 @@ def cmd_evaluate_item(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    matrix = ResponseMatrix.from_csv(Path(args.responses).read_text(encoding="utf-8"))
+    matrix = ResponseMatrix.from_csv(text_file(args.responses, "responses"))
     groups = None
     if args.groups:
         groups = obj(json_file(args.groups, "groups"), "groups")

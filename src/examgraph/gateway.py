@@ -17,7 +17,7 @@ from typing import Callable
 
 from .checks import json_value, number, string
 from .errors import AuthError, GatewayTimeout, InvalidParams, MalformedResponse, RateLimited
-from .textutils import naive_svo, split_sentences
+from .ingestion import RuleExtractor
 
 # a chat completion of max_tokens 512 is a few KiB
 MAX_RESPONSE_BYTES = 1 << 20
@@ -159,11 +159,8 @@ def mock_complete(seed: int, request: CompletionRequest) -> str:
 
 
 def _mock_extraction(text: str) -> str:
-    triples = []
-    for sentence in split_sentences(text):
-        match = naive_svo(sentence)
-        if match:
-            triples.append(list(match))
+    """The rule extractor's triples, with no concepts, as an extraction reply."""
+    triples = [list(t) for t in RuleExtractor().extract(text).triples]
     return json.dumps({"triples": triples, "concepts": {}}, ensure_ascii=False)
 
 

@@ -24,27 +24,3 @@ from .generator import (
     generate_candidate,
 )
 from .material import MaterialBundle, assemble_material
-
-__all__ = [
-    "BlueprintSection",
-    "Candidate",
-    "DEFAULT_TIER_BLOOM",
-    "Exam",
-    "ExamBlueprint",
-    "ExamSession",
-    "GENERATION_SYSTEM_PROMPT",
-    "Generator",
-    "LLMGenerator",
-    "MaterialBundle",
-    "Provenance",
-    "QuestionItem",
-    "SlotRef",
-    "TIER_ORDER",
-    "TemplateGenerator",
-    "allocate_counts",
-    "allocation_ratios",
-    "assemble_material",
-    "generate_candidate",
-    "generate_exam",
-    "pretty_json",
-]

@@ -16,22 +16,3 @@ from .itemstats import (
     item_p_values,
 )
 from .report import analyze
-
-__all__ = [
-    "AnovaResult",
-    "EffectStats",
-    "ResponseMatrix",
-    "TwoWayAnovaResult",
-    "analyze",
-    "f_survival",
-    "item_discrimination",
-    "item_discriminations",
-    "item_p_value",
-    "item_p_values",
-    "levene_test",
-    "one_way_anova",
-    "pairwise_welch_bonferroni",
-    "reg_incomplete_beta",
-    "t_survival_two_sided",
-    "two_way_anova",
-]

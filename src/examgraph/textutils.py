@@ -1,5 +1,5 @@
-"""Small deterministic text helpers shared by ingestion, assessment and the
-mock gateway: label normalization, tokenizing, stopwords, and the naive
+"""Small deterministic text helpers shared by ingestion, the graph, generation
+and assessment: label normalization, tokenizing, stopwords, and the naive
 subject-verb-object sentence heuristic."""
 
 from __future__ import annotations

@@ -262,7 +262,7 @@ def test_closed_bus_rejects_publish():
 def test_echo_agent_round_trip():
     bus = MessageBus()
 
-    def echo(ctx, message):
+    def echo(message):
         return [Outgoing("echo/reply", message.payload)]
 
     agent = spawn_agent(bus, AgentDescriptor("echo", ["echo/request"], echo))
@@ -278,10 +278,10 @@ def test_echo_agent_round_trip():
 
 def test_duplicate_agent_name_rejected():
     bus = MessageBus()
-    agent = spawn_agent(bus, AgentDescriptor("worker", ["a/b"], lambda c, m: None))
+    agent = spawn_agent(bus, AgentDescriptor("worker", ["a/b"], lambda m: None))
     try:
         with pytest.raises(DuplicateName):
-            spawn_agent(bus, AgentDescriptor("worker", ["a/c"], lambda c, m: None))
+            spawn_agent(bus, AgentDescriptor("worker", ["a/c"], lambda m: None))
     finally:
         agent.stop()
 
@@ -290,7 +290,7 @@ def test_stopped_agent_gets_no_further_invocations():
     bus = MessageBus()
     seen = []
 
-    def handler(ctx, message):
+    def handler(message):
         seen.append(message.payload)
 
     agent = spawn_agent(bus, AgentDescriptor("taker", ["work/items"], handler))
@@ -306,7 +306,7 @@ def test_stopped_agent_gets_no_further_invocations():
 def test_agent_handler_error_reported_not_fatal():
     bus = MessageBus()
 
-    def handler(ctx, message):
+    def handler(message):
         if message.payload == "boom":
             raise RuntimeError("handler exploded")
         return [Outgoing("ok/out", message.payload)]
@@ -327,7 +327,7 @@ def test_agent_inbox_takes_the_bus_queue_capacity():
     started, release = threading.Event(), threading.Event()
     seen = []
 
-    def handler(ctx, message):
+    def handler(message):
         seen.append(message.payload)
         started.set()
         release.wait(timeout=5)
@@ -348,9 +348,9 @@ def test_agent_inbox_takes_the_bus_queue_capacity():
 
 def test_agent_name_freed_after_stop():
     bus = MessageBus()
-    agent = spawn_agent(bus, AgentDescriptor("temp", ["a/b"], lambda c, m: None))
+    agent = spawn_agent(bus, AgentDescriptor("temp", ["a/b"], lambda m: None))
     agent.stop()
-    spawn_agent(bus, AgentDescriptor("temp", ["a/b"], lambda c, m: None)).stop()
+    spawn_agent(bus, AgentDescriptor("temp", ["a/b"], lambda m: None)).stop()
 
 
 # --- codec ---

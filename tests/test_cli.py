@@ -637,3 +637,42 @@ def test_a_bad_rank_value_is_invalid_params(bio, capsys, monkeypatch, argv):
         "blueprint-directory", "item", "groups", "lexicon"])
 def test_a_json_file_that_cannot_be_read_ends_in_its_readers_code(bio, capsys, argv, code):
     assert _one_error_line(capsys, argv) == code
+
+
+INGEST = ["ingest", "--data-dir", "kgdata", "--subject", "bio", "--append", "--doc"]
+
+
+@pytest.mark.parametrize("argv", [
+    INGEST + ["nothere.txt"],
+    INGEST + ["latin1.txt"],
+    ["analyze", "--responses", "nothere.csv"],
+    ["analyze", "--responses", "latin1.txt"],
+], ids=["doc", "doc-not-utf8", "responses", "responses-not-utf8"])
+def test_a_text_file_that_cannot_be_read_is_invalid_params(bio, capsys, argv):
+    """A document or response file that is missing or not UTF-8 is refused
+    before the snapshot is touched."""
+    Path("latin1.txt").write_bytes(b"The \xff oak supports the elm.\n")
+    snapshot = Path("kgdata", "bio.kg.jsonl").read_bytes()
+    assert _one_error_line(capsys, argv) == "invalid_params"
+    assert Path("kgdata", "bio.kg.jsonl").read_bytes() == snapshot
+
+
+def test_analyze_reads_crlf_responses_by_the_fast_path(bio, capsys, monkeypatch):
+    """Universal newlines hand ``from_csv`` the text with ``\\n`` line ends, so
+    the packed-row reader takes it and the report is the LF file's."""
+    import examgraph.psychometrics.itemstats as itemstats
+
+    binary_rows, packed = itemstats._binary_rows, []
+
+    def spy(text, width):
+        packed.append(binary_rows(text, width))
+        return packed[-1]
+
+    monkeypatch.setattr(itemstats, "_binary_rows", spy)
+    Path("crlf.csv").write_bytes(Path("items.csv").read_bytes().replace(b"\n", b"\r\n"))
+    reports = []
+    for name in ("items.csv", "crlf.csv"):
+        assert main(["analyze", "--responses", name]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert len(packed) == 2 and None not in packed

@@ -289,6 +289,17 @@ def test_mock_extraction_shape():
     assert reply["concepts"] == {}
 
 
+def test_mock_extraction_gives_the_rule_extractors_triples():
+    from examgraph.ingestion import EXTRACTION_SYSTEM_PROMPT, RuleExtractor
+
+    text = ("The oak supports the elm! Pollution harms the river. No verb here? "
+            "The fjäll needs the \"heather\".\nCO2 traps heat; wetlands filter water.")
+    reply = json.loads(mock_complete(3, CompletionRequest(EXTRACTION_SYSTEM_PROMPT, text)))
+    rule = RuleExtractor({}).extract(text)
+    assert len(rule.triples) >= 3
+    assert reply == {"triples": [list(t) for t in rule.triples], "concepts": {}}
+
+
 def test_mock_generation_shape_and_seed_variation():
     from examgraph.generation import GENERATION_SYSTEM_PROMPT
 

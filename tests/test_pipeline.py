@@ -494,6 +494,36 @@ def test_pipeline_exam_with_retries_matches_direct_call_bytes():
         json.dumps(direct.to_dict(), sort_keys=True).encode()
 
 
+def test_two_pipelines_keep_their_sessions_apart():
+    """Each pipeline's generation agent holds its own session table: two
+    exams under one correlation id, in flight at once on two buses, each
+    end in one exam/complete, the direct call's exam for its blueprint."""
+    cases = [(build_registry("envsci", ROOTS_A, chapters=3)[0], blueprint_dict("envsci", 3)),
+             (build_registry("geo", ROOTS_B, chapters=2)[0], blueprint_dict("geo", 2, 2, 2, 1))]
+    stacks = []
+    try:
+        for registry, spec in cases:
+            bus = MessageBus()
+            stacks.append((bus, run_pipeline(bus, registry, RuleExtractor()),
+                           bus.subscribe("watch", "exam/complete")))
+        for (bus, _, _), (_, spec) in zip(stacks, cases):
+            bus.publish("exam/request", {"blueprint": spec, "seed": 3},
+                        sender="client", correlation_id="same")
+        completes = [[sub.get(timeout=0.5)] + drain(sub, timeout=0.2) for _, _, sub in stacks]
+    finally:
+        for bus, pipeline, _ in stacks:
+            pipeline.stop()
+            bus.close()
+    for (registry, spec), messages in zip(cases, completes):
+        blueprint = ExamBlueprint.from_dict(spec)
+        direct = generate_exam(registry, blueprint,
+                               TemplateGenerator(registry.get(blueprint.subject), seed=3),
+                               seed=3)
+        assert [m.correlation_id for m in messages] == ["same"]
+        assert json.dumps(messages[0].payload, sort_keys=True) == \
+            json.dumps(direct.to_dict(), sort_keys=True)
+
+
 def test_one_bundle_slot_never_repeats_a_candidate():
     """With one material bundle, each retry of a slot takes the next
     template variant: no slot tries one (attempt, bundle_index) twice,
