@@ -75,15 +75,8 @@ class AgentHandle:
                                  correlation_id=correlation)
         except Exception as exc:
             logger.exception("agent %s failed handling %s", self.name, message.topic)
-            try:
-                self.bus.publish("system/errors", {
-                    "error_code": getattr(exc, "code", "agent_error"),
-                    "agent": self.name,
-                    "topic": message.topic,
-                    "message": str(exc),
-                }, sender=self.name, correlation_id=message.correlation_id)
-            except Exception:
-                pass  # bus may be closing
+            self.bus.report(exc, sender=self.name, correlation_id=message.correlation_id,
+                            agent=self.name, topic=message.topic)
 
     def stop(self) -> None:
         """Detach from the bus, drain messages already queued, then join."""

@@ -29,7 +29,8 @@ import threading
 from dataclasses import dataclass
 from typing import Any
 
-from ..errors import BadPattern, BusClosed, DuplicateName, WildcardPublish
+from ..errors import (
+    BadPattern, BusClosed, DuplicateName, QueueOverflow, WildcardPublish, error_report)
 
 _SEGMENT_RE = re.compile(r"^[a-z0-9_-]+$")
 
@@ -161,14 +162,22 @@ class MessageBus:
             delivered, overflowed = self._deliver(message)
             for sub in overflowed:
                 # a report that overflows too is dropped, never reported
-                self._deliver(self._stamp("system/errors", {
-                    "error_code": "queue_overflow",
-                    "subscriber": sub.agent,
-                    "pattern": sub.pattern,
-                    "dropped_topic": message.topic,
-                    "dropped_seq": message.seq,
-                }, "bus", ""))
+                self._deliver(self._stamp("system/errors", error_report(
+                    QueueOverflow(f"queue of {sub.agent!r} is full"),
+                    subscriber=sub.agent, pattern=sub.pattern,
+                    dropped_topic=message.topic, dropped_seq=message.seq,
+                ), "bus", ""))
             return delivered
+
+    def report(self, exc: BaseException, *, sender: str, correlation_id: str = "",
+               **context) -> None:
+        """Publish ``exc``'s error report on ``system/errors``; a closed bus
+        drops it."""
+        try:
+            self.publish("system/errors", error_report(exc, **context),
+                         sender=sender, correlation_id=correlation_id)
+        except BusClosed:
+            pass
 
     def _stamp(self, topic: str, payload: Any, sender: str,
                correlation_id: str) -> Message:
@@ -244,7 +253,3 @@ class MessageBus:
                 sub.active = False
         for sub in subs:
             _put_sentinel(sub.queue)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed

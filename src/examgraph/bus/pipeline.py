@@ -24,6 +24,7 @@ from typing import Callable
 
 from ..assessment import EvaluationResult, RubricConfig, build_lexicon
 from ..checks import array, boolean, integer, member, number, obj, string, strings
+from ..errors import BadQuery, error_report
 from ..gateway import completion_fn
 from ..generation import (
     ExamBlueprint,
@@ -105,11 +106,9 @@ def _answer_query(registry: GraphRegistry, payload: dict) -> dict:
                 }
                 for e, n in pairs
             ]}
-        return {"op": op, "error_code": "bad_query",
-                "message": f"unknown op {op!r}"}
+        raise BadQuery(f"unknown op {op!r}")
     except Exception as exc:
-        return {"op": op, "error_code": getattr(exc, "code", "error"),
-                "message": str(exc)}
+        return error_report(exc, op=op)
 
 
 def _question_generation_agent(registry: GraphRegistry,
@@ -190,10 +189,7 @@ def _llm_agent(complete_fn: CompleteFn) -> AgentDescriptor:
                                string(payload.get("user_prompt"), "user_prompt"))
             return [Outgoing("llm/reply", {"text": text})]
         except Exception as exc:
-            return [Outgoing("llm/reply", {
-                "error_code": getattr(exc, "code", "error"),
-                "message": str(exc),
-            })]
+            return [Outgoing("llm/reply", error_report(exc))]
 
     return AgentDescriptor("llm", ["llm/request"], handler)
 

@@ -3,7 +3,9 @@ clients, announce a name plus subscription patterns, then exchange frames.
 
 Discovery is connect-and-announce: the first frame on a connection must be
 topic ``system/announce`` with payload ``{"name": ..., "subscriptions":
-[...]}``. The hub replies on the same topic with ``{"ok": true/false}``.
+[...]}``. The hub replies on the same topic with ``{"ok": true, "name":
+...}``, or refuses with ``{"ok": false}`` and an error report and closes
+the connection.
 """
 
 from __future__ import annotations
@@ -17,10 +19,13 @@ import weakref
 from ..checks import strings
 from ..errors import (
     BadPattern,
+    BadSender,
     DuplicateName,
     ExamGraphError,
     FrameTooLarge,
     MalformedFrame,
+    ProtocolError,
+    error_report,
 )
 from .codec import FrameReader, encode_frame
 from .core import Message, MessageBus, validate_topic
@@ -161,13 +166,8 @@ class TcpBusServer:
                 weakref.finalize(message, self._frames.pop, key, None)
         if error is not None:
             logger.warning("dropping unencodable %s frame: %s", message.topic, error)
-            try:
-                self.bus.publish("system/errors", {
-                    "error_code": error.code, "message": str(error),
-                    "dropped_topic": message.topic,
-                }, sender="bus", correlation_id=message.correlation_id)
-            except ExamGraphError:
-                pass  # the bus has closed
+            self.bus.report(error, sender="bus", correlation_id=message.correlation_id,
+                            dropped_topic=message.topic)
         return frame
 
     def _read_loop(self, conn: _Connection) -> None:
@@ -180,9 +180,11 @@ class TcpBusServer:
                 if not size:
                     break
                 for message in reader.feed(view[:size]):
+                    if not conn.alive:  # refused: the frames behind go unread
+                        break
                     self._handle_frame(conn, message)
         except (MalformedFrame, FrameTooLarge) as exc:
-            self._send_error(conn, exc.code, str(exc))
+            self._send_error(conn, exc)
             conn.close(flush=True)
         except OSError:
             pass
@@ -192,48 +194,40 @@ class TcpBusServer:
                 if conn in self._connections:
                     self._connections.remove(conn)
 
-    def _send_error(self, conn: _Connection, code: str, text: str) -> None:
+    def _send_error(self, conn: _Connection, exc: ExamGraphError) -> None:
         conn.send_message(Message(topic="system/errors", correlation_id="",
-                                  sender="bus", seq=0,
-                                  payload={"error_code": code, "message": text}))
+                                  sender="bus", seq=0, payload=error_report(exc)))
 
     def _handle_frame(self, conn: _Connection, message: Message) -> None:
         if conn.name is None:
             self._handle_announce(conn, message)
             return
-        if message.sender != conn.name:
-            self._send_error(conn, "bad_sender",
-                             f"frames must carry sender {conn.name!r}")
-            return
         try:
+            if message.sender != conn.name:
+                raise BadSender(f"frames must carry sender {conn.name!r}")
             self.bus.publish(message.topic, message.payload,
                              sender=message.sender,
                              correlation_id=message.correlation_id)
         except ExamGraphError as exc:
-            self._send_error(conn, exc.code, str(exc))
+            self._send_error(conn, exc)
 
     def _handle_announce(self, conn: _Connection, message: Message) -> None:
-        if message.topic != ANNOUNCE_TOPIC:
-            self._send_error(conn, "protocol_error",
-                             "first frame must announce the agent")
-            conn.close(flush=True)
-            return
-        payload = message.payload if isinstance(message.payload, dict) else {}
-        name = payload.get("name")
-        patterns = payload.get("subscriptions", [])
-        if not isinstance(name, str) or not name:
-            self._send_error(conn, "protocol_error", "announce needs a name")
-            conn.close(flush=True)
-            return
+        """Register the peer, or refuse it on the announce topic and close."""
         try:
-            for pattern in strings(patterns, "subscriptions", BadPattern):
+            if message.topic != ANNOUNCE_TOPIC:
+                raise ProtocolError("first frame must announce the agent")
+            payload = message.payload if isinstance(message.payload, dict) else {}
+            name = payload.get("name")
+            if not isinstance(name, str) or not name:
+                raise ProtocolError("announce needs a name")
+            patterns = strings(payload.get("subscriptions", []), "subscriptions", BadPattern)
+            for pattern in patterns:
                 validate_topic(pattern, allow_wildcard=True)
             self.bus.claim_name(name)
-        except (BadPattern, DuplicateName) as exc:
+        except ExamGraphError as exc:
             conn.send_message(Message(
                 topic=ANNOUNCE_TOPIC, correlation_id=message.correlation_id,
-                sender="bus", seq=0,
-                payload={"ok": False, "error_code": exc.code, "message": str(exc)}))
+                sender="bus", seq=0, payload=error_report(exc, ok=False)))
             conn.close(flush=True)
             return
         conn.name = name
@@ -287,9 +281,8 @@ class TcpBusClient:
             self.close()
             raise MalformedFrame("hub did not acknowledge announce")
         if not ack.payload.get("ok"):
-            code = ack.payload.get("error_code", "protocol_error")
             self.close()
-            if code == "duplicate_name":
+            if ack.payload.get("error_code") == DuplicateName.code:
                 raise DuplicateName(ack.payload.get("message", name))
             raise MalformedFrame(ack.payload.get("message", "announce rejected"))
         self._sock.settimeout(None)

@@ -25,7 +25,8 @@ except ImportError:  # not POSIX: SnapshotStore.locked takes no lock
 from .assessment import DifficultyTier, RubricConfig
 from .checks import integer, json_file, obj, string, text_file
 from .errors import (
-    ExamGraphError, InsufficientMaterial, MalformedItem, SubjectCollision, UnknownNode)
+    ExamGraphError, InsufficientMaterial, InvalidParams, MalformedItem, SubjectCollision,
+    UnknownNode, error_report)
 from .gateway import ProviderConfig, completion_fn
 from .generation import (
     ExamBlueprint,
@@ -173,14 +174,17 @@ def _emit(data, out: str | None = None) -> None:
 
 
 def _write(payload: bytes, out: str | None) -> None:
-    if out:
-        Path(out).write_bytes(payload)
-    else:
+    if not out:
         sys.stdout.buffer.write(payload)
+        return
+    try:
+        Path(out).write_bytes(payload)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or lone surrogate in the path
+        raise InvalidParams(f"cannot write {out!r}: {exc}") from None
 
 
 def _emit_error(exc: Exception) -> None:
-    payload = {"error_code": getattr(exc, "code", "error"), "message": str(exc)}
+    payload = error_report(exc)
     if hasattr(exc, "line_no"):
         payload["line"] = exc.line_no
     sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")

@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all examgraph modules.
 
-Every error carries a stable ``code`` string so the CLI (and the agent
-runtime's ``system/errors`` topic) can emit machine-readable reports.
+Every error carries a stable ``code`` string, and this module declares every
+code the program reports. ``error_report`` turns any exception into the one
+report shape the CLI, the bus and the TCP hub emit; an exception that is no
+``ExamGraphError`` reports ``error``.
 """
 
 
@@ -9,6 +11,10 @@ class ExamGraphError(Exception):
     """Base for all domain errors raised by this package."""
 
     code = "error"
+
+
+def error_report(exc: BaseException, **context) -> dict:
+    return {"error_code": getattr(exc, "code", "error"), "message": str(exc), **context}
 
 
 # --- knowledge graph store ---
@@ -152,6 +158,22 @@ class BusClosed(ExamGraphError):
 
 class BadPattern(ExamGraphError):
     code = "bad_pattern"
+
+
+class QueueOverflow(ExamGraphError):
+    code = "queue_overflow"
+
+
+class BadQuery(ExamGraphError):
+    code = "bad_query"
+
+
+class BadSender(ExamGraphError):
+    code = "bad_sender"
+
+
+class ProtocolError(ExamGraphError):
+    code = "protocol_error"
 
 
 class DuplicateName(ExamGraphError):

@@ -18,7 +18,7 @@ from typing import Iterator
 
 from ..assessment import DifficultyTier, EvaluationResult, RubricConfig, build_lexicon
 from ..checks import integer
-from ..errors import ExamGraphError, NoConceptsInChapter
+from ..errors import ExamGraphError, InvalidParams, NoConceptsInChapter
 from ..kg import GraphRegistry, KnowledgeGraph, NodeKind
 from .blueprint import TIER_ORDER, ExamBlueprint
 from .generator import DEFAULT_TIER_BLOOM, Generator, QuestionItem, generate_candidate
@@ -423,7 +423,7 @@ class ExamSession:
         """Feed the verdict on the pending candidate to the loop; returns
         True when the item was accepted."""
         if candidate is not self.pending:
-            raise ValueError("record_result expects the pending candidate")
+            raise InvalidParams("record_result expects the pending candidate")
         self.pending = None
         return self._loop.send(result)
 

@@ -22,6 +22,7 @@ from .errors import (
     InvalidParams,
     SubjectCollision,
     UnsupportedFormat,
+    error_report,
 )
 from .kg import EdgeKind, GraphRegistry, KnowledgeGraph, NodeKind
 from .textutils import naive_svo, normalize_label, split_sentences
@@ -268,11 +269,6 @@ def extract_segment(segment: TextSegment, extractor: Extractor) -> ExtractionRes
     return validate_extraction(result)
 
 
-def _failure(index: int, exc: Exception) -> dict:
-    return {"segment": index, "error_code": getattr(exc, "code", "error"),
-            "message": str(exc)}
-
-
 def extract_document(document: SourceDocument, extractor: Extractor,
                      max_chars: int = 2000
                      ) -> tuple[int, list[tuple[int, ExtractionResult]], list[dict]]:
@@ -291,7 +287,7 @@ def extract_document(document: SourceDocument, extractor: Extractor,
         try:
             extractions.append((segment.index, extract_segment(segment, extractor)))
         except Exception as exc:  # keep going; long documents fail per segment
-            failures.append(_failure(segment.index, exc))
+            failures.append(error_report(exc, segment=segment.index))
     return len(segments), extractions, failures
 
 
@@ -364,7 +360,7 @@ def _assemble(registry: GraphRegistry, subject: str, doc_id: str,
         try:
             apply_extraction(graph, result, leaf, (doc_id, index), report)
         except Exception as exc:
-            report.failures.append(_failure(index, exc))
+            report.failures.append(error_report(exc, segment=index))
     return report
 
 
@@ -385,7 +381,7 @@ def apply_extractions(registry: GraphRegistry, subject: str, doc_id: str,
             extractions.append((index, validate_extraction(_extraction_from_json(
                 entry.get("triples", []), entry.get("concepts", {})))))
         except Exception as exc:
-            failures.append(_failure(index, exc))
+            failures.append(error_report(exc, segment=index))
     return _assemble(registry, subject, doc_id, chapter_path, extractions,
                      append=append, segments=segments, failures=failures)
 

@@ -56,10 +56,6 @@ class EffectStats:
     f_stat: float
     p: float
 
-    def to_dict(self) -> dict:
-        return {"effect": self.name, "ss": self.ss, "df": self.df,
-                "F": self.f_stat, "p": self.p}
-
 
 @dataclass
 class TwoWayAnovaResult:
@@ -70,17 +66,6 @@ class TwoWayAnovaResult:
     df_residual: int
     ss_total: float
     degenerate: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "factor_a": self.factor_a.to_dict(),
-            "factor_b": self.factor_b.to_dict(),
-            "interaction": self.interaction.to_dict(),
-            "ss_residual": self.ss_residual,
-            "df_residual": self.df_residual,
-            "ss_total": self.ss_total,
-            "degenerate": self.degenerate,
-        }
 
 
 def _check_groups(groups: list[Sample]) -> None:

@@ -25,6 +25,7 @@ from examgraph.bus import (
 )
 from examgraph.errors import (
     BadPattern,
+    BadQuery,
     BusClosed,
     DuplicateName,
     FrameTooLarge,
@@ -151,8 +152,10 @@ def test_overflow_drops_newest_and_reports():
         got.append(message.payload["n"])
     assert got == [0, 1, 2, 3, 4]  # newest dropped
     diag = errors.get(timeout=1)
-    assert diag.payload["error_code"] == "queue_overflow"
-    assert diag.payload["subscriber"] == "slow"
+    assert (diag.sender, diag.payload) == ("bus", {
+        "error_code": "queue_overflow", "message": "queue of 'slow' is full",
+        "subscriber": "slow", "pattern": "flood/data",
+        "dropped_topic": "flood/data", "dropped_seq": 6})
 
 
 class _LoggingQueue(queue.Queue):
@@ -257,6 +260,19 @@ def test_closed_bus_rejects_publish():
         bus.publish("a/b", {}, sender="x")
 
 
+def test_report_publishes_an_error_report_and_a_closed_bus_drops_it():
+    bus = MessageBus()
+    errors = bus.subscribe("monitor", "system/errors")
+    bus.report(BadQuery("unknown op 'x'"), sender="kg", correlation_id="c-1", op="x")
+    bus.report(RuntimeError("boom"), sender="kg")
+    reports = [errors.get(timeout=1) for _ in range(2)]
+    assert [(m.sender, m.correlation_id, m.payload) for m in reports] == [
+        ("kg", "c-1", {"error_code": "bad_query", "message": "unknown op 'x'", "op": "x"}),
+        ("kg", "", {"error_code": "error", "message": "boom"})]
+    bus.close()
+    assert bus.report(BadQuery("late"), sender="kg") is None
+
+
 # --- agents ---
 
 def test_echo_agent_round_trip():
@@ -316,7 +332,9 @@ def test_agent_handler_error_reported_not_fatal():
     outs = bus.subscribe("mon2", "ok/out")
     bus.publish("in/data", "boom", sender="x")
     bus.publish("in/data", "fine", sender="x")
-    assert errors.get(timeout=2).payload["agent"] == "shaky"
+    assert errors.get(timeout=2).payload == {
+        "error_code": "error", "message": "handler exploded",
+        "agent": "shaky", "topic": "in/data"}
     assert outs.get(timeout=2).payload == "fine"
     agent.stop()
 
@@ -739,14 +757,10 @@ HUGE_INT_FRAME = _frame_around("1" * 5000)
 DEEP_FRAME = _frame_around("[" * 100_000 + "]" * 100_000)
 
 
-@pytest.mark.parametrize("data, code", [
-    (b"\xff\xff\xff\xff", "frame_too_large"),  # declares a 4 GiB body
-    (b"\x00\x00\x00\x02{]", "malformed_frame"),
-    (HUGE_INT_FRAME, "malformed_frame"),
-    (DEEP_FRAME, "malformed_frame"),
-], ids=["too_large", "malformed", "huge_int", "deep"])
-def test_tcp_bad_frame_gets_one_error_frame(data, code):
-    bus = MessageBus()
+def _until_the_hub_closes(bus, data):
+    """The frames a hub on ``bus`` sends a connection that writes ``data``,
+    up to the hub closing it. The hub's threads for it must end, and none
+    may raise."""
     server = TcpBusServer(bus)
     server.start()
     before = set(threading.enumerate())
@@ -757,21 +771,33 @@ def test_tcp_bad_frame_gets_one_error_frame(data, code):
         with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
             sock.sendall(data)
             received = b""
-            while chunk := sock.recv(65536):  # the hub closes after the error
+            while chunk := sock.recv(65536):
                 received += chunk
-        readers = [t for t in threading.enumerate()
-                   if t not in before and t.name.startswith("tcp-bus-")]
-        for thread in readers:
+        for thread in [t for t in threading.enumerate()
+                       if t not in before and t.name.startswith("tcp-bus-")]:
             thread.join(timeout=5)
             assert not thread.is_alive()
     finally:
         threading.excepthook = previous_hook
         server.stop()
+    assert raised == []
+    return list(FrameReader().feed(received))
+
+
+@pytest.mark.parametrize("data, code", [
+    (b"\xff\xff\xff\xff", "frame_too_large"),  # declares a 4 GiB body
+    (b"\x00\x00\x00\x02{]", "malformed_frame"),
+    (HUGE_INT_FRAME, "malformed_frame"),
+    (DEEP_FRAME, "malformed_frame"),
+], ids=["too_large", "malformed", "huge_int", "deep"])
+def test_tcp_bad_frame_gets_one_error_frame(data, code):
+    bus = MessageBus()
+    try:
+        (error,) = _until_the_hub_closes(bus, data)
+    finally:
         bus.close()
-    error = decode_frame(received)
     assert error.topic == "system/errors"
     assert error.payload["error_code"] == code
-    assert raised == []
 
 
 def test_frame_reader_yields_the_good_frames_ahead_of_a_bad_one():
@@ -885,43 +911,110 @@ def test_tcp_client_ends_its_inbox_on_a_hostile_frame(data):
     assert raised == []
 
 
-@pytest.mark.parametrize("payload, reply", [
+@pytest.mark.parametrize("payload, code", [
     ({"name": "peer", "subscriptions": None}, "bad_pattern"),
     ({"name": "peer", "subscriptions": "exam"}, "bad_pattern"),
     ({"name": "peer", "subscriptions": [1]}, "bad_pattern"),
     ({"name": "peer", "subscriptions": {"exam/*": 1}}, "bad_pattern"),
     (["peer"], "protocol_error"),
 ], ids=["null", "string", "number", "object", "payload-list"])
-def test_tcp_announce_with_malformed_payload_is_refused(payload, reply):
+def test_tcp_announce_with_malformed_payload_is_refused(payload, code):
     """A null list killed the hub's reader thread, and a string subscribed
     the peer to its one-letter topics."""
     bus = MessageBus()
-    server = TcpBusServer(bus)
-    server.start()
-    before = set(threading.enumerate())
-    raised = []
-    previous_hook = threading.excepthook
-    threading.excepthook = raised.append
     try:
-        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
-            sock.sendall(encode_frame(Message(topic=tcp_module.ANNOUNCE_TOPIC,
-                                              correlation_id="a-1", sender="peer",
-                                              seq=0, payload=payload)))
-            received = b""
-            while chunk := sock.recv(65536):  # the hub closes after refusing
-                received += chunk
-        for thread in [t for t in threading.enumerate()
-                       if t not in before and t.name.startswith("tcp-bus-")]:
-            thread.join(timeout=5)
-            assert not thread.is_alive()
+        (answer,) = _until_the_hub_closes(bus, encode_frame(Message(
+            topic=tcp_module.ANNOUNCE_TOPIC, correlation_id="a-1", sender="peer",
+            seq=0, payload=payload)))
         bus.claim_name("peer")  # the refused peer holds no name
     finally:
-        threading.excepthook = previous_hook
-        server.stop()
         bus.close()
-    (answer,) = FrameReader().feed(received)
-    if reply == "bad_pattern":
-        assert (answer.topic, answer.correlation_id) == (tcp_module.ANNOUNCE_TOPIC, "a-1")
-        assert answer.payload["ok"] is False
-    assert answer.payload["error_code"] == reply
-    assert raised == []
+    assert (answer.topic, answer.correlation_id) == (tcp_module.ANNOUNCE_TOPIC, "a-1")
+    assert answer.payload["ok"] is False
+    assert answer.payload["error_code"] == code
+
+
+def _announce(name, subscriptions=()):
+    return Message(tcp_module.ANNOUNCE_TOPIC, "a-1", name, 0,
+                   {"name": name, "subscriptions": list(subscriptions)})
+
+
+@pytest.mark.parametrize("first, code", [
+    (Message("t/x", "a-1", "peer", 0, {"name": "peer"}), "protocol_error"),
+    (Message(tcp_module.ANNOUNCE_TOPIC, "a-1", "peer", 0, {"subscriptions": []}),
+     "protocol_error"),
+    (_announce("peer", ["T/X"]), "bad_pattern"),
+    (_announce("taken"), "duplicate_name"),
+], ids=["no-announce", "no-name", "bad-pattern", "taken-name"])
+def test_tcp_each_refused_announce_gets_one_refusal_then_the_hub_closes(first, code):
+    """The refusal comes on the announce topic, whatever the first frame
+    was. Frames written behind it in the same write are not read: a good
+    announce there once registered the refused connection."""
+    bus = MessageBus()
+    bus.claim_name("taken")
+    watcher = bus.subscribe("watcher", "t/*")
+    try:
+        frames = _until_the_hub_closes(bus, b"".join(map(encode_frame, [
+            first, _announce("late", ["t/*"]), Message("t/x", "", "late", 0, "behind")])))
+        bus.claim_name("late")
+    finally:
+        bus.close()
+    assert watcher.get(timeout=1) is None  # closed, with nothing published
+    (answer,) = frames
+    assert (answer.topic, answer.correlation_id, answer.sender) == \
+        (tcp_module.ANNOUNCE_TOPIC, "a-1", "bus")
+    assert (answer.payload["ok"], answer.payload["error_code"]) == (False, code)
+    assert answer.payload["message"]
+
+
+def _first_frames(bus, data, count):
+    """The first ``count`` frames a hub on ``bus`` sends a connection that
+    writes ``data``; the hub keeps the connection open."""
+    server = TcpBusServer(bus)
+    server.start()
+    try:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(data)
+            reader, frames = FrameReader(), []
+            while len(frames) < count:
+                chunk = sock.recv(65536)
+                assert chunk, f"the hub closed after {frames}"
+                frames.extend(reader.feed(chunk))
+    finally:
+        server.stop()
+    return frames
+
+
+def test_tcp_frame_under_another_sender_gets_one_bad_sender_frame():
+    bus = MessageBus()
+    watcher = bus.subscribe("watcher", "t/*")
+    try:
+        frames = _first_frames(bus, b"".join(map(encode_frame, [
+            _announce("peer", ["t/echo"]),
+            Message("t/x", "c-1", "someone", 0, "forged"),
+            Message("t/echo", "c-2", "peer", 0, "mine")])), 3)
+    finally:
+        bus.close()
+    ack, error, echo = frames
+    assert ack.payload == {"ok": True, "name": "peer"}
+    assert (error.topic, error.payload) == ("system/errors", {
+        "error_code": "bad_sender", "message": "frames must carry sender 'peer'"})
+    assert (echo.topic, echo.payload) == ("t/echo", "mine")
+    assert watcher.get(timeout=1).payload == "mine"  # the forged frame was not published
+    assert watcher.get(timeout=1) is None
+
+
+def test_tcp_raw_wildcard_frame_gets_one_wildcard_publish_frame():
+    """TcpBusClient refuses to send one, so the frame is written raw."""
+    bus = MessageBus()
+    try:
+        frames = _first_frames(bus, b"".join(map(encode_frame, [
+            _announce("peer", ["t/echo"]),
+            Message("a/*", "c-1", "peer", 0, {}),
+            Message("t/echo", "c-2", "peer", 0, "after")])), 3)
+    finally:
+        bus.close()
+    ack, error, echo = frames
+    assert ack.payload["ok"] is True
+    assert (error.topic, error.payload["error_code"]) == ("system/errors", "wildcard_publish")
+    assert (echo.topic, echo.payload) == ("t/echo", "after")

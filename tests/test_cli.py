@@ -676,3 +676,15 @@ def test_analyze_reads_crlf_responses_by_the_fast_path(bio, capsys, monkeypatch)
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
     assert len(packed) == 2 and None not in packed
+
+
+@pytest.mark.parametrize("out", ["nodir/x.json", ".", "a\x00b"],
+                         ids=["missing-dir", "directory", "nul"])
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--responses", "items.csv"],
+    ["graph", "export", "--data-dir", "kgdata", "--subject", "bio"],
+    ["generate", "--data-dir", "kgdata", "--blueprint", "bp.json"],
+], ids=["analyze", "graph-export", "generate"])
+def test_an_out_path_that_cannot_be_written_is_invalid_params(bio, capsys, argv, out):
+    assert _one_error_line(capsys, argv + ["--out", out]) == "invalid_params"
+    assert not Path("nodir").exists()

@@ -35,6 +35,7 @@ from examgraph.generation import (
     generate_exam,
 )
 from examgraph.generation.exam import MAX_RETRIES
+from examgraph.ingestion import RuleExtractor, SourceDocument, ingest_document
 from examgraph.kg import GraphRegistry, KnowledgeGraph, NodeKind
 from examgraph.ranking import rank_chapter_concepts
 
@@ -654,6 +655,38 @@ def test_slots_in_one_cell_never_reuse_an_accepted_pair(corpus, monkeypatch):
                          RubricConfig(epsilon=100.0))
     assert exam.complete
     assert accepted == [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1)]
+
+
+def test_record_result_refuses_a_candidate_that_is_not_pending(corpus):
+    """The refused verdict changes nothing: the pending candidate stays
+    pending, and the session still builds generate_exam's exam."""
+    registry, _, _ = corpus
+    graph = registry.get("envsci")
+    blueprint = ExamBlueprint.from_dict(blueprint_dict())
+    session = ExamSession(graph, blueprint, TemplateGenerator(graph, seed=3), seed=3)
+    pending = session.next_candidate()
+    stale = dataclasses.replace(pending)
+    with pytest.raises(InvalidParams, match="pending candidate"):
+        session.record_result(stale, session.evaluate(pending))
+    assert session.pending is pending
+    for candidate in iter(session.next_candidate, None):
+        session.record_result(candidate, session.evaluate(candidate))
+    reference = generate_exam(registry, blueprint, TemplateGenerator(graph, seed=3), seed=3)
+    assert session.build_exam().to_json() == reference.to_json()
+
+
+def test_chapter_with_no_concepts_is_unfilled_with_its_reason():
+    registry = GraphRegistry()
+    ingest_document(registry, SourceDocument(
+        "d1", "s", ["Ch 1"], "The oak supports the fern. The elm needs the ash.", "plain"),
+        RuleExtractor({}))  # no lexicon: facts, but no concept above them
+    blueprint = ExamBlueprint.from_dict({
+        "subject": "s", "sections": [{"chapter": "Ch 1", "count": 2, "tiers": {"basic": 2}}]})
+    exam = generate_exam(registry, blueprint, TemplateGenerator(registry.get("s")))
+    assert exam.items == [] and exam.rejects == []
+    assert exam.unfilled == [{"chapter": "Ch 1", "tier": "basic", "missing": 2,
+                              "error_code": "insufficient_material",
+                              "reason": "chapter 'ch 1' has no concepts"}]
 
 
 def test_loop_call_counts(corpus, monkeypatch):

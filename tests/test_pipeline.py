@@ -13,7 +13,7 @@ from examgraph.generation import (
 )
 from examgraph.generation.exam import MAX_RETRIES
 from examgraph.ingestion import RuleExtractor, SourceDocument, ingest_document
-from examgraph.kg import GraphRegistry
+from examgraph.kg import EdgeKind, GraphRegistry, NodeKind
 
 from helpers import ROOTS_A, ROOTS_B, blueprint_dict, build_registry, corpus_documents
 
@@ -321,6 +321,32 @@ def test_kg_query_round_trip(stack):
     assert bad.payload["error_code"] == "unknown_subject"
 
 
+def test_kg_query_neighbors_reply_and_its_refusals(stack):
+    """Every reply names its op; a refusal is the op plus an error report."""
+    bus, registry, pipeline, documents, lexicon = stack
+    ingest_document(registry, documents[0], RuleExtractor(lexicon))
+    graph = registry.get("envsci")
+    chapter = graph.find_node("Ch 1", NodeKind.HIERARCHY)
+    replies = bus.subscribe("watch-replies", "kg/reply")
+    found = publish_and_wait(bus, replies, "kg/query", {
+        "op": "neighbors", "subject": "envsci", "node": chapter,
+        "direction": "in", "kind": "include_in"}, "q-1")
+    expected = [
+        {"edge": {"kind": "include_in", "from": edge.src, "to": edge.dst, "label": edge.label},
+         "node": {"id": node.id, "kind": node.kind.value, "label": node.label}}
+        for edge, node in graph.query_neighbors(chapter, "in", EdgeKind.INCLUDE_IN)]
+    assert len(expected) == 4  # the chapter's four concepts
+    assert found.payload == {"op": "neighbors", "neighbors": expected}
+    unknown = publish_and_wait(bus, replies, "kg/query",
+                               {"op": "paths", "subject": "envsci"}, "q-2")
+    assert unknown.payload == {"op": "paths", "error_code": "bad_query",
+                               "message": "unknown op 'paths'"}
+    sideways = publish_and_wait(bus, replies, "kg/query", {
+        "op": "neighbors", "subject": "envsci", "node": chapter, "direction": "up"}, "q-3")
+    assert sideways.payload == {"op": "neighbors", "error_code": "invalid_params",
+                                "message": "direction must be in/out/both, got 'up'"}
+
+
 def test_llm_agent_serves_mock_replies(stack):
     bus, registry, pipeline, documents, lexicon = stack
     replies = bus.subscribe("watch-llm", "llm/reply")
@@ -618,12 +644,16 @@ _DOC = {"doc_id": "d1", "subject": "envsci", "chapter_path": ["Ch 1"],
                  id="query-unknown-kind"),
     pytest.param("kg/query", {"op": "stats", "subject": ["envsci"]}, "kg/reply",
                  "invalid_params", id="query-subject-list"),
+    pytest.param("kg/query", {"op": "paths", "subject": "envsci"}, "kg/reply", "bad_query",
+                 id="query-unknown-op"),
+    pytest.param("kg/assert", {"subject": "", "doc_id": "d1", "chapter_path": ["Ch 1"]},
+                 "system/errors", "empty_subject", id="assert-empty-subject"),
     pytest.param("llm/request", {}, "llm/reply", "invalid_params", id="llm-empty"),
     pytest.param("llm/request", "x", "llm/reply", "invalid_params", id="llm-payload-string"),
 ])
 def test_malformed_payload_reports_its_error_code(stack, topic, payload, reply_topic, code):
     """Each reply comes under the request's correlation id with a stable
-    code: never agent_error or error, nor a bare KeyError or TypeError
+    code: never the fallback error, nor a bare KeyError or TypeError
     message."""
     bus, registry, pipeline, documents, lexicon = stack
     ingest_document(registry, documents[0], RuleExtractor(lexicon))
