@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import logging
 import queue
+import selectors
 import socket
 import threading
+import time
 import weakref
 
 from ..checks import strings
@@ -25,6 +27,7 @@ from ..errors import (
     FrameTooLarge,
     MalformedFrame,
     ProtocolError,
+    QueueOverflow,
     error_report,
 )
 from .codec import FrameReader, encode_frame
@@ -52,8 +55,11 @@ class _Connection:
     def send_message(self, message: Message) -> None:
         try:
             self.outbox.put_nowait(message)
-        except queue.Full:
-            logger.warning("dropping frame to %s: outbox full", self.peer)
+        except queue.Full:  # reported as the bus reports its own deliveries
+            subscriber = self.name or "%s:%s" % self.peer
+            self.server.bus.report(QueueOverflow(f"outbox of {subscriber!r} is full"),
+                                   sender="bus", subscriber=subscriber,
+                                   dropped_topic=message.topic)
 
     def close(self, flush: bool = False) -> None:
         """Tear down the connection. With ``flush`` the writer thread sends
@@ -262,21 +268,27 @@ class TcpBusClient:
     def __init__(self, host: str, port: int, name: str,
                  subscriptions: list[str] | None = None, timeout: float = 10.0):
         self.name = name
-        self._inbox = queue.SimpleQueue()
         self._reader = FrameReader()
+        self._buffer = memoryview(bytearray(RECV_BYTES))
+        self._ahead: list[Message] = []  # frames published once subscribed can lead the ack
+        self._lock = threading.Lock()  # one thread reads at a time
+        self._open = True
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._alive = True
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._sock, selectors.EVENT_READ)
         self._send(Message(topic=ANNOUNCE_TOPIC, correlation_id="",
                            sender=name, seq=0,
                            payload={"name": name,
                                     "subscriptions": list(subscriptions or [])}))
-        ack, frames = None, self._frames()
-        for message in frames:  # frames published once subscribed can lead the ack
-            if message.topic == ANNOUNCE_TOPIC:
-                ack = message
-                break
-            self._inbox.put(message)
+        # reads wait by readiness; a socket timeout would bound publish's sends too
+        self._sock.settimeout(None)
+        deadline = time.monotonic() + timeout
+        try:
+            while (ack := self._read(deadline)) is not None and ack.topic != ANNOUNCE_TOPIC:
+                self._ahead.append(ack)
+        except queue.Empty:
+            ack = None
         if ack is None:
             self.close()
             raise MalformedFrame("hub did not acknowledge announce")
@@ -285,30 +297,28 @@ class TcpBusClient:
             if ack.payload.get("error_code") == DuplicateName.code:
                 raise DuplicateName(ack.payload.get("message", name))
             raise MalformedFrame(ack.payload.get("message", "announce rejected"))
-        self._sock.settimeout(None)
-        self._thread = threading.Thread(target=self._recv_loop, args=(frames,),
-                                        name=f"tcp-client-{name}", daemon=True)
-        self._thread.start()
 
     def _send(self, message: Message) -> None:
         self._sock.sendall(encode_frame(message))
 
-    def _frames(self):
-        """Frames off the socket until it closes, fails or the client closes."""
-        buffer = bytearray(RECV_BYTES)
-        view = memoryview(buffer)
+    def _read(self, deadline: float | None) -> Message | None:
+        """Under the read lock: the next frame, read from the socket if none is
+        buffered; None once the connection has ended; queue.Empty at ``deadline``."""
+        chunk = b""
         try:
-            while self._alive and (size := self._sock.recv_into(buffer)):
-                yield from self._reader.feed(view[:size])
+            while self._open:
+                if (message := next(self._reader.feed(chunk), None)) is not None:
+                    return message
+                wait = None if deadline is None else deadline - time.monotonic()
+                if not self._selector.select(wait):
+                    raise queue.Empty
+                chunk = self._buffer[:self._sock.recv_into(self._buffer)]
+                if not chunk:
+                    break
         except (OSError, ExamGraphError):
             pass
-
-    def _recv_loop(self, frames) -> None:
-        try:
-            for message in frames:
-                self._inbox.put(message)
-        finally:
-            self._inbox.put(None)
+        self._open = False
+        return None
 
     def publish(self, topic: str, payload, correlation_id: str = "") -> None:
         validate_topic(topic, allow_wildcard=False)
@@ -317,14 +327,22 @@ class TcpBusClient:
                            sender=self.name, seq=0, payload=payload))
 
     def get(self, timeout: float | None = None) -> Message | None:
-        """Next received frame; None when the connection has closed.
-        Raises queue.Empty on timeout."""
-        return self._inbox.get(timeout=timeout)
+        """Next received frame, read in the calling thread; None once the
+        connection has ended, on every call. Raises queue.Empty on timeout."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        if not self._lock.acquire(timeout=-1 if timeout is None else max(timeout, 0)):
+            raise queue.Empty
+        try:
+            return self._ahead.pop(0) if self._ahead and self._open else self._read(deadline)
+        finally:
+            self._lock.release()
 
     def close(self) -> None:
-        self._alive = False
+        self._open = False
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-        self._sock.close()
+        with self._lock:  # the shutdown wakes a get blocked on the socket
+            self._selector.close()
+            self._sock.close()

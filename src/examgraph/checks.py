@@ -19,8 +19,10 @@ from .errors import InvalidParams
 
 def json_value(text: str | bytes, what: str, error=InvalidParams):
     """``json.loads(text)``, bytes with their encoding detected; any failure, a
-    huge int or deep nesting too, raises ``error``."""
+    huge int, deep nesting or a UTF-8-encoded surrogate too, raises ``error``."""
     try:
+        if isinstance(text, bytes):  # strictly: json.loads lets surrogates through
+            text = text.decode(json.detect_encoding(text))
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError too
         raise error(f"{what} is not JSON: {getattr(exc, 'msg', exc)}") from None

@@ -227,6 +227,21 @@ def test_a_lone_surrogate_label_exports_as_its_escape_and_round_trips():
     assert export_graph(clone) == snapshot
 
 
+def test_a_surrogate_pair_encoded_as_two_code_points_is_refused(tmp_path):
+    """CESU-8 writes each half of a pair as its own UTF-8 sequence. Read as
+    two code points, such a label would export as a pair escape and import
+    back as the one character, so a blueprint file holding it is refused."""
+    path = tmp_path / "blueprint.json"
+    for subject, encoding in [("a\U0001f333", "utf-8"), ("a\ud83c\udf33", "cesu-8")]:
+        text = json.dumps(blueprint_dict(subject=subject, chapters=1), ensure_ascii=False)
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        if encoding == "utf-8":
+            assert ExamBlueprint.load(path).subject == subject
+        else:
+            with pytest.raises(InvalidParams, match="blueprint is not JSON"):
+                ExamBlueprint.load(path)
+
+
 # defects the fuzz found past the readers
 
 def test_a_rubric_without_a_tiers_target_is_invalid_params(tmp_path, capsys):

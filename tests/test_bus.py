@@ -1,10 +1,13 @@
 import gc
+import itertools
 import json
 import queue
 import random
 import socket
+import sys
 import threading
 import time
+import types
 
 import pytest
 
@@ -747,7 +750,7 @@ def test_tcp_server_stops_beside_a_silent_peer():
 def _frame_around(payload_json: str) -> bytes:
     """A frame whose payload is the given JSON text, valid in every other field."""
     body = ('{"correlation_id":"","payload":%s,"sender":"peer","seq":0,"topic":"t/x"}'
-            % payload_json).encode()
+            % payload_json).encode("utf-8", "surrogatepass")
     return len(body).to_bytes(4, "big") + body
 
 
@@ -755,6 +758,9 @@ def _frame_around(payload_json: str) -> bytes:
 # limit and RecursionError for deep nesting; both once killed the reader
 HUGE_INT_FRAME = _frame_around("1" * 5000)
 DEEP_FRAME = _frame_around("[" * 100_000 + "]" * 100_000)
+# a surrogate pair as two UTF-8-encoded code points (CESU-8), which
+# json.loads on bytes would read as two code points, not one character
+CESU8_FRAME = _frame_around('"a\ud83c\udf33"')
 
 
 def _until_the_hub_closes(bus, data):
@@ -789,7 +795,8 @@ def _until_the_hub_closes(bus, data):
     (b"\x00\x00\x00\x02{]", "malformed_frame"),
     (HUGE_INT_FRAME, "malformed_frame"),
     (DEEP_FRAME, "malformed_frame"),
-], ids=["too_large", "malformed", "huge_int", "deep"])
+    (CESU8_FRAME, "malformed_frame"),
+], ids=["too_large", "malformed", "huge_int", "deep", "cesu8"])
 def test_tcp_bad_frame_gets_one_error_frame(data, code):
     bus = MessageBus()
     try:
@@ -836,7 +843,7 @@ def test_tcp_hub_publishes_the_good_frame_ahead_of_a_bad_one():
 
 def test_tcp_client_takes_an_ack_that_shares_a_write_with_a_hostile_frame():
     """The constructor gets the acknowledgement that arrives in one write
-    with a frame the codec cannot read, and the inbox then ends."""
+    with a frame the codec cannot read, and the client's stream then ends."""
     listener = socket.create_server(("127.0.0.1", 0))
     ended = threading.Event()
 
@@ -859,18 +866,18 @@ def test_tcp_client_takes_an_ack_that_shares_a_write_with_a_hostile_frame():
             assert client.get(timeout=5) is None
         finally:
             client.close()
-            client._thread.join(timeout=5)
     finally:
         ended.set()
         hub.join(timeout=5)
         listener.close()
 
 
-@pytest.mark.parametrize("data", [HUGE_INT_FRAME, DEEP_FRAME], ids=["huge_int", "deep"])
+@pytest.mark.parametrize("data", [HUGE_INT_FRAME, DEEP_FRAME, CESU8_FRAME],
+                         ids=["huge_int", "deep", "cesu8"])
 def test_tcp_client_ends_its_inbox_on_a_hostile_frame(data):
     """A fake hub acknowledges the announce, sends one good frame and, once
     the client has it, one the codec cannot read, and keeps the socket open:
-    the client's inbox gives the good frame, then None, and no thread raises."""
+    the client's get gives the good frame, then None, and no thread raises."""
     listener = socket.create_server(("127.0.0.1", 0))
     got_good, ended = threading.Event(), threading.Event()
 
@@ -901,7 +908,6 @@ def test_tcp_client_ends_its_inbox_on_a_hostile_frame(data):
         finally:
             ended.set()
             client.close()
-            client._thread.join(timeout=5)
     finally:
         got_good.set()
         ended.set()
@@ -909,6 +915,184 @@ def test_tcp_client_ends_its_inbox_on_a_hostile_frame(data):
         listener.close()
         threading.excepthook = previous_hook
     assert raised == []
+
+
+def test_constructing_a_tcp_client_starts_no_thread():
+    """The fake hub's thread starts before the snapshot of live threads."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    done = threading.Event()
+
+    def fake_hub():
+        conn, _ = listener.accept()
+        with conn:
+            reader = FrameReader()
+            while not list(reader.feed(conn.recv(65536))):  # the announce
+                pass
+            conn.sendall(encode_frame(Message(tcp_module.ANNOUNCE_TOPIC, "", "bus", 0,
+                                              {"ok": True, "name": "peer"})))
+            done.wait(5)
+
+    hub = threading.Thread(target=fake_hub)
+    hub.start()
+    try:
+        before = threading.enumerate()
+        client = TcpBusClient("127.0.0.1", listener.getsockname()[1], "peer", ["t/*"])
+        try:
+            assert threading.enumerate() == before
+        finally:
+            client.close()
+    finally:
+        done.set()
+        hub.join(timeout=5)
+        listener.close()
+
+
+def _served_client(bus, name="remote"):
+    """A started hub on ``bus`` and a client of it subscribed to ``t/x``."""
+    server = TcpBusServer(bus)
+    server.start()
+    return server, TcpBusClient("127.0.0.1", server.port, name, ["t/x"])
+
+
+def test_tcp_client_get_times_out_on_a_silent_hub_and_reads_on():
+    bus = MessageBus()
+    server, client = _served_client(bus)
+    try:
+        start = time.monotonic()
+        with pytest.raises(queue.Empty):
+            client.get(timeout=0.05)
+        assert 0.04 <= time.monotonic() - start < 0.05 + 0.5
+        bus.publish("t/x", "after", sender="local")
+        assert client.get(timeout=2).payload == "after"
+    finally:
+        client.close()
+        server.stop()
+        bus.close()
+
+
+def test_tcp_client_gives_none_on_every_get_after_eof():
+    bus = MessageBus()
+    server, client = _served_client(bus)
+    try:
+        server.stop()  # the hub closes the connection
+        start = time.monotonic()
+        assert [client.get(timeout=2) for _ in range(3)] == [None, None, None]
+        assert time.monotonic() - start < 1
+    finally:
+        client.close()
+        bus.close()
+
+
+def test_tcp_client_close_wakes_a_get_blocked_in_another_thread():
+    bus = MessageBus()
+    server, client = _served_client(bus)
+    results, raised = [], []
+    previous_hook = threading.excepthook
+    threading.excepthook = raised.append
+    reader = threading.Thread(target=lambda: results.append(client.get()))
+    try:
+        reader.start()
+        deadline = time.monotonic() + 1
+        while not client._lock.locked():  # the reader is inside get
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        client.close()
+        reader.join(timeout=1)
+        assert not reader.is_alive()
+        assert results == [None]
+        assert client.get(timeout=1) is None
+    finally:
+        threading.excepthook = previous_hook
+        client.close()
+        reader.join(timeout=5)
+        server.stop()
+        bus.close()
+    assert raised == []
+
+
+def test_threads_reading_one_tcp_client_get_each_frame_once():
+    """More readers than cores, switching often: every frame reaches exactly
+    one of them, and each gets its frames in order."""
+    bus = MessageBus()
+    server, client = _served_client(bus)
+    got = [[], [], []]
+
+    def read(mine):
+        while True:
+            try:
+                mine.append(client.get(timeout=0.2).payload)
+            except queue.Empty:
+                return
+
+    readers = [threading.Thread(target=read, args=(mine,)) for mine in got]
+    interval = sys.getswitchinterval()
+    try:
+        for n in range(300):
+            bus.publish("t/x", n, sender="local")
+        sys.setswitchinterval(1e-5)
+        for thread in readers:
+            thread.start()
+        for thread in readers:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        client.close()
+        server.stop()
+        bus.close()
+    assert sorted(sum(got, [])) == list(range(300))
+    assert all(mine == sorted(mine) for mine in got)
+
+
+def test_a_tcp_client_that_stops_reading_leaves_overflow_reports_then_reads_in_order():
+    """Frames the client has not asked for wait in the kernel and in its hub
+    outbox, not in the client. Publishes to a full outbox are dropped and
+    reported; reading again, the client gets every kept frame, in order."""
+    bus = MessageBus(queue_capacity=4)
+    errors = bus.subscribe("watch", "system/errors", shared_queue=queue.Queue())
+    server, client = _served_client(bus, "slow")
+    try:
+        pad, kept, failed = "x" * 1_000_000, [], False
+        deadline = time.monotonic() + 10
+        for n in itertools.count():
+            assert time.monotonic() < deadline, "the hub's outbox never stayed full"
+            if bus.publish("t/x", {"n": n, "pad": pad}, sender="local"):
+                kept.append(n)
+                failed = False
+            elif failed:
+                break  # still full after a pause: the hub's writer is blocked
+            else:
+                failed = True
+                time.sleep(0.05)
+        reports = [errors.get(timeout=2).payload for _ in range(n + 1 - len(kept))]
+        assert {r["error_code"] for r in reports} == {"queue_overflow"}
+        assert {(r["subscriber"], r["dropped_topic"]) for r in reports} == {("slow", "t/x")}
+        assert [client.get(timeout=2).payload["n"] for _ in kept] == kept
+        with pytest.raises(queue.Empty):
+            client.get(timeout=0.1)
+    finally:
+        client.close()
+        server.stop()
+        bus.close()
+
+
+@pytest.mark.parametrize("name, subscriber", [(None, "127.0.0.1:5555"), ("peer", "peer")],
+                         ids=["before-announce", "after-announce"])
+def test_a_dropped_hub_frame_is_reported_with_its_peer(name, subscriber):
+    """The hub's own acknowledgement or error frame to a peer whose outbox
+    is full is reported as the bus reports its own drops."""
+    bus = MessageBus(queue_capacity=1)
+    errors = bus.subscribe("watch", "system/errors")
+    conn = tcp_module._Connection(types.SimpleNamespace(bus=bus), None, ("127.0.0.1", 5555))
+    conn.name = name
+    try:
+        for topic in ("system/announce", "system/errors"):
+            conn.send_message(Message(topic, "", "bus", 0, None))
+        assert errors.get(timeout=1).payload == {
+            "error_code": "queue_overflow", "message": f"outbox of {subscriber!r} is full",
+            "subscriber": subscriber, "dropped_topic": "system/errors"}
+    finally:
+        bus.close()
 
 
 @pytest.mark.parametrize("payload, code", [
